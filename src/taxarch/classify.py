@@ -195,7 +195,8 @@ def aggregate(
         key = (user_j, used_j)
         counts[key] = counts.get(key, 0) + e.multiplicity
     matrix = JurisdictionFlowMatrix.from_counts(counts, snapshot.id)
-    assert matrix.total() == sum(e.multiplicity for e in snapshot.dependencies)
+    if matrix.total() != sum(e.multiplicity for e in snapshot.dependencies):
+        raise IntegrityError(f"flow matrix of snapshot {snapshot.id!r} does not conserve its use count")
     return matrix
 
 

@@ -125,8 +125,6 @@ def _read_snapshot(path: str) -> ArchitectureSnapshot:
 
 def _load_input(args) -> "ArchitectureSnapshot | object":
     if getattr(args, "fixture", None):
-        if args.fixture not in FIXTURE_NAMES:
-            raise CliError(f"unknown fixture {args.fixture!r} (available: {', '.join(FIXTURE_NAMES)})")
         return fixture(args.fixture)
     if getattr(args, "bundle", None):
         return _read_snapshot(args.bundle)
@@ -144,10 +142,7 @@ def _require_valid(snapshot: ArchitectureSnapshot) -> None:
 def _run_pipeline(snapshot: ArchitectureSnapshot, policy: ScopePolicy, cascade):
     _require_valid(snapshot)
     scoped, exclusions = apply_scope_filter(snapshot, policy)
-    try:
-        assignments = resolve_jurisdictions(list(scoped.owners), cascade)
-    except ConflictingEvidenceError as exc:
-        raise CliError(str(exc), EXIT_DOMAIN) from None
+    assignments = resolve_jurisdictions(list(scoped.owners), cascade)
     matrix = aggregate(scoped, assignments)
     stats = compute_stats(matrix, exclusions, resolution_summary(assignments))
     return scoped, assignments, matrix, stats
@@ -188,16 +183,13 @@ def cmd_report(args) -> int:
 
     if isinstance(loaded, ArchitectureSnapshot):
         scoped, assignments, matrix, stats = _run_pipeline(loaded, policy, cascade)
-        registers = build_registers(scoped, assignments)
-        component_csv, owner_csv = emit_registers(scoped, assignments, "csv")
         metadata["taken_at"] = scoped.taken_at.isoformat()
     else:
-        matrix = loaded
-        stats = compute_stats(matrix)
-        registers = build_registers(
-            ArchitectureSnapshot(matrix.snapshot_id or "", date.min, (), (), (), ()), []
-        )
-        component_csv, owner_csv = "component,owner\n", "owner,jurisdiction,provenance\n"
+        # Matrix-only input has no components or owners: its registers are empty.
+        matrix, stats = loaded, compute_stats(loaded)
+        scoped, assignments = ArchitectureSnapshot(matrix.snapshot_id or "", date.min, (), (), (), ()), []
+    registers = build_registers(scoped, assignments)
+    component_csv, owner_csv = emit_registers(scoped, assignments, "csv")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,8 +275,6 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 
 def cmd_fixture(args) -> int:
-    if args.name not in FIXTURE_NAMES:
-        raise CliError(f"unknown fixture {args.name!r} (available: {', '.join(FIXTURE_NAMES)})")
     loaded = fixture(args.name)
     if isinstance(loaded, ArchitectureSnapshot):
         data = serialize_bundle(loaded)
@@ -371,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ConflictingEvidenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

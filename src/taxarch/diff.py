@@ -103,15 +103,24 @@ def diff_snapshots(
         if a_owner_of[cid] != b_owner_of[cid]
     )
 
-    a_juris = {x.owner: x.jurisdiction for x in resolve_jurisdictions(list(a.owners), cascade)}
-    b_juris = {x.owner: x.jurisdiction for x in resolve_jurisdictions(list(b.owners), cascade)}
+    # One scope -> resolve -> aggregate pass per snapshot. Scoping keeps
+    # every owner, so the same assignments serve the jurisdiction
+    # comparison and the scoped flow matrix.
+    jurisdiction_of = []
+    cell_deltas: dict[tuple[str, str], int] = {}
+    for snapshot, sign in ((a, -1), (b, +1)):
+        scoped, _ = apply_scope_filter(snapshot, policy)
+        assignments = resolve_jurisdictions(list(snapshot.owners), cascade)
+        jurisdiction_of.append({x.owner: x.jurisdiction for x in assignments})
+        for cell, count in aggregate(scoped, assignments).cells:
+            cell_deltas[cell] = cell_deltas.get(cell, 0) + sign * count
+    a_juris, b_juris = jurisdiction_of
     jurisdiction_changes = tuple(
         (oid, a_juris[oid], b_juris[oid])
         for oid in sorted(set(a_juris) & set(b_juris))
         if a_juris[oid] != b_juris[oid]
     )
-
-    matrix_delta = _matrix_delta(a, b, cascade, policy)
+    matrix_delta = tuple(sorted((cell, d) for cell, d in cell_deltas.items() if d))
 
     # A component counts as a coupled change when its owner changed and
     # its incident edge set changed between the two snapshots.
@@ -137,18 +146,3 @@ def diff_snapshots(
         coupled_change_count=coupled,
     )
 
-
-def _matrix_delta(
-    a: ArchitectureSnapshot,
-    b: ArchitectureSnapshot,
-    cascade: tuple[Resolver, ...],
-    policy: ScopePolicy,
-) -> tuple[tuple[tuple[str, str], int], ...]:
-    deltas: dict[tuple[str, str], int] = {}
-    for snapshot, sign in ((a, -1), (b, +1)):
-        scoped, _ = apply_scope_filter(snapshot, policy)
-        assignments = resolve_jurisdictions(list(scoped.owners), cascade)
-        matrix = aggregate(scoped, assignments)
-        for cell, count in matrix.cells:
-            deltas[cell] = deltas.get(cell, 0) + sign * count
-    return tuple(sorted((cell, d) for cell, d in deltas.items() if d))

@@ -58,15 +58,30 @@ _TOP_LEVEL_KEYS = (
     "owners",
     "ownership",
 )
+_EDGE_ENDPOINTS = ("user", "owner_component")
 
 
-def _require_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], where: str) -> None:
-    unknown = set(obj) - set(allowed)
+def _require_keys(
+    obj, allowed: tuple[str, ...], required: tuple[str, ...], where: str, ids: tuple[str, ...] = ()
+) -> None:
+    """Check that `obj` is an object with known fields, the required ones, and string `ids`."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = obj.keys() - allowed
     if unknown:
         raise SchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"missing field(s) {missing} in {where}")
+    for k in ids:
+        if not isinstance(obj[k], str):
+            raise SchemaError(f"{where}.{k} must be a string")
+
+
+def _require_array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be a JSON array")
+    return value
 
 
 def _parse_enum(enum_cls, value, field: str):
@@ -113,17 +128,15 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON: {exc.msg}", exc.pos) from None
-    if not isinstance(data, dict):
-        raise SchemaError("bundle must be a JSON object")
-    _require_keys(data, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "bundle")
+    _require_keys(data, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "bundle", ("snapshot_id",))
     version = data["schema_version"]
     if version != SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
 
     components = []
-    for i, c in enumerate(data["components"]):
+    for i, c in enumerate(_require_array(data["components"], "components")):
         where = f"components[{i}]"
-        _require_keys(c, ("id", "name", "kind", "status"), ("id", "name", "kind", "status"), where)
+        _require_keys(c, ("id", "name", "kind", "status"), ("id", "name", "kind", "status"), where, ("id",))
         components.append(
             Component(
                 id=c["id"],
@@ -134,9 +147,9 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         )
 
     dependencies = []
-    for i, e in enumerate(data["dependencies"]):
+    for i, e in enumerate(_require_array(data["dependencies"], "dependencies")):
         where = f"dependencies[{i}]"
-        _require_keys(e, ("user", "owner_component", "kind", "multiplicity"), ("user", "owner_component"), where)
+        _require_keys(e, _EDGE_ENDPOINTS + ("kind", "multiplicity"), _EDGE_ENDPOINTS, where, _EDGE_ENDPOINTS)
         multiplicity = e.get("multiplicity", 1)
         if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity < 1:
             raise SchemaError(f"{where}.multiplicity must be a positive integer")
@@ -150,12 +163,12 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         )
 
     owners = []
-    for i, o in enumerate(data["owners"]):
+    for i, o in enumerate(_require_array(data["owners"], "owners")):
         where = f"owners[{i}]"
-        _require_keys(o, ("id", "name", "kind", "location_evidence"), ("id", "name", "kind"), where)
+        _require_keys(o, ("id", "name", "kind", "location_evidence"), ("id", "name", "kind"), where, ("id",))
         evidence = tuple(
             _parse_evidence(ev, f"{where}.location_evidence[{j}]")
-            for j, ev in enumerate(o.get("location_evidence", []))
+            for j, ev in enumerate(_require_array(o.get("location_evidence", []), f"{where}.location_evidence"))
         )
         owners.append(
             Owner(
@@ -167,9 +180,9 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         )
 
     ownership = []
-    for i, a in enumerate(data["ownership"]):
+    for i, a in enumerate(_require_array(data["ownership"], "ownership")):
         where = f"ownership[{i}]"
-        _require_keys(a, ("component", "owner"), ("component", "owner"), where)
+        _require_keys(a, ("component", "owner"), ("component", "owner"), where, ("component", "owner"))
         ownership.append(OwnershipAssignment(component=a["component"], owner=a["owner"]))
 
     return ArchitectureSnapshot(
@@ -262,10 +275,13 @@ def assemble_from_csv(
 
     dependencies = []
     component_ids: set[str] = set()
-    for row in edge_rows:
+    for i, row in enumerate(edge_rows, start=2):
         user, owner_component = row[0], row[1]
-        kind = DependencyKind(row[2]) if len(row) > 2 and row[2] else DependencyKind.USE
-        multiplicity = int(row[3]) if len(row) > 3 and row[3] else 1
+        try:
+            kind = DependencyKind(row[2]) if len(row) > 2 and row[2] else DependencyKind.USE
+            multiplicity = int(row[3]) if len(row) > 3 and row[3] else 1
+        except ValueError as exc:
+            raise CsvError(f"edges: row {i}: {exc}") from None
         dependencies.append(DependencyEdge(user, owner_component, kind, multiplicity))
         component_ids.update((user, owner_component))
 

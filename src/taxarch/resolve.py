@@ -11,13 +11,18 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 
-from .model import UNKNOWN, EvidenceSource, LocationEvidence, Owner
+from .model import UNKNOWN, EvidenceSource, Owner
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
 
+# Resolver name -> the evidence sources it reads, in default cascade order.
 # Questionnaire answers are direct statements by the owner and count as
 # explicit assignments.
-_EXPLICIT_SOURCES = (EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.QUESTIONNAIRE)
+_RESOLVER_SOURCES = {
+    "explicit_assignment": (EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.QUESTIONNAIRE),
+    "member_majority": (EvidenceSource.MEMBER_LOCATIONS,),
+    "manager_location": (EvidenceSource.MANAGER_LOCATION,),
+}
 
 
 class CascadeConfigError(ValueError):
@@ -34,11 +39,11 @@ class ConflictingEvidenceError(ValueError):
 
 @dataclass(frozen=True)
 class Resolver:
-    name: str  # explicit_assignment | member_majority | manager_location
+    name: str  # a key of _RESOLVER_SOURCES
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.name not in ("explicit_assignment", "member_majority", "manager_location"):
+        if self.name not in _RESOLVER_SOURCES:
             raise CascadeConfigError(f"unknown resolver {self.name!r}")
         if self.name == "member_majority":
             threshold = DEFAULT_MAJORITY_THRESHOLD if self.threshold is None else self.threshold
@@ -54,11 +59,7 @@ class Resolver:
         return self.name
 
 
-DEFAULT_CASCADE = (
-    Resolver("explicit_assignment"),
-    Resolver("member_majority"),
-    Resolver("manager_location"),
-)
+DEFAULT_CASCADE = tuple(Resolver(name) for name in _RESOLVER_SOURCES)
 
 
 def parse_cascade(text: str) -> tuple[Resolver, ...]:
@@ -99,58 +100,33 @@ class JurisdictionAssignment:
         return self.resolver if self.resolver is not None else "unresolved"
 
 
-def _latest(evidence: list[LocationEvidence], owner_id: str) -> LocationEvidence:
-    latest_date = max(ev.recorded_at for ev in evidence)
-    latest = [ev for ev in evidence if ev.recorded_at == latest_date]
-    if len({ev.payload for ev in latest}) > 1:
-        raise ConflictingEvidenceError(
-            f"owner {owner_id!r}: conflicting {latest[0].source.value} evidence dated {latest_date.isoformat()}"
-        )
-    return latest[0]
-
-
 def _try_resolver(resolver: Resolver, owner: Owner) -> JurisdictionAssignment | None:
-    if resolver.name == "explicit_assignment":
-        candidates = [ev for ev in owner.location_evidence if ev.source in _EXPLICIT_SOURCES]
-        if not candidates:
-            return None
-        ev = _latest(candidates, owner.id)
-        if ev.payload == UNKNOWN:
-            return None
-        return JurisdictionAssignment(owner.id, ev.payload, resolver.describe(), ev.source.value, ev.recorded_at)
-
-    if resolver.name == "manager_location":
-        candidates = [ev for ev in owner.location_evidence if ev.source is EvidenceSource.MANAGER_LOCATION]
-        if not candidates:
-            return None
-        ev = _latest(candidates, owner.id)
-        if ev.payload == UNKNOWN:
-            return None
-        return JurisdictionAssignment(owner.id, ev.payload, resolver.describe(), ev.source.value, ev.recorded_at)
-
-    # member_majority: most recent membership report wins; a jurisdiction
-    # is decisive when its share of member locations reaches the threshold.
-    candidates = [ev for ev in owner.location_evidence if ev.source is EvidenceSource.MEMBER_LOCATIONS]
+    """Decide from the resolver's evidence recorded on the latest date, or decline."""
+    sources = _RESOLVER_SOURCES[resolver.name]
+    candidates = [ev for ev in owner.location_evidence if ev.source in sources]
     if not candidates:
         return None
-    latest_date = max(ev.recorded_at for ev in candidates)
-    latest = [ev for ev in candidates if ev.recorded_at == latest_date]
-    members = Counter()
-    for ev in latest:
-        members.update(ev.payload)
-    total = sum(members.values())
-    if total == 0:
+    decided_at = max(ev.recorded_at for ev in candidates)
+    latest = [ev for ev in candidates if ev.recorded_at == decided_at]
+
+    if resolver.name == "member_majority":
+        # A jurisdiction is decisive when its share of member locations
+        # reaches the threshold.
+        members = Counter(code for ev in latest for code in ev.payload)
+        total = sum(members.values())
+        for code, count in sorted(members.items()):
+            if code != UNKNOWN and count / total >= resolver.threshold:
+                return JurisdictionAssignment(owner.id, code, resolver.describe(), f"{count}/{total} members", decided_at)
         return None
-    for code, count in sorted(members.items()):
-        if code != UNKNOWN and count / total >= resolver.threshold:
-            return JurisdictionAssignment(
-                owner.id,
-                code,
-                resolver.describe(),
-                f"{count}/{total} members",
-                latest_date,
-            )
-    return None
+
+    if len({ev.payload for ev in latest}) > 1:
+        raise ConflictingEvidenceError(
+            f"owner {owner.id!r}: conflicting {latest[0].source.value} evidence dated {decided_at.isoformat()}"
+        )
+    ev = latest[0]
+    if ev.payload == UNKNOWN:
+        return None
+    return JurisdictionAssignment(owner.id, ev.payload, resolver.describe(), ev.source.value, decided_at)
 
 
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:

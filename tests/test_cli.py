@@ -134,3 +134,21 @@ def test_fixture_subcommand(tmp_path):
     table = tmp_path / "t.csv"
     assert main(["fixture", "casestudy_matrix", "--out", str(table)]) == 0
     assert "4069" in table.read_text()
+
+
+@pytest.mark.parametrize("command", ["report", "stats", "diff"])
+def test_conflicting_evidence_exit_1_without_traceback(tmp_path, capsys, command):
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    evidence = doc["owners"][0]["location_evidence"]
+    evidence.append(dict(evidence[0], payload="FRA"))
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(doc))
+    args = {
+        "report": ["report", str(path), "--out-dir", str(tmp_path / "out")],
+        "stats": ["stats", str(path)],
+        "diff": ["diff", str(path), str(path)],
+    }[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "conflicting" in err
+    assert "Traceback" not in err

@@ -1,10 +1,12 @@
 import json
 
+import taxarch.diff
 from taxarch.classify import aggregate, apply_scope_filter
 from taxarch.diff import diff_snapshots
 from taxarch.generate import fixture
 from taxarch.model import (
     ArchitectureSnapshot,
+    ComponentStatus,
     DependencyEdge,
     OwnershipAssignment,
 )
@@ -155,3 +157,30 @@ def test_delta_json_round_trip_and_determinism():
     doc = json.loads(text)
     assert doc["snapshot_a"] == a.id
     assert doc["components_removed"] == sorted(c.id for c in a.components)
+
+
+def test_diff_resolves_each_snapshot_once(monkeypatch):
+    calls = []
+
+    def counting(owners, cascade=DEFAULT_CASCADE):
+        calls.append(len(owners))
+        return resolve_jurisdictions(owners, cascade)
+
+    monkeypatch.setattr(taxarch.diff, "resolve_jurisdictions", counting)
+    snapshot = fixture("devnullsoft")
+    diff_snapshots(snapshot, snapshot)
+    assert calls == [len(snapshot.owners)] * 2
+
+
+def test_diff_reports_jurisdiction_change_of_out_of_scope_owner():
+    a = make_snapshot(
+        components=[make_component("x"), make_component("y"), make_component("z", ComponentStatus.EXPERIMENTAL)],
+        edges=[("x", "y")],
+        owners=[make_owner("t1", "SWE"), make_owner("t2", "DEU")],
+        ownership=[("x", "t1"), ("y", "t1"), ("z", "t2")],
+    )
+    owners = (a.owners[0], make_owner("t2", "FRA"))
+    b = ArchitectureSnapshot("b", a.taken_at, a.components, a.dependencies, owners, a.ownership)
+    delta = diff_snapshots(a, b)
+    assert delta.jurisdiction_changes == (("t2", "DEU", "FRA"),)
+    assert delta.matrix_delta == ()

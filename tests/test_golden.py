@@ -1,0 +1,66 @@
+"""Golden sha256 pins: every canonical artifact stays byte-identical.
+
+The values were taken from the released behaviour. A change that alters
+any of these bytes changes what an auditor receives, so it must update
+the pin deliberately and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from taxarch.cli import main
+from taxarch.generate import fixture
+from taxarch.ingest import serialize_bundle
+
+GEN_ARGS = ["gen", "--components", "200", "--teams", "20", "--density", "3", "--unresolved-rate", "0.2"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_devnullsoft_bundle_bytes():
+    assert _sha256(serialize_bundle(fixture("devnullsoft"))) == (
+        "006c44f7107e5581e4faced2ba6703f49dafad29b3e1ab52f7b93807c540f4c3"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, pins",
+    [
+        (
+            "devnullsoft",
+            {
+                "view.dot": "645fc8f89e932bd7ff725bc81ac0558664adb58162b1264140001a34927f23e6",
+                "view.csv": "c3fb1425075bbbf810e8e4c3e8ed5c3b4a7e442dbdf907050660ee575725d355",
+                "registers.csv": "1a7ec186d0c0ec2745029106ea8710ef5c157f0bac3980812ee899d0d9875f76",
+                "report.json": "0a0887d5b1f3e10ce97fbd789b3c32c1c8e3fa4754d5a06ddfdcd0c6a314ff6a",
+            },
+        ),
+        (
+            "casestudy_matrix",
+            {
+                "view.dot": "41c68e2fdf42d2c15e202fe0355ecfde3f36ac8718e6ed9966a8395b2b4f7dbc",
+                "view.csv": "6d0b38d11da8309a3253cff8a0615fcdc5ef8ef744aebfccdc41bb1fa738ff54",
+                "registers.csv": "6bdb618515b4854dbd8006cb6b0355fbc3758b2ad5f243c889c6b2ebfd39af41",
+                "report.json": "31bd0bb37eaf0c5f0956e1aac5e425ba233cf17380ff5f47ea277ee9dfb0955e",
+            },
+        ),
+    ],
+)
+def test_report_artifact_bytes(tmp_path, capsys, name, pins):
+    assert main(["report", "--fixture", name, "--out-dir", str(tmp_path)]) == 0
+    assert {artifact: _sha256((tmp_path / artifact).read_bytes()) for artifact in pins} == pins
+
+
+def test_gen_and_diff_bytes(tmp_path, capsys):
+    for seed in (7, 8):
+        assert main(GEN_ARGS + ["--seed", str(seed), "--out", str(tmp_path / f"s{seed}.json")]) == 0
+    assert _sha256((tmp_path / "s7.json").read_bytes()) == (
+        "7ecccee8b1aa4438afa75f1d0ac4b56c436303ed7f0eee94e00c47f30aaabbf9"
+    )
+    assert main(["diff", str(tmp_path / "s7.json"), str(tmp_path / "s8.json"), "--out", str(tmp_path / "d.json")]) == 0
+    assert _sha256((tmp_path / "d.json").read_bytes()) == (
+        "a36ff80dd805c158da6095f95292db6acb8cb3a206a814cf3ec0babe8358a9e2"
+    )

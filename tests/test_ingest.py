@@ -129,3 +129,28 @@ def test_assemble_rejects_non_alpha3_code():
 def test_assemble_rejects_wrong_header():
     with pytest.raises(CsvError):
         assemble_from_csv("from,to\nx,y\n", OWNERSHIP, JURISDICTIONS, TODAY)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(components=[1]),
+        lambda doc: doc.update(components=5),
+        lambda doc: doc["owners"][0].update(location_evidence=5),
+        lambda doc: doc["owners"][0].update(location_evidence=[1]),
+        lambda doc: doc["components"][0].update(id=5),
+    ],
+    ids=["record-not-object", "collection-not-array", "evidence-not-array", "evidence-not-object", "id-not-string"],
+)
+def test_wrongly_typed_nodes_raise_schema_error(mutate):
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    mutate(doc)
+    with pytest.raises(SchemaError):
+        parse_bundle(json.dumps(doc))
+
+
+@pytest.mark.parametrize("row", ["billing,auth,use,x", "billing,auth,zzz,1"])
+def test_assemble_rejects_bad_edge_field(row):
+    edges = "user,owner_component,kind,multiplicity\n" + row + "\n"
+    with pytest.raises(CsvError, match="row 2"):
+        assemble_from_csv(edges, OWNERSHIP, JURISDICTIONS, TODAY)
