@@ -117,6 +117,13 @@ class IntegrityError(ValueError):
     pass
 
 
+def classify_cell(user_j: str, owner_j: str) -> EdgeClass:
+    """The one rule for a (user, owner) jurisdiction cell: UNKNOWN on either side is unresolved."""
+    if user_j == UNKNOWN or owner_j == UNKNOWN:
+        return EdgeClass.UNRESOLVED
+    return EdgeClass.DOMESTIC if user_j == owner_j else EdgeClass.CROSS_BORDER
+
+
 def classify_edge(
     edge: DependencyEdge,
     owner_of: dict[str, str],
@@ -126,7 +133,7 @@ def classify_edge(
 
     Both components of a single owner sit in one legal entity, so the
     edge is domestic regardless of whether that owner's jurisdiction is
-    known.
+    known; every other edge takes the class of its cell.
     """
     user_owner = owner_of.get(edge.user)
     used_owner = owner_of.get(edge.owner_component)
@@ -134,11 +141,7 @@ def classify_edge(
         raise IntegrityError(f"dependency {edge.user!r}->{edge.owner_component!r} has an unowned endpoint")
     if user_owner == used_owner:
         return EdgeClass.DOMESTIC
-    user_j = jurisdiction_of.get(user_owner, UNKNOWN)
-    used_j = jurisdiction_of.get(used_owner, UNKNOWN)
-    if user_j == UNKNOWN or used_j == UNKNOWN:
-        return EdgeClass.UNRESOLVED
-    return EdgeClass.DOMESTIC if user_j == used_j else EdgeClass.CROSS_BORDER
+    return classify_cell(jurisdiction_of.get(user_owner, UNKNOWN), jurisdiction_of.get(used_owner, UNKNOWN))
 
 
 @dataclass(frozen=True)
@@ -249,23 +252,18 @@ def compute_stats(
     resolution: ResolutionSummary | None = None,
 ) -> ComplianceStats:
     """Decompose the matrix into domestic / cross-border / unresolved counts."""
-    domestic = cross_border = unresolved = 0
+    by_class = dict.fromkeys(EdgeClass, 0)
     inbound: dict[str, int] = {}
     outbound: dict[str, int] = {}
     for (user_j, used_j), count in matrix.cells:
         outbound[user_j] = outbound.get(user_j, 0) + count
         inbound[used_j] = inbound.get(used_j, 0) + count
-        if UNKNOWN in (user_j, used_j):
-            unresolved += count
-        elif user_j == used_j:
-            domestic += count
-        else:
-            cross_border += count
+        by_class[classify_cell(user_j, used_j)] += count
     return ComplianceStats(
         total_uses=matrix.total(),
-        domestic_count=domestic,
-        cross_border_count=cross_border,
-        unresolved_count=unresolved,
+        domestic_count=by_class[EdgeClass.DOMESTIC],
+        cross_border_count=by_class[EdgeClass.CROSS_BORDER],
+        unresolved_count=by_class[EdgeClass.UNRESOLVED],
         inbound=tuple(sorted(inbound.items())),
         outbound=tuple(sorted(outbound.items())),
         resolution=resolution,

@@ -48,31 +48,43 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path: str | None) -> dict:
+# The JSON types each config key accepts; a list must hold strings only.
+_CONFIG_TYPES = {
+    "include_statuses": (str, list),
+    "keep_individual_owners": (bool,),
+    "resolvers": (str,),
+    "buckets": (str, int),
+    "format": (str,),
+}
+
+
+def _merge_config(args) -> None:
+    """Fill the settings the command line left unset from `--config`, checking each type; null is unset."""
+    path = getattr(args, "config", None)
     if path is None:
-        return {}
+        return
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise CliError(f"config {path} must be a JSON object")
-    known = {"include_statuses", "keep_individual_owners", "resolvers", "buckets", "format"}
-    unknown = set(config) - known
+    unknown = config.keys() - _CONFIG_TYPES.keys()
     if unknown:
         raise CliError(f"unknown config key(s): {sorted(unknown)}")
-    return config
+    for key, value in config.items():
+        accepted = _CONFIG_TYPES[key]
+        if value is not None and (
+            type(value) not in accepted or (type(value) is list and not all(type(v) is str for v in value))
+        ):
+            names = " or ".join("list of str" if t is list else t.__name__ for t in accepted)
+            raise CliError(f"config key {key!r} must be {names}, got {type(value).__name__}")
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
-def _effective(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _scope_policy(args, config: dict) -> ScopePolicy:
-    statuses = _effective(args, config, "include_statuses", None)
+def _scope_policy(args) -> ScopePolicy:
+    statuses = args.include_statuses
     if statuses is None:
         include = frozenset({ComponentStatus.PRODUCTION})
     else:
@@ -82,25 +94,23 @@ def _scope_policy(args, config: dict) -> ScopePolicy:
             include = frozenset(ComponentStatus(s) for s in statuses)
         except ValueError as exc:
             raise CliError(f"bad --include-statuses: {exc}") from None
-    keep = _effective(args, config, "keep_individual_owners", False)
     try:
-        return ScopePolicy(include_statuses=include, exclude_individual_owners=not keep)
+        return ScopePolicy(include_statuses=include, exclude_individual_owners=not args.keep_individual_owners)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _cascade(args, config: dict):
-    text = _effective(args, config, "resolvers", None)
-    if text is None:
+def _cascade(args):
+    if args.resolvers is None:
         return DEFAULT_CASCADE
     try:
-        return parse_cascade(text)
+        return parse_cascade(args.resolvers)
     except CascadeConfigError as exc:
         raise CliError(str(exc)) from None
 
 
-def _bucket_scheme(args, config: dict) -> BucketScheme | None:
-    spec = _effective(args, config, "buckets", "none")
+def _bucket_scheme(args) -> BucketScheme | None:
+    spec = args.buckets
     if spec in (None, "none"):
         return None
     try:
@@ -135,7 +145,7 @@ def _require_valid(snapshot: ArchitectureSnapshot) -> None:
     report = validate_snapshot(snapshot)
     if not report.ok:
         for f in report.findings:
-            print(f"{f.severity.value}: {f.code}: {f.message}", file=sys.stderr)
+            print(f"error: {f.code}: {f.message}", file=sys.stderr)
         raise CliError("snapshot failed validation", EXIT_DOMAIN)
 
 
@@ -159,17 +169,16 @@ def cmd_validate(args) -> int:
     snapshot = _read_snapshot(args.bundle)
     report = validate_snapshot(snapshot)
     for f in report.findings:
-        print(f"{f.severity.value}: {f.code}: {f.message}")
+        print(f"error: {f.code}: {f.message}")
     print(f"status: {report.status}")
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
 def cmd_report(args) -> int:
-    config = _load_config(args.config)
-    policy = _scope_policy(args, config)
-    cascade = _cascade(args, config)
-    scheme = _bucket_scheme(args, config)
-    table_format = _effective(args, config, "format", "csv")
+    policy = _scope_policy(args)
+    cascade = _cascade(args)
+    scheme = _bucket_scheme(args)
+    table_format = "csv" if args.format is None else args.format
     if table_format not in ("csv", "markdown"):
         raise CliError(f"unsupported table format {table_format!r} for report")
 
@@ -204,9 +213,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    config = _load_config(args.config)
-    policy = _scope_policy(args, config)
-    cascade = _cascade(args, config)
+    policy = _scope_policy(args)
+    cascade = _cascade(args)
     loaded = _load_input(args)
     if isinstance(loaded, ArchitectureSnapshot):
         _, _, matrix, stats = _run_pipeline(loaded, policy, cascade)
@@ -224,9 +232,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    config = _load_config(args.config)
-    policy = _scope_policy(args, config)
-    cascade = _cascade(args, config)
+    policy = _scope_policy(args)
+    cascade = _cascade(args)
     a = _read_snapshot(args.bundle_a)
     b = _read_snapshot(args.bundle_b)
     for snapshot in (a, b):
@@ -357,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _merge_config(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,6 +75,11 @@ def _edge_map(snapshot: ArchitectureSnapshot) -> dict[tuple[str, str, str], int]
     return {(e.user, e.owner_component, e.kind.value): e.multiplicity for e in snapshot.dependencies}
 
 
+def _changed(a: dict, b: dict) -> tuple[tuple, ...]:
+    """(key, old, new) for each key of both mappings whose value differs, sorted by key."""
+    return tuple((k, a[k], b[k]) for k in sorted(a.keys() & b.keys()) if a[k] != b[k])
+
+
 def diff_snapshots(
     a: ArchitectureSnapshot,
     b: ArchitectureSnapshot,
@@ -89,19 +94,8 @@ def diff_snapshots(
     b_edges = _edge_map(b)
     edges_added = sorted(set(b_edges) - set(a_edges))
     edges_removed = sorted(set(a_edges) - set(b_edges))
-    multiplicity_changes = tuple(
-        (edge, b_edges[edge] - a_edges[edge])
-        for edge in sorted(set(a_edges) & set(b_edges))
-        if a_edges[edge] != b_edges[edge]
-    )
-
-    a_owner_of = a.owner_of()
-    b_owner_of = b.owner_of()
-    ownership_changes = tuple(
-        (cid, a_owner_of[cid], b_owner_of[cid])
-        for cid in sorted(set(a_owner_of) & set(b_owner_of))
-        if a_owner_of[cid] != b_owner_of[cid]
-    )
+    multiplicity_changes = tuple((edge, new - old) for edge, old, new in _changed(a_edges, b_edges))
+    ownership_changes = _changed(a.owner_of(), b.owner_of())
 
     # One scope -> resolve -> aggregate pass per snapshot. Scoping keeps
     # every owner, so the same assignments serve the jurisdiction
@@ -114,12 +108,7 @@ def diff_snapshots(
         jurisdiction_of.append({x.owner: x.jurisdiction for x in assignments})
         for cell, count in aggregate(scoped, assignments).cells:
             cell_deltas[cell] = cell_deltas.get(cell, 0) + sign * count
-    a_juris, b_juris = jurisdiction_of
-    jurisdiction_changes = tuple(
-        (oid, a_juris[oid], b_juris[oid])
-        for oid in sorted(set(a_juris) & set(b_juris))
-        if a_juris[oid] != b_juris[oid]
-    )
+    jurisdiction_changes = _changed(*jurisdiction_of)
     matrix_delta = tuple(sorted((cell, d) for cell, d in cell_deltas.items() if d))
 
     # A component counts as a coupled change when its owner changed and

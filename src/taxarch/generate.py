@@ -31,6 +31,7 @@ from .model import (
     Owner,
     OwnerKind,
     OwnershipAssignment,
+    is_valid_jurisdiction,
 )
 
 GENERATOR_VERSION = 1
@@ -65,6 +66,9 @@ class GeneratorParams:
             raise GenerationError("unresolved_rate must be in [0, 1]")
         if self.dependency_density < 0:
             raise GenerationError("dependency_density must be >= 0")
+        invalid = [code for code, _ in self.jurisdiction_weights if not is_valid_jurisdiction(code)]
+        if invalid:
+            raise GenerationError(f"invalid jurisdiction code(s) {invalid} (expected alpha-3 or UNKNOWN)")
         total = sum(w for _, w in self.jurisdiction_weights)
         if abs(total - 1.0) > 1e-9:
             raise GenerationError(f"jurisdiction weights must sum to 1, got {total}")

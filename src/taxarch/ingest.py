@@ -62,9 +62,9 @@ _EDGE_ENDPOINTS = ("user", "owner_component")
 
 
 def _require_keys(
-    obj, allowed: tuple[str, ...], required: tuple[str, ...], where: str, ids: tuple[str, ...] = ()
+    obj, allowed: tuple[str, ...], required: tuple[str, ...], where: str, strings: tuple[str, ...] = ()
 ) -> None:
-    """Check that `obj` is an object with known fields, the required ones, and string `ids`."""
+    """Check that `obj` is an object with known fields, the required ones, and a string in each of `strings`."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where} must be a JSON object")
     unknown = obj.keys() - allowed
@@ -73,7 +73,7 @@ def _require_keys(
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"missing field(s) {missing} in {where}")
-    for k in ids:
+    for k in strings:
         if not isinstance(obj[k], str):
             raise SchemaError(f"{where}.{k} must be a string")
 
@@ -125,18 +125,24 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         except UnicodeDecodeError as exc:
             raise BundleParseError("document is not valid UTF-8", exc.start) from None
     try:
-        data = json.loads(document)
+        return _snapshot_from(json.loads(document))
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        # Raised by json.loads, or by repr() of a nested value in an error message.
+        raise BundleParseError("JSON nested too deeply") from None
+
+
+def _snapshot_from(data) -> ArchitectureSnapshot:
     _require_keys(data, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "bundle", ("snapshot_id",))
     version = data["schema_version"]
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
 
     components = []
     for i, c in enumerate(_require_array(data["components"], "components")):
         where = f"components[{i}]"
-        _require_keys(c, ("id", "name", "kind", "status"), ("id", "name", "kind", "status"), where, ("id",))
+        _require_keys(c, ("id", "name", "kind", "status"), ("id", "name", "kind", "status"), where, ("id", "name"))
         components.append(
             Component(
                 id=c["id"],
@@ -165,7 +171,7 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
     owners = []
     for i, o in enumerate(_require_array(data["owners"], "owners")):
         where = f"owners[{i}]"
-        _require_keys(o, ("id", "name", "kind", "location_evidence"), ("id", "name", "kind"), where, ("id",))
+        _require_keys(o, ("id", "name", "kind", "location_evidence"), ("id", "name", "kind"), where, ("id", "name"))
         evidence = tuple(
             _parse_evidence(ev, f"{where}.location_evidence[{j}]")
             for j, ev in enumerate(_require_array(o.get("location_evidence", []), f"{where}.location_evidence"))

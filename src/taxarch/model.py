@@ -112,9 +112,6 @@ class ArchitectureSnapshot:
     owners: tuple[Owner, ...]
     ownership: tuple[OwnershipAssignment, ...]
 
-    def component_index(self) -> dict[str, Component]:
-        return {c.id: c for c in self.components}
-
     def owner_index(self) -> dict[str, Owner]:
         return {o.id: o for o in self.owners}
 
@@ -126,14 +123,10 @@ class ArchitectureSnapshot:
         return mapping
 
 
-class Severity(str, Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
-    severity: Severity
+    """A violated invariant; every finding fails validation."""
+
     code: str
     message: str
     offending_ids: tuple[str, ...]
@@ -152,8 +145,8 @@ class ValidationReport:
         return [f.code for f in self.findings]
 
 
-def _finding(code: str, message: str, *ids: str, severity: Severity = Severity.ERROR) -> Finding:
-    return Finding(severity, code, message, tuple(ids))
+def _finding(code: str, message: str, *ids: str) -> Finding:
+    return Finding(code, message, tuple(ids))
 
 
 def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
@@ -164,23 +157,17 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     """
     findings: list[Finding] = []
 
-    seen_components: set[str] = set()
-    for c in snapshot.components:
-        if not c.id:
-            findings.append(_finding("empty-id", "component with empty id", c.name))
-        elif c.id in seen_components:
-            findings.append(_finding("duplicate-id", f"duplicate component id {c.id!r}", c.id))
-        else:
-            seen_components.add(c.id)
+    for what, nodes in (("component", snapshot.components), ("owner", snapshot.owners)):
+        seen: set[str] = set()
+        for node in nodes:
+            if not node.id:
+                findings.append(_finding("empty-id", f"{what} with empty id", node.name))
+            elif node.id in seen:
+                findings.append(_finding("duplicate-id", f"duplicate {what} id {node.id!r}", node.id))
+            else:
+                seen.add(node.id)
 
-    seen_owners: set[str] = set()
     for o in snapshot.owners:
-        if not o.id:
-            findings.append(_finding("empty-id", "owner with empty id", o.name))
-        elif o.id in seen_owners:
-            findings.append(_finding("duplicate-id", f"duplicate owner id {o.id!r}", o.id))
-        else:
-            seen_owners.add(o.id)
         for ev in o.location_evidence:
             codes = ev.payload if isinstance(ev.payload, tuple) else (ev.payload,)
             if (ev.source is EvidenceSource.MEMBER_LOCATIONS) != isinstance(ev.payload, tuple):
@@ -274,5 +261,4 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
             )
 
     findings.sort()
-    failed = any(f.severity is Severity.ERROR for f in findings)
-    return ValidationReport("failed" if failed else "ok", tuple(findings))
+    return ValidationReport("failed" if findings else "ok", tuple(findings))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .classify import ComplianceStats, JurisdictionFlowMatrix
+from .classify import ComplianceStats, EdgeClass, JurisdictionFlowMatrix, classify_cell
 from .model import UNKNOWN, ArchitectureSnapshot
 from .resolve import JurisdictionAssignment
 
@@ -59,14 +59,14 @@ def emit_graph(
     Unresolved flows cannot be drawn between countries; the header
     comment states how many uses were omitted for that reason.
     """
-    omitted = sum(
-        count for (user_j, used_j), count in matrix.cells if UNKNOWN in (user_j, used_j)
-    )
-    edges = [
-        (user_j, used_j, count)
-        for (user_j, used_j), count in matrix.cells
-        if UNKNOWN not in (user_j, used_j) and (include_domestic or user_j != used_j)
-    ]
+    omitted = 0
+    edges = []
+    for (user_j, used_j), count in matrix.cells:
+        edge_class = classify_cell(user_j, used_j)
+        if edge_class is EdgeClass.UNRESOLVED:
+            omitted += count
+        elif include_domestic or edge_class is EdgeClass.CROSS_BORDER:
+            edges.append((user_j, used_j, count))
     edges.sort()
     nodes = sorted({j for user_j, used_j, _ in edges for j in (user_j, used_j)})
 
@@ -82,19 +82,19 @@ def emit_graph(
     return "\n".join(lines) + "\n"
 
 
-def _table_rows(matrix: JurisdictionFlowMatrix, scheme: BucketScheme | None) -> tuple[list[str], list[list[str]]]:
+def _table_rows(matrix: JurisdictionFlowMatrix, scheme: BucketScheme | None) -> list[list[str]]:
     known = list(matrix.known_codes)
     labels = known + [NA_LABEL]
     codes = known + [UNKNOWN]
-    header = ["user"] + labels
-    rows = []
+    counts = matrix.as_dict()
+    rows = [["user"] + labels]
     for row_label, row_code in zip(labels, codes):
         cells = []
         for col_code in codes:
-            count = matrix.cell(row_code, col_code)
+            count = counts.get((row_code, col_code), 0)
             cells.append(scheme.label(count) if scheme is not None else str(count))
         rows.append([row_label] + cells)
-    return header, rows
+    return rows
 
 
 def emit_table(
@@ -106,12 +106,15 @@ def emit_table(
 
     The N/A row and column are always present, even when empty.
     """
-    header, rows = _table_rows(matrix, scheme)
+    return _render(_table_rows(matrix, scheme), format, "table")
+
+
+def _render(rows: list[list[str]], format: str, what: str) -> str:
     if format == "csv":
-        return _render_csv([header] + rows)
+        return _render_csv(rows)
     if format == "markdown":
-        return _render_markdown([header] + rows)
-    raise ValueError(f"unknown table format {format!r}")
+        return _render_markdown(rows)
+    raise ValueError(f"unknown {what} format {format!r}")
 
 
 def _csv_field(value: str) -> str:
@@ -160,11 +163,7 @@ def emit_registers(
     registers = build_registers(snapshot, assignments)
     component_rows = [["component", "owner"]] + [list(r) for r in registers.components]
     owner_rows = [["owner", "jurisdiction", "provenance"]] + [list(r) for r in registers.owners]
-    if format == "csv":
-        return _render_csv(component_rows), _render_csv(owner_rows)
-    if format == "markdown":
-        return _render_markdown(component_rows), _render_markdown(owner_rows)
-    raise ValueError(f"unknown register format {format!r}")
+    return _render(component_rows, format, "register"), _render(owner_rows, format, "register")
 
 
 class ConsistencyError(ValueError):

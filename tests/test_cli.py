@@ -103,6 +103,34 @@ def test_unknown_config_key_exit_2(tmp_path, devnullsoft_bundle, capsys):
     assert main(["stats", str(devnullsoft_bundle), "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"include_statuses": 5},
+        {"include_statuses": ["production", 5]},
+        {"resolvers": 5},
+        {"resolvers": ["explicit_assignment"]},
+        {"keep_individual_owners": "no"},
+        {"buckets": True},
+    ],
+)
+def test_wrongly_typed_config_value_exit_2(tmp_path, devnullsoft_bundle, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["report", str(devnullsoft_bundle), "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key {next(iter(config))!r} must be ")
+
+
+def test_config_fills_only_unset_flags(tmp_path, devnullsoft_bundle, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"resolvers": "member_majority(0.3)", "format": "markdown", "buckets": 10}))
+    assert main(["report", str(devnullsoft_bundle), "--config", str(path), "--out-dir", str(tmp_path / "a")]) == 2
+    args = ["report", str(devnullsoft_bundle), "--config", str(path), "--resolvers", "explicit_assignment"]
+    assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "view.csv").read_text().startswith("| user |")
+    assert "[1,10)" in (tmp_path / "b" / "view.dot").read_text()
+
+
 def test_bad_resolvers_flag_exit_2(devnullsoft_bundle):
     assert main(["stats", str(devnullsoft_bundle), "--resolvers", "member_majority(0.3)"]) == 2
 
@@ -125,6 +153,7 @@ def test_gen_deterministic(tmp_path):
 
 def test_gen_infeasible_exit_2(tmp_path, capsys):
     assert main(["gen", "--components", "3", "--teams", "1", "--density", "100"]) == 2
+    assert main(["gen", "--components", "10", "--teams", "2", "--jurisdictions", "swe:1"]) == 2
 
 
 def test_fixture_subcommand(tmp_path):

@@ -60,6 +60,8 @@ def test_invalid_params_rejected():
         GeneratorParams(component_count=1, team_count=1, unresolved_rate=1.5)
     with pytest.raises(GenerationError):
         GeneratorParams(component_count=1, team_count=1, jurisdiction_weights=(("SWE", 0.4),))
+    with pytest.raises(GenerationError):
+        GeneratorParams(component_count=1, team_count=1, jurisdiction_weights=(("swe", 1.0),))
 
 
 def test_case_study_scale_params():

@@ -68,9 +68,10 @@ def test_non_utf8_rejected():
 
 def test_unsupported_schema_version():
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))
-    doc["schema_version"] = 2
-    with pytest.raises(UnsupportedVersionError):
-        parse_bundle(json.dumps(doc))
+    for version in (2, True, "1"):
+        doc["schema_version"] = version
+        with pytest.raises(UnsupportedVersionError):
+            parse_bundle(json.dumps(doc))
 
 
 def test_unknown_top_level_field_rejected():
@@ -88,7 +89,7 @@ def test_unknown_enum_string_names_field_and_value():
 
 
 def test_parse_never_panics_on_arbitrary_bytes():
-    for blob in (b"", b"[]", b"42", b'"x"', b"\x00\x01", b"{}", b'{"a": }'):
+    for blob in (b"", b"[]", b"42", b'"x"', b"\x00\x01", b"{}", b'{"a": }', b"[" * 100000, b'{"a": ' * 100000):
         with pytest.raises((BundleParseError, SchemaError)):
             parse_bundle(blob)
 
@@ -139,8 +140,18 @@ def test_assemble_rejects_wrong_header():
         lambda doc: doc["owners"][0].update(location_evidence=5),
         lambda doc: doc["owners"][0].update(location_evidence=[1]),
         lambda doc: doc["components"][0].update(id=5),
+        lambda doc: doc["components"][0].update(name=[1]),
+        lambda doc: doc["owners"][0].update(name=5),
     ],
-    ids=["record-not-object", "collection-not-array", "evidence-not-array", "evidence-not-object", "id-not-string"],
+    ids=[
+        "record-not-object",
+        "collection-not-array",
+        "evidence-not-array",
+        "evidence-not-object",
+        "id-not-string",
+        "component-name-not-string",
+        "owner-name-not-string",
+    ],
 )
 def test_wrongly_typed_nodes_raise_schema_error(mutate):
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))

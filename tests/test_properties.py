@@ -1,14 +1,21 @@
-"""Invariant checks over randomized snapshots from the seeded generator."""
+"""Invariant checks over randomized snapshots from the seeded generator,
+and robustness checks over mutated bundles and configs."""
 
+import copy
+import json
 import random
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxarch.classify import aggregate, apply_scope_filter, compute_stats
-from taxarch.generate import GeneratorParams, generate
-from taxarch.ingest import parse_bundle, serialize_bundle
-from taxarch.model import ArchitectureSnapshot, Owner, validate_snapshot
+from taxarch.classify import EdgeClass, aggregate, apply_scope_filter, classify_edge, compute_stats
+from taxarch.cli import main
+from taxarch.generate import GeneratorParams, fixture, generate
+from taxarch.ingest import IngestError, parse_bundle, serialize_bundle
+from taxarch.model import UNKNOWN, ArchitectureSnapshot, Owner, validate_snapshot
 from taxarch.resolve import resolve_jurisdictions
 from taxarch.views import BucketScheme
 
@@ -156,3 +163,106 @@ def test_order_preserving_bucketization(snapshot):
     order = {"[1,10)": 0, "[10,100)": 1, "[100,∞)": 2}
     ranks = [order[label] for label in labels]
     assert ranks == sorted(ranks)
+
+
+@given(snapshots())
+def test_classify_edge_matches_stats_except_same_unknown_owner(snapshot):
+    # The one difference between the per-edge rule and the matrix rule:
+    # an edge between two components of one UNKNOWN owner is domestic per
+    # edge and unresolved in the matrix.
+    scoped, assignments, matrix = pipeline(snapshot)
+    owner_of = scoped.owner_of()
+    jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
+    per_edge = dict.fromkeys(EdgeClass, 0)
+    same_unknown_owner = 0
+    for e in scoped.dependencies:
+        per_edge[classify_edge(e, owner_of, jurisdiction_of)] += e.multiplicity
+        owner = owner_of[e.user]
+        if owner == owner_of[e.owner_component] and jurisdiction_of.get(owner, UNKNOWN) == UNKNOWN:
+            same_unknown_owner += e.multiplicity
+    stats = compute_stats(matrix)
+    assert per_edge[EdgeClass.DOMESTIC] == stats.domestic_count + same_unknown_owner
+    assert per_edge[EdgeClass.CROSS_BORDER] == stats.cross_border_count
+    assert per_edge[EdgeClass.UNRESOLVED] == stats.unresolved_count - same_unknown_owner
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+DEVNULLSOFT_DOC = json.loads(serialize_bundle(fixture("devnullsoft")))
+DEEP = "\x00deep"  # placeholder, replaced by deeply nested arrays in the document text
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+NODE_PATHS = [p for p in _paths(DEVNULLSOFT_DOC) if p]
+
+
+@st.composite
+def mutated_bundles(draw):
+    """The devnullsoft bundle with nodes of wrong type, missing or extra keys, or deep nesting."""
+    doc = copy.deepcopy(DEVNULLSOFT_DOC)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        *parents, last = draw(st.sampled_from(NODE_PATHS))
+        parent = doc
+        try:
+            for key in parents:
+                parent = parent[key]
+            parent[last]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this node
+        mutation = draw(st.sampled_from(["wrong-type", "missing", "extra", "deep"]))
+        if mutation == "wrong-type":
+            parent[last] = draw(json_values)
+        elif mutation == "missing":
+            del parent[last]
+        elif mutation == "extra" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=8))] = draw(json_values)
+        elif mutation == "extra":
+            parent.append(draw(json_values))
+        else:
+            parent[last] = DEEP
+    depth = draw(st.integers(min_value=900, max_value=1100) | st.integers(min_value=1, max_value=100_000))
+    return json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_bundles())
+def test_mutated_bundles_raise_only_ingest_errors(text):
+    try:
+        snapshot = parse_bundle(text)
+    except IngestError:
+        return
+    validate_snapshot(snapshot)
+
+
+CONFIG_KEYS = ("include_statuses", "keep_individual_owners", "resolvers", "buckets", "format")
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "stats", "diff"])
+@settings(max_examples=25, deadline=None)
+@given(config=st.dictionaries(st.sampled_from(CONFIG_KEYS + ("unknown_key",)), json_values, max_size=3))
+def test_cli_exits_0_1_or_2_on_any_config(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bundle, config_path = tmp / "bundle.json", tmp / "config.json"
+        bundle.write_bytes(serialize_bundle(fixture("devnullsoft")))
+        config_path.write_text(json.dumps(config))
+        if command == "validate":
+            # validate takes no config; the generated object is its input instead.
+            argv = ["validate", str(config_path)]
+        else:
+            argv = {
+                "report": ["report", str(bundle), "--out-dir", str(tmp / "out")],
+                "stats": ["stats", str(bundle)],
+                "diff": ["diff", str(bundle), str(bundle), "--out", str(tmp / "delta.json")],
+            }[command] + ["--config", str(config_path)]
+        assert main(argv) in (0, 1, 2)
