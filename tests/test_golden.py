@@ -6,14 +6,32 @@ the pin deliberately and say why.
 """
 
 import hashlib
+from datetime import date
 
 import pytest
 
 from taxarch.cli import main
 from taxarch.generate import fixture
 from taxarch.ingest import serialize_bundle
+from taxarch.model import (
+    ArchitectureSnapshot,
+    Component,
+    ComponentKind,
+    ComponentStatus,
+    DependencyEdge,
+    DependencyKind,
+    EvidenceSource,
+    LocationEvidence,
+    Owner,
+    OwnerKind,
+    OwnershipAssignment,
+)
 
 GEN_ARGS = ["gen", "--components", "200", "--teams", "20", "--density", "3", "--unresolved-rate", "0.2"]
+GEN_ARGS_SEED_11 = [
+    "gen", "--components", "2000", "--teams", "50", "--density", "10", "--unresolved-rate", "0.3",
+    "--jurisdictions", "DEU:0.5,FRA:0.3,UNKNOWN:0.2", "--seed", "11",
+]
 
 
 def _sha256(data: bytes) -> str:
@@ -64,3 +82,64 @@ def test_gen_and_diff_bytes(tmp_path, capsys):
     assert _sha256((tmp_path / "d.json").read_bytes()) == (
         "a36ff80dd805c158da6095f95292db6acb8cb3a206a814cf3ec0babe8358a9e2"
     )
+
+
+# Every string the escaper can treat differently: quote, backslash, a
+# control character with a short escape and one without, U+2028 (valid
+# JSON, left unescaped), non-ASCII and a character outside the BMP.
+ODD_NAME = 'say "hi" \\ back\nslash \x01 sep \u2028 Zürich 🚀'
+
+
+def _odd_snapshot():
+    recorded = date(2023, 3, 1)
+    return ArchitectureSnapshot(
+        id="odd-" + ODD_NAME,
+        taken_at=date(2023, 6, 30),
+        components=(
+            Component("c2", ODD_NAME, ComponentKind.LIBRARY, ComponentStatus.EXPERIMENTAL),
+            Component("c1", "plain", ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION),
+            Component("c3", "", ComponentKind.OTHER, ComponentStatus.DEPRECATED),
+        ),
+        dependencies=(
+            DependencyEdge("c2", "c1", DependencyKind.OTHER, 3),
+            DependencyEdge("c1", "c2"),
+            DependencyEdge("c2", "c1"),
+        ),
+        owners=(
+            Owner(
+                "t2",
+                ODD_NAME,
+                OwnerKind.UNIT,
+                (
+                    LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ("SWE", "DEU", "SWE", "UNKNOWN"), recorded),
+                    LocationEvidence(EvidenceSource.MANAGER_LOCATION, "GBR", recorded),
+                    LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", date(2022, 12, 31)),
+                    LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "UNKNOWN", recorded),
+                ),
+            ),
+            Owner("t1", "no evidence", OwnerKind.INDIVIDUAL),
+        ),
+        ownership=(
+            OwnershipAssignment("c2", "t2"),
+            OwnershipAssignment("c1", "t1"),
+            OwnershipAssignment("c3", "t2"),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "snapshot, pin",
+    [
+        (_odd_snapshot(), "2c8b202ccaa2b9fb20de4f7e04445e3d48093fb8a7c79add9f025b39794ee6b7"),
+        (ArchitectureSnapshot("", date(2023, 1, 1), (), (), (), ()), "55f6031edb56cf2cbcbda2b6158cfb746c33d6bfdaf5c9d5626c515621c8c588"),
+    ],
+    ids=["odd", "empty"],
+)
+def test_hand_built_bundle_bytes(snapshot, pin):
+    assert _sha256(serialize_bundle(snapshot)) == pin
+
+
+def test_gen_with_jurisdictions_bytes(tmp_path, capsys):
+    out = tmp_path / "s11.json"
+    assert main(GEN_ARGS_SEED_11 + ["--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == "b8812131cef09aae72548ef001605d57808ff3798a4026c82c0498d791f73ed3"
