@@ -96,9 +96,10 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         )
 
     rng = random.Random(params.seed)
+    ids = [f"c{i:05d}" for i in range(n)]
     components = tuple(
-        Component(f"c{i:05d}", f"service-{i}", ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION)
-        for i in range(n)
+        Component(cid, f"service-{i}", ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION)
+        for i, cid in enumerate(ids)
     )
     owners = []
     for i in range(params.team_count):
@@ -115,15 +116,16 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         OwnershipAssignment(c.id, f"t{rng.randrange(params.team_count):04d}") for c in components
     )
 
-    pairs: set[tuple[int, int]] = set()
+    # Each pair (user, used) is stored as user * n + used: since used < n,
+    # the ints sort in the same order as the pairs.
+    pairs: set[int] = set()
     while len(pairs) < edge_target:
         user = rng.randrange(n)
         used = rng.randrange(n)
         if user != used:
-            pairs.add((user, used))
+            pairs.add(user * n + used)
     dependencies = tuple(
-        DependencyEdge(f"c{user:05d}", f"c{used:05d}", DependencyKind.USE, 1)
-        for user, used in sorted(pairs)
+        DependencyEdge(ids[pair // n], ids[pair % n], DependencyKind.USE, 1) for pair in sorted(pairs)
     )
 
     return ArchitectureSnapshot(

@@ -3,6 +3,13 @@
 The bundle is a UTF-8 JSON document (schema_version 1). Serialization is
 canonical: fixed key order, sorted arrays, 2-space indent, trailing
 newline, so equal snapshots always produce byte-identical documents.
+
+The schema is fixed, so the canonical bytes are formatted record by
+record at each record's fixed indent, not built as a dict and handed to
+`json.dumps`, whose `indent` falls back to the pure-Python encoder.
+Every string goes through `json.encoder.encode_basestring`, the C
+escaper `json.dumps` itself uses with `ensure_ascii=False`, so the bytes
+equal `json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import csv
 import io
 import json
 from datetime import date
+from json.encoder import encode_basestring as _quote
 
 from .model import (
     UNKNOWN,
@@ -69,7 +77,9 @@ def _require_keys(
         raise SchemaError(f"{where} must be a JSON object")
     unknown = obj.keys() - allowed
     if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
+        names = sorted(unknown)
+        more = f" and {len(names) - 3} more" if len(names) > 3 else ""
+        raise SchemaError(f"unknown field(s) {', '.join(map(_shown, names[:3]))}{more} in {where}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"missing field(s) {missing} in {where}")
@@ -84,11 +94,25 @@ def _require_array(value, where: str) -> list:
     return value
 
 
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """A value from the document as an error message shows it: a scalar by its repr when that is short,
+    anything else by its JSON type, so that a message stays one short line whatever the input holds."""
+    if isinstance(value, (list, dict)):
+        return "<array>" if isinstance(value, list) else "<object>"
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"<string of {len(value)} characters>" if isinstance(value, str) else "<number>"
+
+
 def _parse_enum(enum_cls, value, field: str):
     try:
         return enum_cls(value)
     except ValueError:
-        raise SchemaError(f"unknown value {value!r} for field {field!r}") from None
+        raise SchemaError(f"unknown value {_shown(value)} for field {field!r}") from None
 
 
 def _parse_date(value, field: str) -> date:
@@ -97,7 +121,7 @@ def _parse_date(value, field: str) -> date:
     try:
         return date.fromisoformat(value)
     except ValueError:
-        raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {value!r}") from None
+        raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(value)}") from None
 
 
 def _parse_evidence(obj: dict, where: str) -> LocationEvidence:
@@ -129,7 +153,6 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON: {exc.msg}", exc.pos) from None
     except RecursionError:
-        # Raised by json.loads, or by repr() of a nested value in an error message.
         raise BundleParseError("JSON nested too deeply") from None
 
 
@@ -137,7 +160,7 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     _require_keys(data, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "bundle", ("snapshot_id",))
     version = data["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise UnsupportedVersionError(f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
+        raise UnsupportedVersionError(f"unsupported schema_version {_shown(version)} (supported: {SCHEMA_VERSION})")
 
     components = []
     for i, c in enumerate(_require_array(data["components"], "components")):
@@ -201,45 +224,56 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     )
 
 
-def _evidence_to_dict(ev: LocationEvidence) -> dict:
-    payload = list(ev.payload) if isinstance(ev.payload, tuple) else ev.payload
-    return {"source": ev.source.value, "payload": payload, "recorded_at": ev.recorded_at.isoformat()}
+# The JSON string of every enum value, escaped once instead of per record.
+_JSON_VALUE = {
+    member: _quote(member.value)
+    for enum in (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSource)
+    for member in enum
+}
+
+
+def _evidence_record(ev: LocationEvidence) -> str:
+    if isinstance(ev.payload, tuple):
+        payload = _array([f"            {_quote(code)}" for code in ev.payload], "          ")
+    else:
+        payload = _quote(ev.payload)
+    return (
+        f'        {{\n          "source": {_JSON_VALUE[ev.source]},\n          "payload": {payload},\n'
+        f'          "recorded_at": {_quote(ev.recorded_at.isoformat())}\n        }}'
+    )
+
+
+def _array(records: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(records) + f"\n{indent}]" if records else "[]"
 
 
 def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
     """Serialize to the canonical bundle form (byte-stable for equal snapshots)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "snapshot_id": snapshot.id,
-        "taken_at": snapshot.taken_at.isoformat(),
-        "components": [
-            {"id": c.id, "name": c.name, "kind": c.kind.value, "status": c.status.value}
-            for c in sorted(snapshot.components, key=lambda c: c.id)
-        ],
-        "dependencies": [
-            {
-                "user": e.user,
-                "owner_component": e.owner_component,
-                "kind": e.kind.value,
-                "multiplicity": e.multiplicity,
-            }
-            for e in sorted(snapshot.dependencies, key=lambda e: (e.user, e.owner_component, e.kind.value))
-        ],
-        "owners": [
-            {
-                "id": o.id,
-                "name": o.name,
-                "kind": o.kind.value,
-                "location_evidence": [_evidence_to_dict(ev) for ev in o.location_evidence],
-            }
-            for o in sorted(snapshot.owners, key=lambda o: o.id)
-        ],
-        "ownership": [
-            {"component": a.component, "owner": a.owner}
-            for a in sorted(snapshot.ownership, key=lambda a: (a.component, a.owner))
-        ],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    components = [
+        f'    {{\n      "id": {_quote(c.id)},\n      "name": {_quote(c.name)},\n'
+        f'      "kind": {_JSON_VALUE[c.kind]},\n      "status": {_JSON_VALUE[c.status]}\n    }}'
+        for c in sorted(snapshot.components, key=lambda c: c.id)
+    ]
+    dependencies = [
+        f'    {{\n      "user": {_quote(e.user)},\n      "owner_component": {_quote(e.owner_component)},\n'
+        f'      "kind": {_JSON_VALUE[e.kind]},\n      "multiplicity": {int.__repr__(e.multiplicity)}\n    }}'
+        for e in sorted(snapshot.dependencies, key=lambda e: (e.user, e.owner_component, e.kind.value))
+    ]
+    owners = [
+        f'    {{\n      "id": {_quote(o.id)},\n      "name": {_quote(o.name)},\n      "kind": {_JSON_VALUE[o.kind]},\n'
+        f'      "location_evidence": {_array([_evidence_record(ev) for ev in o.location_evidence], "      ")}\n    }}'
+        for o in sorted(snapshot.owners, key=lambda o: o.id)
+    ]
+    ownership = [
+        f'    {{\n      "component": {_quote(a.component)},\n      "owner": {_quote(a.owner)}\n    }}'
+        for a in sorted(snapshot.ownership, key=lambda a: (a.component, a.owner))
+    ]
+    return (
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "snapshot_id": {_quote(snapshot.id)},\n'
+        f'  "taken_at": {_quote(snapshot.taken_at.isoformat())},\n'
+        f'  "components": {_array(components, "  ")},\n  "dependencies": {_array(dependencies, "  ")},\n'
+        f'  "owners": {_array(owners, "  ")},\n  "ownership": {_array(ownership, "  ")}\n}}\n'
+    ).encode("utf-8")
 
 
 class CsvError(IngestError):

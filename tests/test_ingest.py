@@ -88,6 +88,30 @@ def test_unknown_enum_string_names_field_and_value():
         parse_bundle(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, value, error, field",
+    [
+        (("components", 0, "kind"), list(range(200_000)), SchemaError, "components[0].kind"),
+        (("taken_at",), "x" * 1_000_000, SchemaError, "taken_at"),
+        (("schema_version",), list(range(100_000)), UnsupportedVersionError, "schema_version"),
+        (("components", 0, "k" * 1_000_000), 1, SchemaError, "components[0]"),
+    ],
+    ids=["enum-array", "date-1mb", "version-array", "field-name-1mb"],
+)
+def test_error_message_names_field_without_echoing_input(path, value, error, field):
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(error) as exc:
+        parse_bundle(json.dumps(doc))
+    message = str(exc.value)
+    assert len(message) < 200
+    assert field in message
+
+
 def test_parse_never_panics_on_arbitrary_bytes():
     for blob in (b"", b"[]", b"42", b'"x"', b"\x00\x01", b"{}", b'{"a": }', b"[" * 100000, b'{"a": ' * 100000):
         with pytest.raises((BundleParseError, SchemaError)):

@@ -15,7 +15,21 @@ from taxarch.classify import EdgeClass, aggregate, apply_scope_filter, classify_
 from taxarch.cli import main
 from taxarch.generate import GeneratorParams, fixture, generate
 from taxarch.ingest import IngestError, parse_bundle, serialize_bundle
-from taxarch.model import UNKNOWN, ArchitectureSnapshot, Owner, validate_snapshot
+from taxarch.model import (
+    UNKNOWN,
+    ArchitectureSnapshot,
+    Component,
+    ComponentKind,
+    ComponentStatus,
+    DependencyEdge,
+    DependencyKind,
+    EvidenceSource,
+    LocationEvidence,
+    Owner,
+    OwnerKind,
+    OwnershipAssignment,
+    validate_snapshot,
+)
 from taxarch.resolve import resolve_jurisdictions
 from taxarch.views import BucketScheme
 
@@ -118,6 +132,88 @@ def test_serialize_parse_round_trip(snapshot):
     assert serialize_bundle(parsed) == data
     assert parsed.id == snapshot.id
     assert len(parsed.dependencies) == len(snapshot.dependencies)
+
+
+# Any text UTF-8 can encode: surrogates are the only code points it cannot.
+texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def evidence(draw):
+    source = draw(st.sampled_from(EvidenceSource))
+    payload = draw(st.lists(texts, max_size=4) if source is EvidenceSource.MEMBER_LOCATIONS else texts)
+    return LocationEvidence(source, payload, draw(st.dates()))
+
+
+# Arbitrary snapshots for the serializer: odd strings, every evidence source,
+# empty and non-empty collections. They need not validate.
+any_snapshots = st.builds(
+    ArchitectureSnapshot,
+    id=texts,
+    taken_at=st.dates(),
+    components=st.lists(
+        st.builds(Component, texts, texts, st.sampled_from(ComponentKind), st.sampled_from(ComponentStatus)),
+        max_size=4,
+    ).map(tuple),
+    dependencies=st.lists(
+        st.builds(DependencyEdge, texts, texts, st.sampled_from(DependencyKind), st.integers(min_value=1)),
+        max_size=4,
+    ).map(tuple),
+    owners=st.lists(
+        st.builds(Owner, texts, texts, st.sampled_from(OwnerKind), st.lists(evidence(), max_size=3).map(tuple)),
+        max_size=4,
+    ).map(tuple),
+    ownership=st.lists(st.builds(OwnershipAssignment, texts, texts), max_size=4).map(tuple),
+)
+
+
+def reference_bundle(snapshot):
+    """The canonical bundle as json.dumps writes it: the serializer's reference oracle."""
+
+    def evidence_dict(ev):
+        payload = list(ev.payload) if isinstance(ev.payload, tuple) else ev.payload
+        return {"source": ev.source.value, "payload": payload, "recorded_at": ev.recorded_at.isoformat()}
+
+    doc = {
+        "schema_version": 1,
+        "snapshot_id": snapshot.id,
+        "taken_at": snapshot.taken_at.isoformat(),
+        "components": [
+            {"id": c.id, "name": c.name, "kind": c.kind.value, "status": c.status.value}
+            for c in sorted(snapshot.components, key=lambda c: c.id)
+        ],
+        "dependencies": [
+            {
+                "user": e.user,
+                "owner_component": e.owner_component,
+                "kind": e.kind.value,
+                "multiplicity": e.multiplicity,
+            }
+            for e in sorted(snapshot.dependencies, key=lambda e: (e.user, e.owner_component, e.kind.value))
+        ],
+        "owners": [
+            {
+                "id": o.id,
+                "name": o.name,
+                "kind": o.kind.value,
+                "location_evidence": [evidence_dict(ev) for ev in o.location_evidence],
+            }
+            for o in sorted(snapshot.owners, key=lambda o: o.id)
+        ],
+        "ownership": [
+            {"component": a.component, "owner": a.owner}
+            for a in sorted(snapshot.ownership, key=lambda a: (a.component, a.owner))
+        ],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_snapshots)
+def test_serialize_matches_json_dumps_and_round_trips(snapshot):
+    data = serialize_bundle(snapshot)
+    assert data == reference_bundle(snapshot)
+    assert serialize_bundle(parse_bundle(data)) == data
 
 
 @given(snapshots(), st.integers(min_value=0, max_value=100))

@@ -1,0 +1,48 @@
+"""Rules on the package source that no other test can see.
+
+- No `assert` statement: `python -O` strips them, and invariant checks
+  must hold there too.
+- No import outside the standard library and `taxarch` itself: the
+  package has no runtime dependencies.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import taxarch
+
+PACKAGE = Path(taxarch.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "ingest.py", "model.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.relative_to(PACKAGE)}: assert on line(s) {lines}"
+
+
+def _imported_packages(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_imports_only_stdlib_and_taxarch(path):
+    allowed = sys.stdlib_module_names | {"taxarch"}
+    outside = [(line, name) for line, name in _imported_packages(_tree(path)) if name not in allowed]
+    assert outside == [], f"{path.relative_to(PACKAGE)}: imports outside the standard library {outside}"
