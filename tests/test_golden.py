@@ -131,7 +131,10 @@ def _odd_snapshot():
     "snapshot, pin",
     [
         (_odd_snapshot(), "2c8b202ccaa2b9fb20de4f7e04445e3d48093fb8a7c79add9f025b39794ee6b7"),
-        (ArchitectureSnapshot("", date(2023, 1, 1), (), (), (), ()), "55f6031edb56cf2cbcbda2b6158cfb746c33d6bfdaf5c9d5626c515621c8c588"),
+        (
+            ArchitectureSnapshot("", date(2023, 1, 1), (), (), (), ()),
+            "55f6031edb56cf2cbcbda2b6158cfb746c33d6bfdaf5c9d5626c515621c8c588",
+        ),
     ],
     ids=["odd", "empty"],
 )
