@@ -129,18 +129,15 @@ def classify_edge(
     owner_of: dict[str, str],
     jurisdiction_of: dict[str, str],
 ) -> EdgeClass:
-    """Classify a single dependency.
+    """Classify a single dependency by the cell of its two owners' jurisdictions.
 
-    Both components of a single owner sit in one legal entity, so the
-    edge is domestic regardless of whether that owner's jurisdiction is
-    known; every other edge takes the class of its cell.
+    This is the matrix rule, so an edge within one owner whose
+    jurisdiction is UNKNOWN is unresolved, as its (N/A, N/A) cell is.
     """
     user_owner = owner_of.get(edge.user)
     used_owner = owner_of.get(edge.owner_component)
     if user_owner is None or used_owner is None:
         raise IntegrityError(f"dependency {edge.user!r}->{edge.owner_component!r} has an unowned endpoint")
-    if user_owner == used_owner:
-        return EdgeClass.DOMESTIC
     return classify_cell(jurisdiction_of.get(user_owner, UNKNOWN), jurisdiction_of.get(used_owner, UNKNOWN))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import date
 from pathlib import Path
 
 from . import __version__
@@ -22,7 +21,6 @@ from .model import ArchitectureSnapshot, ComponentStatus, validate_snapshot
 from .resolve import (
     DEFAULT_CASCADE,
     CascadeConfigError,
-    ConflictingEvidenceError,
     parse_cascade,
     resolution_summary,
     resolve_jurisdictions,
@@ -30,6 +28,7 @@ from .resolve import (
 from .views import (
     BucketScheme,
     BucketSchemeError,
+    RegisterTables,
     build_registers,
     emit_graph,
     emit_registers,
@@ -193,12 +192,11 @@ def cmd_report(args) -> int:
     if isinstance(loaded, ArchitectureSnapshot):
         scoped, assignments, matrix, stats = _run_pipeline(loaded, policy, cascade)
         metadata["taken_at"] = scoped.taken_at.isoformat()
+        registers = build_registers(scoped, assignments)
     else:
         # Matrix-only input has no components or owners: its registers are empty.
-        matrix, stats = loaded, compute_stats(loaded)
-        scoped, assignments = ArchitectureSnapshot(matrix.snapshot_id or "", date.min, (), (), (), ()), []
-    registers = build_registers(scoped, assignments)
-    component_csv, owner_csv = emit_registers(scoped, assignments, "csv")
+        matrix, stats, registers = loaded, compute_stats(loaded), RegisterTables((), ())
+    component_csv, owner_csv = emit_registers(registers)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -369,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ConflictingEvidenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -77,9 +77,7 @@ def _require_keys(
         raise SchemaError(f"{where} must be a JSON object")
     unknown = obj.keys() - allowed
     if unknown:
-        names = sorted(unknown)
-        more = f" and {len(names) - 3} more" if len(names) > 3 else ""
-        raise SchemaError(f"unknown field(s) {', '.join(map(_shown, names[:3]))}{more} in {where}")
+        raise SchemaError(f"unknown field(s) {_listed(sorted(unknown))} in {where}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"missing field(s) {missing} in {where}")
@@ -106,6 +104,11 @@ def _shown(value) -> str:
     if len(text) <= _SHOWN_CHARS:
         return text
     return f"<string of {len(value)} characters>" if isinstance(value, str) else "<number>"
+
+
+def _listed(names: list) -> str:
+    """At most three names as `_shown` shows them, then how many more there are."""
+    return ", ".join(map(_shown, names[:3])) + (f" and {len(names) - 3} more" if len(names) > 3 else "")
 
 
 def _parse_enum(enum_cls, value, field: str):
@@ -282,13 +285,16 @@ class CsvError(IngestError):
 
 def _read_csv(text: str, expected_header: list[str], optional: int, what: str) -> list[list[str]]:
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise CsvError(f"{what}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise CsvError(f"{what}: missing header row")
     header = rows[0]
     mandatory = expected_header[: len(expected_header) - optional]
     if header[: len(mandatory)] != mandatory or header != expected_header[: len(header)]:
-        raise CsvError(f"{what}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
+        raise CsvError(f"{what}: expected header {','.join(expected_header)!r}, got {_listed(header)}")
     width = len(header)
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:

@@ -55,6 +55,34 @@ class EvidenceSource(str, Enum):
     QUESTIONNAIRE = "questionnaire"
 
 
+# Resolver name -> the evidence sources it reads, in default cascade order.
+# Questionnaire answers are direct statements by the owner and count as
+# explicit assignments.
+RESOLVER_SOURCES = {
+    "explicit_assignment": (EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.QUESTIONNAIRE),
+    "member_majority": (EvidenceSource.MEMBER_LOCATIONS,),
+    "manager_location": (EvidenceSource.MANAGER_LOCATION,),
+}
+
+
+class ConflictingEvidenceError(ValueError):
+    """Same-dated records name different codes; picking one would hide the conflict from an audit trail."""
+
+
+def latest_evidence(owner: Owner, sources: tuple[EvidenceSource, ...]) -> list[LocationEvidence]:
+    """The owner's latest-dated records from `sources`; single codes among them must agree, else ConflictingEvidenceError."""
+    candidates = [ev for ev in owner.location_evidence if ev.source in sources]
+    if len(candidates) < 2:
+        return candidates
+    decided_at = max(ev.recorded_at for ev in candidates)
+    latest = [ev for ev in candidates if ev.recorded_at == decided_at]
+    if len({ev.payload for ev in latest if isinstance(ev.payload, str)}) > 1:
+        raise ConflictingEvidenceError(
+            f"owner {owner.id!r}: conflicting {latest[0].source.value} evidence dated {decided_at.isoformat()}"
+        )
+    return latest
+
+
 @dataclass(frozen=True)
 class Component:
     id: str
@@ -187,6 +215,11 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                             o.id,
                         )
                     )
+        for sources in RESOLVER_SOURCES.values():
+            try:
+                latest_evidence(o, sources)
+            except ConflictingEvidenceError as exc:
+                findings.append(_finding("conflicting-evidence", str(exc), o.id))
 
     component_ids = {c.id for c in snapshot.components}
     owner_ids = {o.id for o in snapshot.owners}

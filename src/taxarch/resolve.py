@@ -11,39 +11,22 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 
-from .model import UNKNOWN, EvidenceSource, Owner
+from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, latest_evidence
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
-
-# Resolver name -> the evidence sources it reads, in default cascade order.
-# Questionnaire answers are direct statements by the owner and count as
-# explicit assignments.
-_RESOLVER_SOURCES = {
-    "explicit_assignment": (EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.QUESTIONNAIRE),
-    "member_majority": (EvidenceSource.MEMBER_LOCATIONS,),
-    "manager_location": (EvidenceSource.MANAGER_LOCATION,),
-}
 
 
 class CascadeConfigError(ValueError):
     pass
 
 
-class ConflictingEvidenceError(ValueError):
-    """Two contradictory evidence records share the latest date.
-
-    Silently picking one would hide the conflict from an audit trail,
-    so resolution refuses instead.
-    """
-
-
 @dataclass(frozen=True)
 class Resolver:
-    name: str  # a key of _RESOLVER_SOURCES
+    name: str  # a key of RESOLVER_SOURCES
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.name not in _RESOLVER_SOURCES:
+        if self.name not in RESOLVER_SOURCES:
             raise CascadeConfigError(f"unknown resolver {self.name!r}")
         if self.name == "member_majority":
             threshold = DEFAULT_MAJORITY_THRESHOLD if self.threshold is None else self.threshold
@@ -59,7 +42,7 @@ class Resolver:
         return self.name
 
 
-DEFAULT_CASCADE = tuple(Resolver(name) for name in _RESOLVER_SOURCES)
+DEFAULT_CASCADE = tuple(Resolver(name) for name in RESOLVER_SOURCES)
 
 
 def parse_cascade(text: str) -> tuple[Resolver, ...]:
@@ -101,14 +84,8 @@ class JurisdictionAssignment:
 
 
 def _try_resolver(resolver: Resolver, owner: Owner) -> JurisdictionAssignment | None:
-    """Decide from the resolver's evidence recorded on the latest date, or decline."""
-    sources = _RESOLVER_SOURCES[resolver.name]
-    candidates = [ev for ev in owner.location_evidence if ev.source in sources]
-    if not candidates:
-        return None
-    decided_at = max(ev.recorded_at for ev in candidates)
-    latest = [ev for ev in candidates if ev.recorded_at == decided_at]
-
+    """Decide from the resolver's evidence recorded on the latest date, or decline; ConflictingEvidenceError on a conflict."""
+    latest = latest_evidence(owner, RESOLVER_SOURCES[resolver.name])
     if resolver.name == "member_majority":
         # A jurisdiction is decisive when its share of member locations
         # reaches the threshold.
@@ -116,17 +93,14 @@ def _try_resolver(resolver: Resolver, owner: Owner) -> JurisdictionAssignment | 
         total = sum(members.values())
         for code, count in sorted(members.items()):
             if code != UNKNOWN and count / total >= resolver.threshold:
-                return JurisdictionAssignment(owner.id, code, resolver.describe(), f"{count}/{total} members", decided_at)
+                evidence = f"{count}/{total} members"
+                return JurisdictionAssignment(owner.id, code, resolver.describe(), evidence, latest[0].recorded_at)
         return None
 
-    if len({ev.payload for ev in latest}) > 1:
-        raise ConflictingEvidenceError(
-            f"owner {owner.id!r}: conflicting {latest[0].source.value} evidence dated {decided_at.isoformat()}"
-        )
-    ev = latest[0]
-    if ev.payload == UNKNOWN:
+    if not latest or latest[0].payload == UNKNOWN:
         return None
-    return JurisdictionAssignment(owner.id, ev.payload, resolver.describe(), ev.source.value, decided_at)
+    ev = latest[0]
+    return JurisdictionAssignment(owner.id, ev.payload, resolver.describe(), ev.source.value, ev.recorded_at)
 
 
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:

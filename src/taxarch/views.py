@@ -154,13 +154,8 @@ def build_registers(
     return RegisterTables(component_rows, owner_rows)
 
 
-def emit_registers(
-    snapshot: ArchitectureSnapshot,
-    assignments: list[JurisdictionAssignment],
-    format: str = "csv",
-) -> tuple[str, str]:
+def emit_registers(registers: RegisterTables, format: str = "csv") -> tuple[str, str]:
     """Render (component register, owner register) documents."""
-    registers = build_registers(snapshot, assignments)
     component_rows = [["component", "owner"]] + [list(r) for r in registers.components]
     owner_rows = [["owner", "jurisdiction", "provenance"]] + [list(r) for r in registers.owners]
     return _render(component_rows, format, "register"), _render(owner_rows, format, "register")

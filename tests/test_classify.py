@@ -73,9 +73,9 @@ def test_devnullsoft_classification_counts():
     assert classes[EdgeClass.UNRESOLVED] == 0
 
 
-def test_classify_same_owner_is_domestic_even_if_unknown():
+def test_classify_same_unknown_owner_is_unresolved():
     edge = DependencyEdge("a", "b")
-    assert classify_edge(edge, {"a": "t", "b": "t"}, {"t": "UNKNOWN"}) is EdgeClass.DOMESTIC
+    assert classify_edge(edge, {"a": "t", "b": "t"}, {"t": "UNKNOWN"}) is EdgeClass.UNRESOLVED
 
 
 def test_classify_unknown_endpoint_is_unresolved():

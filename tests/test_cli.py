@@ -165,19 +165,27 @@ def test_fixture_subcommand(tmp_path):
     assert "4069" in table.read_text()
 
 
-@pytest.mark.parametrize("command", ["report", "stats", "diff"])
+@pytest.mark.parametrize(
+    "command",
+    ["report", "stats", "diff", "validate", "report-member_majority", "stats-member_majority", "diff-member_majority"],
+)
 def test_conflicting_evidence_exit_1_without_traceback(tmp_path, capsys, command):
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))
     evidence = doc["owners"][0]["location_evidence"]
     evidence.append(dict(evidence[0], payload="FRA"))
     path = tmp_path / "conflict.json"
     path.write_text(json.dumps(doc))
+    name, _, resolvers = command.partition("-")
     args = {
+        "validate": ["validate", str(path)],
         "report": ["report", str(path), "--out-dir", str(tmp_path / "out")],
         "stats": ["stats", str(path)],
         "diff": ["diff", str(path), str(path)],
-    }[command]
+    }[name] + (["--resolvers", resolvers] if resolvers else [])
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "conflicting" in err
+    out, err = capsys.readouterr()
+    # validate prints its findings on stdout; the other commands fail on stderr.
+    shown = out if name == "validate" else err
+    assert shown.startswith("error: ") and "conflicting" in shown
+    assert "error: conflicting-evidence: owner 'team-ab-apps'" in shown.splitlines()[0]
     assert "Traceback" not in err

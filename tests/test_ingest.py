@@ -189,3 +189,17 @@ def test_assemble_rejects_bad_edge_field(row):
     edges = "user,owner_component,kind,multiplicity\n" + row + "\n"
     with pytest.raises(CsvError, match="row 2"):
         assemble_from_csv(edges, OWNERSHIP, JURISDICTIONS, TODAY)
+
+
+@pytest.mark.parametrize("what", ["edges", "ownership", "jurisdictions"])
+@pytest.mark.parametrize(
+    "text",
+    ["x" * 1_000_000 + "\n", ",".join(["y" * 100_000] * 20) + "\n"],
+    ids=["field-over-csv-limit", "long-wrong-header"],
+)
+def test_csv_errors_are_typed_and_bounded(what, text):
+    inputs = {"edges": EDGES, "ownership": OWNERSHIP, "jurisdictions": JURISDICTIONS, what: text}
+    with pytest.raises(CsvError) as excinfo:
+        assemble_from_csv(inputs["edges"], inputs["ownership"], inputs["jurisdictions"], TODAY)
+    message = str(excinfo.value)
+    assert message.startswith(f"{what}: ") and len(message) < 200

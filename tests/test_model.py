@@ -1,4 +1,7 @@
 import random
+from datetime import date
+
+import pytest
 
 from taxarch.generate import fixture
 from taxarch.model import (
@@ -102,6 +105,45 @@ def test_malformed_jurisdiction_in_evidence(small_snapshot):
         small_snapshot.ownership,
     )
     assert "malformed-jurisdiction" in validate_snapshot(snapshot).codes()
+
+
+def _with_evidence(snapshot, *evidence):
+    owners = [make_owner("t3", evidence=evidence)] + list(snapshot.owners)
+    return make_snapshot(snapshot.components, snapshot.dependencies, owners, snapshot.ownership)
+
+
+def test_conflicting_same_dated_statements_are_a_finding(small_snapshot):
+    snapshot = _with_evidence(
+        small_snapshot,
+        LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", TODAY),
+        LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", TODAY),
+    )
+    report = validate_snapshot(snapshot)
+    assert report.status == "failed"
+    assert [(f.code, f.offending_ids) for f in report.findings] == [("conflicting-evidence", ("t3",))]
+    assert "'t3'" in report.findings[0].message
+
+
+@pytest.mark.parametrize(
+    "evidence",
+    [
+        [
+            LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", TODAY),
+            LocationEvidence(EvidenceSource.QUESTIONNAIRE, "SWE", TODAY),
+        ],
+        [
+            LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", TODAY),
+            LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "FRA", date(2023, 1, 1)),
+        ],
+        [
+            LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ("SWE", "SWE"), TODAY),
+            LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ("FRA", "DEU"), TODAY),
+        ],
+    ],
+    ids=["same-code-twice", "different-dates", "member-locations-same-date"],
+)
+def test_agreeing_or_combinable_evidence_is_no_finding(small_snapshot, evidence):
+    assert validate_snapshot(_with_evidence(small_snapshot, *evidence)).findings == ()
 
 
 def test_validation_is_deterministic(small_snapshot):

@@ -262,24 +262,20 @@ def test_order_preserving_bucketization(snapshot):
 
 
 @given(snapshots())
-def test_classify_edge_matches_stats_except_same_unknown_owner(snapshot):
-    # The one difference between the per-edge rule and the matrix rule:
-    # an edge between two components of one UNKNOWN owner is domestic per
-    # edge and unresolved in the matrix.
+def test_classify_edge_matches_stats(snapshot):
+    # The per-edge rule and the matrix decomposition are one rule.
     scoped, assignments, matrix = pipeline(snapshot)
     owner_of = scoped.owner_of()
     jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
     per_edge = dict.fromkeys(EdgeClass, 0)
-    same_unknown_owner = 0
     for e in scoped.dependencies:
         per_edge[classify_edge(e, owner_of, jurisdiction_of)] += e.multiplicity
-        owner = owner_of[e.user]
-        if owner == owner_of[e.owner_component] and jurisdiction_of.get(owner, UNKNOWN) == UNKNOWN:
-            same_unknown_owner += e.multiplicity
     stats = compute_stats(matrix)
-    assert per_edge[EdgeClass.DOMESTIC] == stats.domestic_count + same_unknown_owner
-    assert per_edge[EdgeClass.CROSS_BORDER] == stats.cross_border_count
-    assert per_edge[EdgeClass.UNRESOLVED] == stats.unresolved_count - same_unknown_owner
+    assert per_edge == {
+        EdgeClass.DOMESTIC: stats.domestic_count,
+        EdgeClass.CROSS_BORDER: stats.cross_border_count,
+        EdgeClass.UNRESOLVED: stats.unresolved_count,
+    }
 
 
 json_values = st.recursive(
@@ -362,3 +358,36 @@ def test_cli_exits_0_1_or_2_on_any_config(command, config):
                 "diff": ["diff", str(bundle), str(bundle), "--out", str(tmp / "delta.json")],
             }[command] + ["--config", str(config_path)]
         assert main(argv) in (0, 1, 2)
+
+
+SINGLE_CODE_SOURCES = ("explicit_assignment", "questionnaire", "manager_location")
+
+
+@st.composite
+def bundles_with_added_evidence(draw):
+    """The devnullsoft bundle with 1-3 single-code records added, on the existing date or another."""
+    doc = copy.deepcopy(DEVNULLSOFT_DOC)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        owner = draw(st.sampled_from(doc["owners"]))
+        owner["location_evidence"].append(
+            {
+                "source": draw(st.sampled_from(SINGLE_CODE_SOURCES)),
+                # every devnullsoft owner's own code is among these
+                "payload": draw(st.sampled_from(["SWE", "DEU", "GBR", "FRA", UNKNOWN])),
+                "recorded_at": draw(st.sampled_from(["2023-04-01", "2023-03-01", "2023-05-01"])),
+            }
+        )
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("resolvers", [[], ["--resolvers", "member_majority"]], ids=["default", "member_majority"])
+@settings(max_examples=40, deadline=None)
+@given(text=bundles_with_added_evidence())
+def test_validate_and_report_agree_on_added_evidence(resolvers, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "bundle.json"
+        bundle.write_text(text)
+        validated = main(["validate", str(bundle)])
+        reported = main(["report", str(bundle), "--out-dir", str(Path(tmp) / "out")] + resolvers)
+    assert validated in (0, 1) and reported in (0, 1)
+    assert validated == reported
