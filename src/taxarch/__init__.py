@@ -13,7 +13,7 @@ from .classify import (
     classify_edge,
     compute_stats,
 )
-from .diff import SnapshotDelta, diff_snapshots
+from .diff import PipelineRun, SnapshotDelta, diff_snapshots, run_pipeline
 from .generate import GeneratorParams, fixture, generate
 from .ingest import assemble_from_csv, parse_bundle, serialize_bundle
 from .model import (
@@ -36,7 +36,9 @@ from .resolve import (
 )
 from .views import (
     BucketScheme,
+    RegisterTables,
     bucketize,
+    build_registers,
     emit_graph,
     emit_registers,
     emit_report,
@@ -58,6 +60,8 @@ __all__ = [
     "JurisdictionFlowMatrix",
     "Owner",
     "OwnershipAssignment",
+    "PipelineRun",
+    "RegisterTables",
     "Resolver",
     "ScopePolicy",
     "SnapshotDelta",
@@ -66,6 +70,7 @@ __all__ = [
     "apply_scope_filter",
     "assemble_from_csv",
     "bucketize",
+    "build_registers",
     "classify_edge",
     "compute_stats",
     "diff_snapshots",
@@ -79,6 +84,7 @@ __all__ = [
     "parse_cascade",
     "resolution_summary",
     "resolve_jurisdictions",
+    "run_pipeline",
     "serialize_bundle",
     "validate_snapshot",
 ]

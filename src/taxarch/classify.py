@@ -70,13 +70,13 @@ class ExclusionReport:
 
 
 def apply_scope_filter(
-    snapshot: ArchitectureSnapshot, policy: ScopePolicy = ScopePolicy()
+    snapshot: ArchitectureSnapshot, owner_of: dict[str, str], policy: ScopePolicy = ScopePolicy()
 ) -> tuple[ArchitectureSnapshot, ExclusionReport]:
     """Drop out-of-scope components and their incident edges.
 
+    `owner_of` is the snapshot's `owner_of()`, built once by the caller.
     Every exclusion is recorded with its reason; nothing is silent.
     """
-    owner_of = snapshot.owner_of()
     owner_index = snapshot.owner_index()
 
     excluded: list[tuple[str, str]] = []
@@ -153,9 +153,6 @@ class JurisdictionFlowMatrix:
         nonzero = {k: v for k, v in counts.items() if v}
         return cls(tuple(sorted(nonzero.items(), key=lambda kv: _cell_key(kv[0]))), snapshot_id)
 
-    def cell(self, user: str, owner: str) -> int:
-        return dict(self.cells).get((user, owner), 0)
-
     def as_dict(self) -> dict[tuple[str, str], int]:
         return dict(self.cells)
 
@@ -179,10 +176,13 @@ def _cell_key(pair: tuple[str, str]) -> tuple[tuple[int, str], tuple[int, str]]:
 
 
 def aggregate(
-    snapshot: ArchitectureSnapshot, assignments: list[JurisdictionAssignment]
+    snapshot: ArchitectureSnapshot, owner_of: dict[str, str], assignments: list[JurisdictionAssignment]
 ) -> JurisdictionFlowMatrix:
-    """Fold the scoped dependency edges into the jurisdiction flow matrix."""
-    owner_of = snapshot.owner_of()
+    """Fold the scoped dependency edges into the jurisdiction flow matrix.
+
+    `owner_of` may be the unscoped snapshot's: scoping keeps every
+    ownership of a kept component.
+    """
     jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
     counts: dict[tuple[str, str], int] = {}
     for e in snapshot.dependencies:

@@ -13,22 +13,20 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import ScopePolicy, aggregate, apply_scope_filter, compute_stats
-from .diff import diff_snapshots
+from .classify import JurisdictionFlowMatrix, ScopePolicy, compute_stats
+from .diff import PipelineRun, diff_snapshots, run_pipeline
 from .generate import FIXTURE_NAMES, GeneratorParams, fixture, generate
 from .ingest import IngestError, parse_bundle, serialize_bundle
 from .model import ArchitectureSnapshot, ComponentStatus, validate_snapshot
-from .resolve import (
-    DEFAULT_CASCADE,
-    CascadeConfigError,
-    parse_cascade,
-    resolution_summary,
-    resolve_jurisdictions,
-)
+from .resolve import DEFAULT_CASCADE, CascadeConfigError, parse_cascade
+
+# Not called here: the benchmark tracer (perfbench/tracer.py, LAYER_OF_SPAN)
+# still wraps these names in this module; they go when its table drops them.
+from .classify import aggregate, apply_scope_filter  # noqa: F401
+from .resolve import resolution_summary, resolve_jurisdictions  # noqa: F401
 from .views import (
     BucketScheme,
     BucketSchemeError,
-    RegisterTables,
     build_registers,
     emit_graph,
     emit_registers,
@@ -132,14 +130,6 @@ def _read_snapshot(path: str) -> ArchitectureSnapshot:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_input(args) -> "ArchitectureSnapshot | object":
-    if getattr(args, "fixture", None):
-        return fixture(args.fixture)
-    if getattr(args, "bundle", None):
-        return _read_snapshot(args.bundle)
-    raise CliError("either a bundle path or --fixture is required")
-
-
 def _require_valid(snapshot: ArchitectureSnapshot) -> None:
     report = validate_snapshot(snapshot)
     if not report.ok:
@@ -148,13 +138,13 @@ def _require_valid(snapshot: ArchitectureSnapshot) -> None:
         raise CliError("snapshot failed validation", EXIT_DOMAIN)
 
 
-def _run_pipeline(snapshot: ArchitectureSnapshot, policy: ScopePolicy, cascade):
-    _require_valid(snapshot)
-    scoped, exclusions = apply_scope_filter(snapshot, policy)
-    assignments = resolve_jurisdictions(list(scoped.owners), cascade)
-    matrix = aggregate(scoped, assignments)
-    stats = compute_stats(matrix, exclusions, resolution_summary(assignments))
-    return scoped, assignments, matrix, stats
+def _load_run(args, policy: ScopePolicy, cascade) -> PipelineRun:
+    """Run the pipeline on the bundle or fixture; a matrix-only fixture is a run with empty registers."""
+    loaded = fixture(args.fixture) if args.fixture else _read_snapshot(args.bundle)
+    if isinstance(loaded, JurisdictionFlowMatrix):
+        return PipelineRun(loaded, compute_stats(loaded))
+    _require_valid(loaded)
+    return run_pipeline(loaded, cascade, policy)
 
 
 def _stats_line(stats) -> str:
@@ -178,46 +168,36 @@ def cmd_report(args) -> int:
     cascade = _cascade(args)
     scheme = _bucket_scheme(args)
     table_format = "csv" if args.format is None else args.format
-    if table_format not in ("csv", "markdown"):
+    table_file = {"csv": "view.csv", "markdown": "view.md"}.get(table_format)
+    if table_file is None:
         raise CliError(f"unsupported table format {table_format!r} for report")
 
-    loaded = _load_input(args)
+    run = _load_run(args, policy, cascade)
     metadata = {
         "tool_version": __version__,
         "scope_policy": policy.to_dict(),
         "cascade": [r.describe() for r in cascade],
         "buckets": list(scheme.boundaries) if scheme else None,
     }
-
-    if isinstance(loaded, ArchitectureSnapshot):
-        scoped, assignments, matrix, stats = _run_pipeline(loaded, policy, cascade)
-        metadata["taken_at"] = scoped.taken_at.isoformat()
-        registers = build_registers(scoped, assignments)
-    else:
-        # Matrix-only input has no components or owners: its registers are empty.
-        matrix, stats, registers = loaded, compute_stats(loaded), RegisterTables((), ())
+    if run.taken_at is not None:
+        metadata["taken_at"] = run.taken_at.isoformat()
+    registers = build_registers(run.components, run.owner_of, run.assignments)
     component_csv, owner_csv = emit_registers(registers)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "view.dot").write_text(emit_graph(matrix, scheme=scheme), encoding="utf-8")
-    (out_dir / "view.csv").write_text(emit_table(matrix, table_format, scheme=scheme), encoding="utf-8")
+    (out_dir / "view.dot").write_text(emit_graph(run.matrix, scheme=scheme), encoding="utf-8")
+    (out_dir / table_file).write_text(emit_table(run.matrix, table_format, scheme=scheme), encoding="utf-8")
     (out_dir / "registers.csv").write_text(component_csv + "\n" + owner_csv, encoding="utf-8")
     (out_dir / "report.json").write_text(
-        emit_report(stats, matrix, registers, metadata), encoding="utf-8"
+        emit_report(run.stats, run.matrix, registers, metadata), encoding="utf-8"
     )
-    print(_stats_line(stats))
+    print(_stats_line(run.stats))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    policy = _scope_policy(args)
-    cascade = _cascade(args)
-    loaded = _load_input(args)
-    if isinstance(loaded, ArchitectureSnapshot):
-        _, _, matrix, stats = _run_pipeline(loaded, policy, cascade)
-    else:
-        stats = compute_stats(loaded)
+    stats = _load_run(args, _scope_policy(args), _cascade(args)).stats
     print(_stats_line(stats))
     print(
         f"ratios: domestic={stats.domestic_ratio:.4f} "
@@ -292,6 +272,12 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("bundle", nargs="?")
+    source.add_argument("--fixture", choices=FIXTURE_NAMES)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--include-statuses", dest="include_statuses", help="comma-separated component statuses in scope")
@@ -319,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="run the full pipeline and write view artifacts")
-    p.add_argument("bundle", nargs="?")
-    p.add_argument("--fixture", choices=FIXTURE_NAMES)
+    _add_input_flags(p)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--format", choices=["csv", "markdown"], default=None)
     p.add_argument("--buckets", help="'none', 'default', or comma-separated boundaries")
@@ -328,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("stats", help="print compliance statistics")
-    p.add_argument("bundle", nargs="?")
-    p.add_argument("--fixture", choices=FIXTURE_NAMES)
+    _add_input_flags(p)
     _add_config_flags(p)
     p.set_defaults(func=cmd_stats)
 

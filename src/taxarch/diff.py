@@ -1,18 +1,46 @@
-"""Structural and jurisdictional comparison of two snapshots.
+"""The per-snapshot pipeline pass, and the comparison of two snapshots.
 
-Regular snapshotting turns the dated view into a series; the delta shows
-what moved between two reporting dates, including cell-wise changes in
-the jurisdiction flow matrix.
+`run_pipeline` is the one scope -> resolve -> aggregate -> stats pass
+that `report`, `stats` and `diff` share. Regular snapshotting turns the
+dated view into a series; the delta shows what moved between two
+reporting dates, including cell-wise changes in the jurisdiction flow
+matrix.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from datetime import date
 
-from .classify import ScopePolicy, aggregate, apply_scope_filter
-from .model import ArchitectureSnapshot
-from .resolve import DEFAULT_CASCADE, Resolver, resolve_jurisdictions
+from .classify import ComplianceStats, JurisdictionFlowMatrix, ScopePolicy, aggregate, apply_scope_filter, compute_stats
+from .model import ArchitectureSnapshot, Component
+from .resolve import DEFAULT_CASCADE, JurisdictionAssignment, Resolver, resolution_summary, resolve_jurisdictions
+
+
+@dataclass(frozen=True)
+class PipelineRun:
+    """One input through scope -> resolve -> aggregate -> stats: in-scope components, the input's owner map.
+
+    A matrix-only input is a run with no components or assignments, so its registers are empty.
+    """
+
+    matrix: JurisdictionFlowMatrix
+    stats: ComplianceStats
+    taken_at: date | None = None
+    components: tuple[Component, ...] = ()
+    owner_of: dict[str, str] = field(default_factory=dict)
+    assignments: tuple[JurisdictionAssignment, ...] = ()
+
+
+def run_pipeline(snapshot: ArchitectureSnapshot, cascade: tuple[Resolver, ...], policy: ScopePolicy) -> PipelineRun:
+    """Build `owner_of` once, then scope, resolve every owner (scoping keeps them all) and aggregate."""
+    owner_of = snapshot.owner_of()
+    scoped, exclusions = apply_scope_filter(snapshot, owner_of, policy)
+    assignments = resolve_jurisdictions(list(snapshot.owners), cascade)
+    matrix = aggregate(scoped, owner_of, assignments)
+    stats = compute_stats(matrix, exclusions, resolution_summary(assignments))
+    return PipelineRun(matrix, stats, snapshot.taken_at, scoped.components, owner_of, tuple(assignments))
 
 
 @dataclass(frozen=True)
@@ -95,20 +123,13 @@ def diff_snapshots(
     edges_added = sorted(set(b_edges) - set(a_edges))
     edges_removed = sorted(set(a_edges) - set(b_edges))
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in _changed(a_edges, b_edges))
-    ownership_changes = _changed(a.owner_of(), b.owner_of())
 
-    # One scope -> resolve -> aggregate pass per snapshot. Scoping keeps
-    # every owner, so the same assignments serve the jurisdiction
-    # comparison and the scoped flow matrix.
-    jurisdiction_of = []
-    cell_deltas: dict[tuple[str, str], int] = {}
-    for snapshot, sign in ((a, -1), (b, +1)):
-        scoped, _ = apply_scope_filter(snapshot, policy)
-        assignments = resolve_jurisdictions(list(snapshot.owners), cascade)
-        jurisdiction_of.append({x.owner: x.jurisdiction for x in assignments})
-        for cell, count in aggregate(scoped, assignments).cells:
-            cell_deltas[cell] = cell_deltas.get(cell, 0) + sign * count
-    jurisdiction_changes = _changed(*jurisdiction_of)
+    run_a, run_b = (run_pipeline(s, cascade, policy) for s in (a, b))
+    ownership_changes = _changed(run_a.owner_of, run_b.owner_of)
+    jurisdiction_changes = _changed(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))
+    cell_deltas = run_b.matrix.as_dict()
+    for cell, count in run_a.matrix.cells:
+        cell_deltas[cell] = cell_deltas.get(cell, 0) - count
     matrix_delta = tuple(sorted((cell, d) for cell, d in cell_deltas.items() if d))
 
     # A component counts as a coupled change when its owner changed and

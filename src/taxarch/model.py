@@ -197,8 +197,8 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
 
     for o in snapshot.owners:
         for ev in o.location_evidence:
-            codes = ev.payload if isinstance(ev.payload, tuple) else (ev.payload,)
-            if (ev.source is EvidenceSource.MEMBER_LOCATIONS) != isinstance(ev.payload, tuple):
+            codes = ev.payload if ev.source is EvidenceSource.MEMBER_LOCATIONS else (ev.payload,)
+            if type(codes) is not tuple or not all(type(code) is str for code in codes):
                 findings.append(
                     _finding(
                         "evidence-shape",
@@ -206,6 +206,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                         o.id,
                     )
                 )
+                continue
             for code in codes:
                 if not is_valid_jurisdiction(code):
                     findings.append(

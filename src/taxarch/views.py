@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .classify import ComplianceStats, EdgeClass, JurisdictionFlowMatrix, classify_cell
-from .model import UNKNOWN, ArchitectureSnapshot
+from .model import UNKNOWN, Component
 from .resolve import JurisdictionAssignment
 
 NA_LABEL = "N/A"
@@ -143,10 +143,9 @@ class RegisterTables:
 
 
 def build_registers(
-    snapshot: ArchitectureSnapshot, assignments: list[JurisdictionAssignment]
+    components: tuple[Component, ...], owner_of: dict[str, str], assignments: tuple[JurisdictionAssignment, ...]
 ) -> RegisterTables:
-    owner_of = snapshot.owner_of()
-    component_rows = tuple((c.id, owner_of.get(c.id, "")) for c in sorted(snapshot.components, key=lambda c: c.id))
+    component_rows = tuple((c.id, owner_of.get(c.id, "")) for c in sorted(components, key=lambda c: c.id))
     owner_rows = tuple(
         (a.owner, NA_LABEL if a.jurisdiction == UNKNOWN else a.jurisdiction, a.provenance)
         for a in sorted(assignments, key=lambda a: a.owner)

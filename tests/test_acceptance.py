@@ -86,7 +86,7 @@ def test_criterion_4_devnullsoft_fixture():
     classes = Counter(classify_edge(e, owner_of, jurisdiction_of) for e in snapshot.dependencies)
     assert classes[EdgeClass.CROSS_BORDER] == 9
     assert classes[EdgeClass.DOMESTIC] == 8
-    matrix = aggregate(snapshot, assignments)
+    matrix = aggregate(snapshot, owner_of, assignments)
     assert matrix.as_dict() == {
         ("SWE", "SWE"): 4,
         ("SWE", "DEU"): 2,
@@ -101,9 +101,9 @@ def test_criterion_4_devnullsoft_fixture():
 
 
 def _pipeline(snapshot):
-    scoped, _ = apply_scope_filter(snapshot)
+    scoped, _ = apply_scope_filter(snapshot, snapshot.owner_of())
     assignments = resolve_jurisdictions(list(scoped.owners))
-    return scoped, aggregate(scoped, assignments)
+    return scoped, aggregate(scoped, snapshot.owner_of(), assignments)
 
 
 def _shuffle(snapshot, rng):

@@ -14,7 +14,8 @@ from taxarch.classify import (
 )
 from taxarch.generate import fixture
 from taxarch.model import ComponentStatus, DependencyEdge, OwnerKind, validate_snapshot
-from taxarch.resolve import resolve_jurisdictions, resolution_summary
+from taxarch.diff import run_pipeline
+from taxarch.resolve import DEFAULT_CASCADE, resolve_jurisdictions
 
 from conftest import make_component, make_owner, make_snapshot
 
@@ -44,7 +45,7 @@ DEVNULLSOFT_ARROWS = [
 def devnullsoft_matrix():
     snapshot = fixture("devnullsoft")
     assignments = resolve_jurisdictions(list(snapshot.owners))
-    return aggregate(snapshot, assignments)
+    return aggregate(snapshot, snapshot.owner_of(), assignments)
 
 
 def test_devnullsoft_matrix_matches_manual_tally():
@@ -104,7 +105,7 @@ def test_scope_filter_excludes_non_production():
         owners=[make_owner("t1", "SWE")],
         ownership=[("a", "t1"), ("b", "t1"), ("c", "t1")],
     )
-    scoped, report = apply_scope_filter(snapshot)
+    scoped, report = apply_scope_filter(snapshot, snapshot.owner_of())
     assert [c.id for c in scoped.components] == ["a"]
     assert scoped.dependencies == ()
     assert report.excluded_components == (("b", "non_production"), ("c", "non_production"))
@@ -119,7 +120,7 @@ def test_scope_filter_excludes_individual_owners():
         owners=[make_owner("t1", "SWE"), make_owner("p1", "SWE", kind=OwnerKind.INDIVIDUAL)],
         ownership=[("a", "t1"), ("b", "p1")],
     )
-    scoped, report = apply_scope_filter(snapshot)
+    scoped, report = apply_scope_filter(snapshot, snapshot.owner_of())
     assert [c.id for c in scoped.components] == ["a"]
     assert ("b", "individual_owner") in report.excluded_components
     assert report.component_ratio == pytest.approx(0.5)
@@ -135,7 +136,7 @@ def test_permissive_policy_is_identity(small_snapshot):
         include_statuses=frozenset(ComponentStatus),
         exclude_individual_owners=False,
     )
-    scoped, report = apply_scope_filter(small_snapshot, policy)
+    scoped, report = apply_scope_filter(small_snapshot, small_snapshot.owner_of(), policy)
     assert scoped == small_snapshot
     assert report.excluded_components == ()
     assert report.excluded_edges == 0
@@ -148,7 +149,7 @@ def test_empty_policy_rejected():
 
 def test_aggregate_empty_snapshot_is_zero_matrix():
     snapshot = make_snapshot([], [], [], [])
-    matrix = aggregate(snapshot, [])
+    matrix = aggregate(snapshot, {}, [])
     assert matrix.cells == ()
     assert matrix.total() == 0
 
@@ -160,8 +161,8 @@ def test_aggregate_weights_by_multiplicity(small_snapshot):
         small_snapshot.owners,
         small_snapshot.ownership,
     )
-    matrix = aggregate(snapshot, resolve_jurisdictions(list(snapshot.owners)))
-    assert matrix.cell("SWE", "DEU") == 5
+    matrix = aggregate(snapshot, snapshot.owner_of(), resolve_jurisdictions(list(snapshot.owners)))
+    assert matrix.as_dict().get(("SWE", "DEU")) == 5
     assert matrix.total() == 5
 
 
@@ -188,9 +189,10 @@ def test_case_study_decomposition_against_table_resummation():
     # compute_stats' traversal.
     matrix = fixture("casestudy_matrix")
     known = [c for c in matrix.codes if c != "UNKNOWN"]
-    diagonal = sum(matrix.cell(c, c) for c in known)
+    counts = matrix.as_dict()
+    diagonal = sum(counts.get((c, c), 0) for c in known)
     off_diagonal = sum(
-        matrix.cell(a, b) for a in known for b in known if a != b
+        counts.get((a, b), 0) for a in known for b in known if a != b
     )
     unknown = matrix.total() - diagonal - off_diagonal
     stats = compute_stats(matrix)
@@ -211,9 +213,7 @@ def test_stats_partition_devnullsoft():
 
 
 def test_stats_embeds_resolution_and_exclusions(small_snapshot):
-    scoped, exclusions = apply_scope_filter(small_snapshot)
-    assignments = resolve_jurisdictions(list(scoped.owners))
-    stats = compute_stats(aggregate(scoped, assignments), exclusions, resolution_summary(assignments))
+    stats = run_pipeline(small_snapshot, DEFAULT_CASCADE, ScopePolicy()).stats
     assert stats.resolution.total == 2
     assert stats.exclusions.component_total == 3
 

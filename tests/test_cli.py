@@ -127,8 +127,22 @@ def test_config_fills_only_unset_flags(tmp_path, devnullsoft_bundle, capsys):
     assert main(["report", str(devnullsoft_bundle), "--config", str(path), "--out-dir", str(tmp_path / "a")]) == 2
     args = ["report", str(devnullsoft_bundle), "--config", str(path), "--resolvers", "explicit_assignment"]
     assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "b" / "view.csv").read_text().startswith("| user |")
+    assert (tmp_path / "b" / "view.md").read_text().startswith("| user |")
+    assert not (tmp_path / "b" / "view.csv").exists()
     assert "[1,10)" in (tmp_path / "b" / "view.dot").read_text()
+
+
+@pytest.mark.parametrize("command", ["report", "stats"])
+def test_bundle_and_fixture_are_exclusive_and_one_is_required(tmp_path, capsys, command):
+    out = ["--out-dir", str(tmp_path / "out")] if command == "report" else []
+    for args in ([str(tmp_path / "missing.json"), "--fixture", "devnullsoft"], []):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + args + out)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument bundle" in err
+    assert "one of the arguments bundle --fixture is required" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_resolvers_flag_exit_2(devnullsoft_bundle):

@@ -55,8 +55,8 @@ def test_diff_jurisdiction_change_matches_incident_uses():
     def stats_of(s):
         from taxarch.classify import compute_stats
 
-        scoped, _ = apply_scope_filter(s)
-        return compute_stats(aggregate(scoped, resolve_jurisdictions(list(scoped.owners))))
+        scoped, _ = apply_scope_filter(s, s.owner_of())
+        return compute_stats(aggregate(scoped, s.owner_of(), resolve_jurisdictions(list(scoped.owners))))
 
     # Incident uses of the UK team: 5 inbound from DEU plus its internal edge.
     assert stats_of(b).unresolved_count - stats_of(a).unresolved_count == 6
@@ -108,8 +108,8 @@ def test_diff_matrix_delta_consistency():
     delta = diff_snapshots(a, b)
 
     def matrix_of(s):
-        scoped, _ = apply_scope_filter(s)
-        return aggregate(scoped, resolve_jurisdictions(list(scoped.owners)))
+        scoped, _ = apply_scope_filter(s, s.owner_of())
+        return aggregate(scoped, s.owner_of(), resolve_jurisdictions(list(scoped.owners)))
 
     ma, mb = matrix_of(a).as_dict(), matrix_of(b).as_dict()
     expected = {

@@ -107,6 +107,27 @@ def test_malformed_jurisdiction_in_evidence(small_snapshot):
     assert "malformed-jurisdiction" in validate_snapshot(snapshot).codes()
 
 
+@pytest.mark.parametrize(
+    "source, payload",
+    [
+        (EvidenceSource.EXPLICIT_ASSIGNMENT, ["SWE"]),
+        (EvidenceSource.MANAGER_LOCATION, 5),
+        (EvidenceSource.QUESTIONNAIRE, ("swe",)),
+        (EvidenceSource.MEMBER_LOCATIONS, [5, 6]),
+    ],
+)
+def test_wrongly_shaped_payload_is_an_evidence_shape_finding(small_snapshot, source, payload):
+    owner = make_owner("t3", evidence=[LocationEvidence(source, payload, TODAY)])
+    snapshot = make_snapshot(
+        small_snapshot.components,
+        small_snapshot.dependencies,
+        list(small_snapshot.owners) + [owner],
+        small_snapshot.ownership,
+    )
+    report = validate_snapshot(snapshot)
+    assert [(f.code, f.offending_ids) for f in report.findings] == [("evidence-shape", ("t3",))]
+
+
 def _with_evidence(snapshot, *evidence):
     owners = [make_owner("t3", evidence=evidence)] + list(snapshot.owners)
     return make_snapshot(snapshot.components, snapshot.dependencies, owners, snapshot.ownership)

@@ -5,6 +5,7 @@ import copy
 import json
 import random
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -48,9 +49,9 @@ def snapshots(draw):
 
 
 def pipeline(snapshot):
-    scoped, _ = apply_scope_filter(snapshot)
+    scoped, _ = apply_scope_filter(snapshot, snapshot.owner_of())
     assignments = resolve_jurisdictions(list(scoped.owners))
-    matrix = aggregate(scoped, assignments)
+    matrix = aggregate(scoped, snapshot.owner_of(), assignments)
     return scoped, assignments, matrix
 
 
@@ -165,6 +166,50 @@ any_snapshots = st.builds(
     ).map(tuple),
     ownership=st.lists(st.builds(OwnershipAssignment, texts, texts), max_size=4).map(tuple),
 )
+
+
+# Library-built snapshots that the parser could never produce: evidence
+# payloads of any shape, any multiplicity, ids drawn from a few values so
+# that duplicates, dangling references and conflicts are common.
+few_ids = st.sampled_from(["a", "b", "c", ""])
+codes = st.sampled_from(["SWE", "DEU", UNKNOWN, "swe"]) | texts
+single_payloads = st.one_of(
+    codes, st.lists(codes, max_size=3), st.lists(codes, max_size=3).map(tuple), st.integers(), st.none()
+)
+member_payloads = st.one_of(st.lists(codes, max_size=4), st.lists(st.integers(), max_size=4), codes)
+
+
+@st.composite
+def any_evidence(draw):
+    source = draw(st.sampled_from(EvidenceSource))
+    payload = draw(member_payloads if source is EvidenceSource.MEMBER_LOCATIONS else single_payloads)
+    return LocationEvidence(source, payload, draw(st.sampled_from([date(2023, 1, 1), date(2023, 2, 1)])))
+
+
+library_snapshots = st.builds(
+    ArchitectureSnapshot,
+    id=texts,
+    taken_at=st.dates(),
+    components=st.lists(
+        st.builds(Component, few_ids, texts, st.sampled_from(ComponentKind), st.sampled_from(ComponentStatus)),
+        max_size=4,
+    ).map(tuple),
+    dependencies=st.lists(
+        st.builds(DependencyEdge, few_ids, few_ids, st.sampled_from(DependencyKind), st.integers()), max_size=4
+    ).map(tuple),
+    owners=st.lists(
+        st.builds(Owner, few_ids, texts, st.sampled_from(OwnerKind), st.lists(any_evidence(), max_size=3).map(tuple)),
+        max_size=4,
+    ).map(tuple),
+    ownership=st.lists(st.builds(OwnershipAssignment, few_ids, few_ids), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(library_snapshots)
+def test_validate_never_raises_on_library_built_snapshots(snapshot):
+    report = validate_snapshot(snapshot)
+    assert report.ok == (report.findings == ())
 
 
 def reference_bundle(snapshot):

@@ -162,7 +162,7 @@ def test_markdown_table():
 def test_registers_devnullsoft():
     snapshot = fixture("devnullsoft")
     assignments = resolve_jurisdictions(list(snapshot.owners))
-    components_csv, owners_csv = emit_registers(build_registers(snapshot, assignments))
+    components_csv, owners_csv = emit_registers(build_registers(snapshot.components, snapshot.owner_of(), assignments))
     assert len(components_csv.strip().splitlines()) == 19  # header + 18
     assert len(owners_csv.strip().splitlines()) == 7  # header + 6
     assert owners_csv.splitlines()[0] == "owner,jurisdiction,provenance"
@@ -179,14 +179,12 @@ def test_registers_provenance_echoes_configuration():
     )
     snapshot = make_snapshot([make_component("a")], [], [owner], [("a", "t")])
     assignments = resolve_jurisdictions([owner])
-    _, owners_csv = emit_registers(build_registers(snapshot, assignments))
+    _, owners_csv = emit_registers(build_registers(snapshot.components, snapshot.owner_of(), assignments))
     assert "t,SWE,member_majority(0.75)" in owners_csv
 
 
 def test_registers_empty_snapshot_header_only():
-    from conftest import make_snapshot
-
-    components_csv, owners_csv = emit_registers(build_registers(make_snapshot([], [], [], []), []))
+    components_csv, owners_csv = emit_registers(build_registers((), {}, []))
     assert components_csv == "component,owner\n"
     assert owners_csv == "owner,jurisdiction,provenance\n"
 
@@ -196,7 +194,7 @@ def report_inputs():
     assignments = resolve_jurisdictions(list(snapshot.owners))
     matrix = devnullsoft_matrix()
     stats = compute_stats(matrix, resolution=resolution_summary(assignments))
-    registers = build_registers(snapshot, assignments)
+    registers = build_registers(snapshot.components, snapshot.owner_of(), assignments)
     return stats, matrix, registers
 
 
