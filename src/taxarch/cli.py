@@ -8,6 +8,7 @@ carry artifacts.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -343,14 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command builds acyclic, immutable values (hundreds of thousands of
+    # records on a large bundle) that reference counting frees; the cyclic
+    # collector's passes over them would reclaim nothing. It is paused for
+    # the command and left as the caller had it, whatever way main exits.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         _merge_config(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

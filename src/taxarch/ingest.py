@@ -10,11 +10,21 @@ record at each record's fixed indent, not built as a dict and handed to
 Every string goes through `json.encoder.encode_basestring`, the C
 escaper `json.dumps` itself uses with `ensure_ascii=False`, so the bytes
 equal `json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
+
+Each collection of a parsed document goes through a fast path first. It
+takes each record with one subset test of its field names, exact type
+checks and a dict lookup per enum value, formats no message, and builds
+edges slot by slot. It accepts exactly the records the checked loop
+accepts. When it declines a record, the checked loop re-reads that whole
+collection field by field and raises the SchemaError that names the
+first faulty record and field, so every message is the one the checked
+loop alone would give. A well-formed bundle never runs a checked loop.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from datetime import date
@@ -164,9 +174,23 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     version = data["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported schema_version {_shown(version)} (supported: {SCHEMA_VERSION})")
+    collections = {}
+    for name, (fast, checked) in _COLLECTION_PARSERS.items():
+        records = _require_array(data[name], name)
+        parsed = fast(records)
+        collections[name] = tuple(checked(records) if parsed is None else parsed)
+    return ArchitectureSnapshot(
+        id=data["snapshot_id"], taken_at=_parse_date(data["taken_at"], "taken_at"), **collections
+    )
 
+
+# The checked loops: each record's fields are checked one by one, so the
+# first fault raises a SchemaError that names its place in the document.
+
+
+def _checked_components(records: list) -> list[Component]:
     components = []
-    for i, c in enumerate(_require_array(data["components"], "components")):
+    for i, c in enumerate(records):
         where = f"components[{i}]"
         _require_keys(c, ("id", "name", "kind", "status"), ("id", "name", "kind", "status"), where, ("id", "name"))
         components.append(
@@ -177,9 +201,12 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
                 status=_parse_enum(ComponentStatus, c["status"], f"{where}.status"),
             )
         )
+    return components
 
+
+def _checked_dependencies(records: list) -> list[DependencyEdge]:
     dependencies = []
-    for i, e in enumerate(_require_array(data["dependencies"], "dependencies")):
+    for i, e in enumerate(records):
         where = f"dependencies[{i}]"
         _require_keys(e, _EDGE_ENDPOINTS + ("kind", "multiplicity"), _EDGE_ENDPOINTS, where, _EDGE_ENDPOINTS)
         multiplicity = e.get("multiplicity", 1)
@@ -193,15 +220,19 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
                 multiplicity=multiplicity,
             )
         )
+    return dependencies
 
+
+def _checked_evidence(records, where: str) -> tuple[LocationEvidence, ...]:
+    return tuple(_parse_evidence(ev, f"{where}[{j}]") for j, ev in enumerate(_require_array(records, where)))
+
+
+def _checked_owners(records: list) -> list[Owner]:
     owners = []
-    for i, o in enumerate(_require_array(data["owners"], "owners")):
+    for i, o in enumerate(records):
         where = f"owners[{i}]"
         _require_keys(o, ("id", "name", "kind", "location_evidence"), ("id", "name", "kind"), where, ("id", "name"))
-        evidence = tuple(
-            _parse_evidence(ev, f"{where}.location_evidence[{j}]")
-            for j, ev in enumerate(_require_array(o.get("location_evidence", []), f"{where}.location_evidence"))
-        )
+        evidence = _checked_evidence(o.get("location_evidence", []), f"{where}.location_evidence")
         owners.append(
             Owner(
                 id=o["id"],
@@ -210,29 +241,154 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
                 location_evidence=evidence,
             )
         )
+    return owners
 
+
+def _checked_ownership(records: list) -> list[OwnershipAssignment]:
     ownership = []
-    for i, a in enumerate(_require_array(data["ownership"], "ownership")):
+    for i, a in enumerate(records):
         where = f"ownership[{i}]"
         _require_keys(a, ("component", "owner"), ("component", "owner"), where, ("component", "owner"))
         ownership.append(OwnershipAssignment(component=a["component"], owner=a["owner"]))
+    return ownership
 
-    return ArchitectureSnapshot(
-        id=data["snapshot_id"],
-        taken_at=_parse_date(data["taken_at"], "taken_at"),
-        components=tuple(components),
-        dependencies=tuple(dependencies),
-        owners=tuple(owners),
-        ownership=tuple(ownership),
-    )
+
+# The fast paths: one subset test of each record's fields, exact type
+# checks (json.loads makes only values of the exact built-in types) and a
+# dict lookup per enum value; a missing field, an unknown or unhashable
+# enum value and a bad date surface as KeyError, TypeError or ValueError.
+# No message is formatted. They return None for any record the checked
+# loop would reject, and the caller then runs that loop to raise its error.
+
+_ENUMS = (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSource)
+_MEMBER = {enum: {member.value: member for member in enum} for enum in _ENUMS}
+_COMPONENT_FIELDS = frozenset(("id", "name", "kind", "status"))
+_EDGE_FIELDS = frozenset(_EDGE_ENDPOINTS + ("kind", "multiplicity"))
+_OWNER_FIELDS = frozenset(("id", "name", "kind", "location_evidence"))
+_EVIDENCE_FIELDS = frozenset(("source", "payload", "recorded_at"))
+_ASSIGNMENT_FIELDS = frozenset(("component", "owner"))
+
+
+def _slot_setters(cls) -> tuple:
+    """The setter of each field of a frozen, slotted model record, in field order.
+
+    The fast path builds edges, by far the largest collection, as
+    unpickling builds objects: `object.__new__`, then a direct set of
+    each slot. A frozen dataclass's `__init__` sets each field through
+    `object.__setattr__`, which makes building 100k edges take more than
+    twice as long. The record's `__post_init__`, if it had one, would not
+    run, so none may.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} has a __post_init__ that building by slots would skip")
+    return tuple(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))
+
+
+_EDGE_SETTERS = _slot_setters(DependencyEdge)
+
+
+def _fast_components(records: list) -> list[Component] | None:
+    kinds, statuses = _MEMBER[ComponentKind], _MEMBER[ComponentStatus]
+    components = []
+    try:
+        for c in records:
+            if type(c) is not dict or not c.keys() <= _COMPONENT_FIELDS:
+                return None
+            cid, name = c["id"], c["name"]
+            if type(cid) is not str or type(name) is not str:
+                return None
+            components.append(Component(cid, name, kinds[c["kind"]], statuses[c["status"]]))
+    except (KeyError, TypeError):
+        return None
+    return components
+
+
+def _fast_dependencies(records: list) -> list[DependencyEdge] | None:
+    kinds = _MEMBER[DependencyKind]
+    set_user, set_used, set_kind, set_multiplicity = _EDGE_SETTERS
+    dependencies = []
+    try:
+        for e in records:
+            if type(e) is not dict or not e.keys() <= _EDGE_FIELDS:
+                return None
+            user, used, multiplicity = e["user"], e["owner_component"], e.get("multiplicity", 1)
+            if type(user) is not str or type(used) is not str or type(multiplicity) is not int or multiplicity < 1:
+                return None
+            edge = object.__new__(DependencyEdge)
+            set_user(edge, user)
+            set_used(edge, used)
+            set_kind(edge, kinds[e.get("kind", "use")])
+            set_multiplicity(edge, multiplicity)
+            dependencies.append(edge)
+    except (KeyError, TypeError):
+        return None
+    return dependencies
+
+
+def _fast_evidence(records) -> tuple[LocationEvidence, ...] | None:
+    if type(records) is not list:
+        return None
+    sources = _MEMBER[EvidenceSource]
+    evidence = []
+    try:
+        for ev in records:
+            if type(ev) is not dict or not ev.keys() <= _EVIDENCE_FIELDS:
+                return None
+            source, payload, recorded_at = sources[ev["source"]], ev["payload"], ev["recorded_at"]
+            if source is EvidenceSource.MEMBER_LOCATIONS:
+                if type(payload) is not list or not all(type(p) is str for p in payload):
+                    return None
+                payload = tuple(payload)
+            elif type(payload) is not str:
+                return None
+            if type(recorded_at) is not str:
+                return None
+            evidence.append(LocationEvidence(source, payload, date.fromisoformat(recorded_at)))
+    except (KeyError, TypeError, ValueError):
+        return None
+    return tuple(evidence)
+
+
+def _fast_owners(records: list) -> list[Owner] | None:
+    kinds = _MEMBER[OwnerKind]
+    owners = []
+    try:
+        for o in records:
+            if type(o) is not dict or not o.keys() <= _OWNER_FIELDS:
+                return None
+            oid, name, evidence = o["id"], o["name"], _fast_evidence(o.get("location_evidence", []))
+            if type(oid) is not str or type(name) is not str or evidence is None:
+                return None
+            owners.append(Owner(oid, name, kinds[o["kind"]], evidence))
+    except (KeyError, TypeError):
+        return None
+    return owners
+
+
+def _fast_ownership(records: list) -> list[OwnershipAssignment] | None:
+    ownership = []
+    for a in records:
+        if type(a) is not dict or not a.keys() <= _ASSIGNMENT_FIELDS:
+            return None
+        component, owner = a.get("component"), a.get("owner")
+        if type(component) is not str or type(owner) is not str:
+            return None
+        ownership.append(OwnershipAssignment(component, owner))
+    return ownership
+
+
+# Bundle collection -> (fast path, checked loop), in the order the checked
+# loops have always run, so a document with several faults names the same one.
+_COLLECTION_PARSERS = {
+    "components": (_fast_components, _checked_components),
+    "dependencies": (_fast_dependencies, _checked_dependencies),
+    "owners": (_fast_owners, _checked_owners),
+    "ownership": (_fast_ownership, _checked_ownership),
+}
 
 
 # The JSON string of every enum value, escaped once instead of per record.
-_JSON_VALUE = {
-    member: _quote(member.value)
-    for enum in (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSource)
-    for member in enum
-}
+_JSON_VALUE = {member: _quote(member.value) for enum in _ENUMS for member in enum}
 
 
 def _evidence_record(ev: LocationEvidence) -> str:
@@ -313,7 +469,8 @@ def assemble_from_csv(
 
     Components and owners are synthesized from the ids seen in the
     files; kind defaults to `other`, status to `production`. A literal
-    `N/A` jurisdiction becomes explicit UNKNOWN evidence.
+    `N/A` jurisdiction becomes explicit UNKNOWN evidence. Repeated rows
+    for one owner must name the same code, as same-dated evidence must.
     """
     edge_rows = _read_csv(edges_csv, ["user", "owner_component", "kind", "multiplicity"], 2, "edges")
     ownership_rows = _read_csv(ownership_csv, ["component", "owner"], 0, "ownership")
@@ -352,7 +509,9 @@ def assemble_from_csv(
             jurisdiction = UNKNOWN
         if not is_valid_jurisdiction(jurisdiction):
             raise SchemaError(f"invalid jurisdiction code {jurisdiction!r} (expected alpha-3 or N/A)")
-        evidence_by_owner[owner] = jurisdiction
+        previous = evidence_by_owner.setdefault(owner, jurisdiction)
+        if previous != jurisdiction:
+            raise CsvError(f"conflicting-evidence: owner {owner!r} has jurisdictions {previous!r} and {jurisdiction!r}")
 
     components = tuple(
         Component(cid, cid, ComponentKind.OTHER, ComponentStatus.PRODUCTION)

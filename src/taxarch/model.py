@@ -8,6 +8,7 @@ validation is a pure function producing a report, never an exception.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -15,12 +16,12 @@ from enum import Enum
 
 UNKNOWN = "UNKNOWN"
 
-_ALPHA3_RE = re.compile(r"^[A-Z]{3}$")
+_ALPHA3_RE = re.compile(r"[A-Z]{3}")
 
 
 def is_valid_jurisdiction(code: str) -> bool:
     """ISO 3166-1 alpha-3 code, or the distinguished UNKNOWN value."""
-    return code == UNKNOWN or bool(_ALPHA3_RE.match(code))
+    return code == UNKNOWN or bool(_ALPHA3_RE.fullmatch(code))
 
 
 class ComponentKind(str, Enum):
@@ -83,7 +84,7 @@ def latest_evidence(owner: Owner, sources: tuple[EvidenceSource, ...]) -> list[L
     return latest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     id: str
     name: str
@@ -91,7 +92,7 @@ class Component:
     status: ComponentStatus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     user: str
     owner_component: str
@@ -99,7 +100,7 @@ class DependencyEdge:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationEvidence:
     """One piece of evidence for an owner's jurisdiction.
 
@@ -117,7 +118,7 @@ class LocationEvidence:
             object.__setattr__(self, "payload", tuple(sorted(self.payload)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Owner:
     id: str
     name: str
@@ -125,13 +126,13 @@ class Owner:
     location_evidence: tuple[LocationEvidence, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OwnershipAssignment:
     component: str
     owner: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchitectureSnapshot:
     id: str
     taken_at: date
@@ -151,7 +152,7 @@ class ArchitectureSnapshot:
         return mapping
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Finding:
     """A violated invariant; every finding fails validation."""
 
@@ -160,7 +161,7 @@ class Finding:
     offending_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     status: str  # "ok" | "failed"
     findings: tuple[Finding, ...]
@@ -182,10 +183,22 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
 
     Violations become findings; the function never raises. Findings are
     sorted so the report is independent of collection order.
+
+    Each group of record checks except the evidence checks is first
+    asked, as set algebra over the whole snapshot, whether any record
+    breaks it; only then are its records walked one by one to word the
+    findings. A clean snapshot never formats a message.
     """
     findings: list[Finding] = []
+    component_ids = {c.id for c in snapshot.components}
+    owner_ids = {o.id for o in snapshot.owners}
 
-    for what, nodes in (("component", snapshot.components), ("owner", snapshot.owners)):
+    for what, nodes, ids in (
+        ("component", snapshot.components, component_ids),
+        ("owner", snapshot.owners, owner_ids),
+    ):
+        if len(ids) == len(nodes) and all(ids):
+            continue
         seen: set[str] = set()
         for node in nodes:
             if not node.id:
@@ -222,11 +235,30 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
             except ConflictingEvidenceError as exc:
                 findings.append(_finding("conflicting-evidence", str(exc), o.id))
 
-    component_ids = {c.id for c in snapshot.components}
-    owner_ids = {o.id for o in snapshot.owners}
+    findings += _dependency_findings(snapshot.dependencies, component_ids)
+    findings += _ownership_findings(snapshot.ownership, component_ids, owner_ids)
+    findings.sort()
+    return ValidationReport("failed" if findings else "ok", tuple(findings))
 
+
+def _dependency_findings(dependencies: tuple[DependencyEdge, ...], component_ids: set[str]) -> list[Finding]:
+    users = [e.user for e in dependencies]
+    used = [e.owner_component for e in dependencies]
+    kinds = [e.kind for e in dependencies]
+    # Equal triples hash alike, so as many distinct triple hashes as edges
+    # means no duplicate edge; a hash collision only sends the check to the
+    # loop below. A set of hashes is about half the cost of a set of triples.
+    if (
+        component_ids.issuperset(users)
+        and component_ids.issuperset(used)
+        and not any(map(operator.eq, users, used))
+        and min((e.multiplicity for e in dependencies), default=1) >= 1
+        and len(set(map(hash, zip(users, used, kinds)))) == len(dependencies)
+    ):
+        return []
+    findings = []
     seen_triples: set[tuple[str, str, DependencyKind]] = set()
-    for e in snapshot.dependencies:
+    for e in dependencies:
         if e.user == e.owner_component:
             findings.append(
                 _finding("self-dependency", f"component {e.user!r} depends on itself", e.user)
@@ -260,9 +292,22 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                 )
             )
         seen_triples.add(triple)
+    return findings
 
+
+def _ownership_findings(
+    ownership: tuple[OwnershipAssignment, ...], component_ids: set[str], owner_ids: set[str]
+) -> list[Finding]:
+    components = [a.component for a in ownership]
+    if (
+        len(components) == len(set(components)) == len(component_ids)
+        and component_ids.issuperset(components)
+        and owner_ids.issuperset(a.owner for a in ownership)
+    ):
+        return []
+    findings = []
     owners_per_component: dict[str, list[str]] = {}
-    for a in snapshot.ownership:
+    for a in ownership:
         owners_per_component.setdefault(a.component, []).append(a.owner)
         if a.component not in component_ids:
             findings.append(
@@ -293,6 +338,4 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                     *sorted(assigned),
                 )
             )
-
-    findings.sort()
-    return ValidationReport("failed" if findings else "ok", tuple(findings))
+    return findings

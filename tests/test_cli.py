@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from taxarch import cli
 from taxarch.cli import main
 from taxarch.generate import fixture
 from taxarch.ingest import serialize_bundle
@@ -203,3 +205,36 @@ def test_conflicting_evidence_exit_1_without_traceback(tmp_path, capsys, command
     assert shown.startswith("error: ") and "conflicting" in shown
     assert "error: conflicting-evidence: owner 'team-ab-apps'" in shown.splitlines()[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        (["report", "--fixture", "devnullsoft", "--out-dir", "{out}"], 0),
+        (["report", "--fixture", "devnullsoft", "--resolvers", "nonsense", "--out-dir", "{out}"], 2),
+        (["report", "--no-such-flag"], SystemExit),
+    ],
+    ids=["success", "exit-2", "argparse-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monkeypatch, argv, outcome, enabled):
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    during = []
+    run_report = cli.cmd_report
+
+    def report_noting_the_collector(args):
+        during.append(gc.isenabled())
+        return run_report(args)
+
+    monkeypatch.setattr(cli, "cmd_report", report_noting_the_collector)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == ([] if outcome is SystemExit else [False])

@@ -139,6 +139,18 @@ def test_assemble_duplicate_ownership_rejected():
         assemble_from_csv(EDGES, dup, JURISDICTIONS, TODAY)
 
 
+def test_assemble_conflicting_jurisdiction_rows_rejected():
+    conflicting = JURISDICTIONS + "team-a,DEU\n"
+    with pytest.raises(CsvError, match="conflicting-evidence: owner 'team-a' has jurisdictions 'SWE' and 'DEU'"):
+        assemble_from_csv(EDGES, OWNERSHIP, conflicting, TODAY)
+
+
+def test_assemble_repeated_identical_jurisdiction_rows_accepted():
+    repeated = JURISDICTIONS + "team-a,SWE\nteam-b,N/A\n"
+    snapshot = assemble_from_csv(EDGES, OWNERSHIP, repeated, TODAY)
+    assert snapshot == assemble_from_csv(EDGES, OWNERSHIP, JURISDICTIONS, TODAY)
+
+
 def test_assemble_dangling_jurisdiction_owner_rejected():
     extra = JURISDICTIONS + "team-ghost,DEU\n"
     with pytest.raises(CsvError, match="dangling-reference"):

@@ -1,9 +1,12 @@
+import json
 import random
 from datetime import date
 
 import pytest
 
+from taxarch.cli import main
 from taxarch.generate import fixture
+from taxarch.ingest import serialize_bundle
 from taxarch.model import (
     ArchitectureSnapshot,
     DependencyEdge,
@@ -105,6 +108,25 @@ def test_malformed_jurisdiction_in_evidence(small_snapshot):
         small_snapshot.ownership,
     )
     assert "malformed-jurisdiction" in validate_snapshot(snapshot).codes()
+
+
+def test_code_with_trailing_newline_is_malformed(small_snapshot, tmp_path, capsys):
+    bad = make_owner("t3", "SWE\n")
+    snapshot = make_snapshot(
+        small_snapshot.components,
+        small_snapshot.dependencies,
+        list(small_snapshot.owners) + [bad],
+        small_snapshot.ownership,
+    )
+    assert validate_snapshot(snapshot).codes() == ["malformed-jurisdiction"]
+
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    owner = next(o for o in doc["owners"] if o["id"] == "team-ab-apps")
+    owner["location_evidence"][0]["payload"] = "SWE\n"
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error: malformed-jurisdiction: malformed jurisdiction code 'SWE\\n'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,22 @@ from hypothesis import strategies as st
 from taxarch.classify import EdgeClass, aggregate, apply_scope_filter, classify_edge, compute_stats
 from taxarch.cli import main
 from taxarch.generate import GeneratorParams, fixture, generate
-from taxarch.ingest import IngestError, parse_bundle, serialize_bundle
+from taxarch.ingest import (
+    IngestError,
+    SchemaError,
+    _checked_components,
+    _checked_dependencies,
+    _checked_evidence,
+    _checked_owners,
+    _checked_ownership,
+    _fast_components,
+    _fast_dependencies,
+    _fast_evidence,
+    _fast_owners,
+    _fast_ownership,
+    parse_bundle,
+    serialize_bundle,
+)
 from taxarch.model import (
     UNKNOWN,
     ArchitectureSnapshot,
@@ -33,6 +48,8 @@ from taxarch.model import (
 )
 from taxarch.resolve import resolve_jurisdictions
 from taxarch.views import BucketScheme
+
+from reference_validate import reference_validate_snapshot
 
 
 @st.composite
@@ -436,3 +453,145 @@ def test_validate_and_report_agree_on_added_evidence(resolvers, text):
         reported = main(["report", str(bundle), "--out-dir", str(Path(tmp) / "out")] + resolvers)
     assert validated in (0, 1) and reported in (0, 1)
     assert validated == reported
+
+
+# Well-formed bundle records of each type, as json.loads hands them to the parser.
+iso_dates = st.dates().map(date.isoformat)
+component_records = st.fixed_dictionaries(
+    {
+        "id": texts,
+        "name": texts,
+        "kind": st.sampled_from([k.value for k in ComponentKind]),
+        "status": st.sampled_from([s.value for s in ComponentStatus]),
+    }
+)
+dependency_records = st.fixed_dictionaries(
+    {"user": texts, "owner_component": texts},
+    optional={"kind": st.sampled_from([k.value for k in DependencyKind]), "multiplicity": st.integers(min_value=1)},
+)
+evidence_records = st.sampled_from(EvidenceSource).flatmap(
+    lambda source: st.fixed_dictionaries(
+        {
+            "source": st.just(source.value),
+            "payload": st.lists(texts, max_size=3) if source is EvidenceSource.MEMBER_LOCATIONS else texts,
+            "recorded_at": iso_dates | st.sampled_from(["2023-02-30", "20230101", "2023-W01-1", ""]),
+        }
+    )
+)
+owner_records = st.fixed_dictionaries(
+    {"id": texts, "name": texts, "kind": st.sampled_from([k.value for k in OwnerKind])},
+    optional={"location_evidence": st.lists(evidence_records, max_size=3)},
+)
+assignment_records = st.fixed_dictionaries({"component": texts, "owner": texts})
+# Values one JSON type or one step away from what some field accepts.
+near_misses = st.sampled_from([True, False, 0, -1, 1, 1.0, "1", "", None, [], {}, ["SWE"], "use", "2023-01-01"])
+# Every field name of every record type, for added fields that are known to some type.
+FIELD_NAMES = (
+    "component id kind location_evidence multiplicity name owner owner_component payload recorded_at source status user"
+).split()
+
+
+@st.composite
+def mutated_records(draw, records):
+    """A list of well-formed records with up to three nodes anywhere in it replaced, dropped or added."""
+    doc = draw(st.lists(records, max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        *parents, last = draw(st.sampled_from([p for p in _paths(doc) if p] or [(0,)]))
+        parent = doc
+        try:
+            for key in parents:
+                parent = parent[key]
+            parent[last]
+        except (KeyError, IndexError, TypeError):
+            continue
+        mutation = draw(st.sampled_from(["wrong-type", "missing", "extra"]))
+        if mutation == "wrong-type":
+            parent[last] = draw(near_misses | json_values)
+        elif mutation == "missing":
+            del parent[last]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=4))] = draw(near_misses | records)
+        else:
+            parent.append(draw(near_misses | records))
+    return json.loads(json.dumps(doc))
+
+
+def _checked_evidence_list(records):
+    return _checked_evidence(records, "location_evidence")
+
+
+@pytest.mark.parametrize(
+    "records, fast, checked",
+    [
+        (component_records, _fast_components, _checked_components),
+        (dependency_records, _fast_dependencies, _checked_dependencies),
+        (owner_records, _fast_owners, _checked_owners),
+        (evidence_records, _fast_evidence, _checked_evidence_list),
+        (assignment_records, _fast_ownership, _checked_ownership),
+    ],
+    ids=["components", "dependencies", "owners", "evidence", "ownership"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_path_accepts_exactly_what_the_checked_loop_accepts(records, fast, checked, data):
+    doc = data.draw(mutated_records(records))
+    parsed = fast(doc)
+    if parsed is None:
+        with pytest.raises(SchemaError):
+            checked(doc)
+    else:
+        assert checked(doc) == parsed
+
+
+@st.composite
+def defective_snapshots(draw):
+    """A generated snapshot with up to three defects of the kinds each set-algebra check of validate looks for."""
+    snapshot = draw(snapshots())
+    components, dependencies, owners, ownership = (
+        list(snapshot.components),
+        list(snapshot.dependencies),
+        list(snapshot.owners),
+        list(snapshot.ownership),
+    )
+    component_ids = st.sampled_from([c.id for c in components])
+    owner_ids = st.sampled_from([o.id for o in owners])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        defect = draw(
+            st.sampled_from(
+                ["duplicate-id", "empty-id", "dangling-reference", "self-dependency", "invalid-multiplicity"]
+                + ["duplicate-edge", "missing-owner", "multiple-owners", "unknown-owner", "unknown-component"]
+            )
+        )
+        if defect == "duplicate-id":
+            nodes = draw(st.sampled_from([components, owners]))
+            nodes.append(draw(st.sampled_from(nodes)))
+        elif defect == "empty-id":
+            components.append(Component("", "nameless", ComponentKind.OTHER, ComponentStatus.PRODUCTION))
+        elif defect == "dangling-reference":
+            dependencies.append(DependencyEdge(draw(component_ids), "ghost"))
+        elif defect == "self-dependency":
+            cid = draw(component_ids)
+            dependencies.append(DependencyEdge(cid, cid))
+        elif defect == "invalid-multiplicity" and dependencies:
+            i = draw(st.integers(min_value=0, max_value=len(dependencies) - 1))
+            e = dependencies[i]
+            dependencies[i] = DependencyEdge(e.user, e.owner_component, e.kind, draw(st.integers(max_value=0)))
+        elif defect == "duplicate-edge" and dependencies:
+            dependencies.append(draw(st.sampled_from(dependencies)))
+        elif defect == "missing-owner":
+            ownership.pop(draw(st.integers(min_value=0, max_value=len(ownership) - 1)))
+        elif defect == "multiple-owners":
+            ownership.append(OwnershipAssignment(draw(component_ids), draw(owner_ids)))
+        elif defect == "unknown-owner":
+            ownership.append(OwnershipAssignment(draw(component_ids), "ghost"))
+        elif defect == "unknown-component":
+            ownership.append(OwnershipAssignment("ghost", draw(owner_ids)))
+    return ArchitectureSnapshot(
+        snapshot.id, snapshot.taken_at, tuple(components), tuple(dependencies), tuple(owners), tuple(ownership)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(library_snapshots | defective_snapshots())
+def test_validate_finds_what_the_record_by_record_reference_finds(snapshot):
+    assert validate_snapshot(snapshot) == reference_validate_snapshot(snapshot)

@@ -4,6 +4,9 @@
   must hold there too.
 - No import outside the standard library and `taxarch` itself: the
   package has no runtime dependencies.
+- No use of `gc` outside `cli.py`: the collector's state is global to
+  the process, so only the command line, which owns the process, may
+  pause it; a library caller of `parse_bundle` never has it changed.
 """
 
 import ast
@@ -46,3 +49,13 @@ def test_imports_only_stdlib_and_taxarch(path):
     allowed = sys.stdlib_module_names | {"taxarch"}
     outside = [(line, name) for line, name in _imported_packages(_tree(path)) if name not in allowed]
     assert outside == [], f"{path.relative_to(PACKAGE)}: imports outside the standard library {outside}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_only_the_cli_touches_the_cyclic_collector(path):
+    tree = _tree(path)
+    uses = [line for line, name in _imported_packages(tree) if name == "gc"]
+    uses += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "gc"]
+    assert uses == [], f"{path.relative_to(PACKAGE)}: uses gc on line(s) {uses}"
