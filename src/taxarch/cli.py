@@ -131,6 +131,24 @@ def _read_snapshot(path: str) -> ArchitectureSnapshot:
         raise CliError(f"{path}: {exc}") from None
 
 
+def _write(data: bytes | None, path: str | Path | None) -> None:
+    """Write an artifact to `path`, or to standard output when there is no path; with no data, make `path` a
+    directory. A write that fails is an input failure, exit 2, as a read that fails is."""
+    try:
+        if not path and not hasattr(sys.stdout, "buffer"):  # a text stream in its place, as from redirect_stdout
+            sys.stdout.write(data.decode("utf-8"))
+        elif not path:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        elif data is None:
+            Path(path).mkdir(parents=True, exist_ok=True)
+        else:
+            Path(path).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path or 'standard output'}: {exc}") from None
+
+
 def _require_valid(snapshot: ArchitectureSnapshot) -> None:
     report = validate_snapshot(snapshot)
     if not report.ok:
@@ -186,13 +204,11 @@ def cmd_report(args) -> int:
     component_csv, owner_csv = emit_registers(registers)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "view.dot").write_text(emit_graph(run.matrix, scheme=scheme), encoding="utf-8")
-    (out_dir / table_file).write_text(emit_table(run.matrix, table_format, scheme=scheme), encoding="utf-8")
-    (out_dir / "registers.csv").write_text(component_csv + "\n" + owner_csv, encoding="utf-8")
-    (out_dir / "report.json").write_text(
-        emit_report(run.stats, run.matrix, registers, metadata), encoding="utf-8"
-    )
+    _write(None, out_dir)
+    _write(emit_graph(run.matrix, scheme=scheme).encode("utf-8"), out_dir / "view.dot")
+    _write(emit_table(run.matrix, table_format, scheme=scheme).encode("utf-8"), out_dir / table_file)
+    _write((component_csv + "\n" + owner_csv).encode("utf-8"), out_dir / "registers.csv")
+    _write(emit_report(run.stats, run.matrix, registers, metadata).encode("utf-8"), out_dir / "report.json")
     print(_stats_line(run.stats))
     return EXIT_OK
 
@@ -218,11 +234,7 @@ def cmd_diff(args) -> int:
     for snapshot in (a, b):
         _require_valid(snapshot)
     delta = diff_snapshots(a, b, cascade, policy)
-    text = delta.to_json()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(delta.to_json().encode("utf-8"), args.out)
     return EXIT_OK
 
 
@@ -241,11 +253,7 @@ def cmd_gen(args) -> int:
         snapshot = generate(GeneratorParams(**kwargs))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    data = serialize_bundle(snapshot)
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _write(serialize_bundle(snapshot), args.out)
     return EXIT_OK
 
 
@@ -266,10 +274,7 @@ def cmd_fixture(args) -> int:
         data = serialize_bundle(loaded)
     else:
         data = emit_table(loaded, "csv").encode("utf-8")
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _write(data, args.out)
     return EXIT_OK
 
 

@@ -11,14 +11,12 @@ Every string goes through `json.encoder.encode_basestring`, the C
 escaper `json.dumps` itself uses with `ensure_ascii=False`, so the bytes
 equal `json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
 
-Each collection of a parsed document goes through a fast path first. It
-takes each record with one subset test of its field names, exact type
-checks and a dict lookup per enum value, formats no message, and builds
-edges slot by slot. It accepts exactly the records the checked loop
-accepts. When it declines a record, the checked loop re-reads that whole
-collection field by field and raises the SchemaError that names the
-first faulty record and field, so every message is the one the checked
-loop alone would give. A well-formed bundle never runs a checked loop.
+A parsed document is read in one pass, one loop per record type. Each
+record meets one test of its field names, exact type checks and a dict
+lookup per enum value, and edges are built slot by slot. A message is
+formatted only where a check fails: it names the first faulty record and
+field, and a well-formed bundle formats none. A string holding an unpaired
+surrogate, which UTF-8 cannot encode, is refused too.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from datetime import date
 from json.encoder import encode_basestring as _quote
 
@@ -76,11 +75,27 @@ _TOP_LEVEL_KEYS = (
     "owners",
     "ownership",
 )
+
+# Each record type's fields, in the order a message lists the missing ones,
+# and as a set for the one subset or equality test of a record's field names.
+_COMPONENT_FIELDS = ("id", "name", "kind", "status")
 _EDGE_ENDPOINTS = ("user", "owner_component")
+_OWNER_FIELDS = ("id", "name", "kind")
+_EVIDENCE_FIELDS = ("source", "payload", "recorded_at")
+_ASSIGNMENT_FIELDS = ("component", "owner")
+_COMPONENT_KEYS = frozenset(_COMPONENT_FIELDS)
+_EDGE_KEYS = frozenset(_EDGE_ENDPOINTS + ("kind", "multiplicity"))
+_OWNER_REQUIRED = frozenset(_OWNER_FIELDS)
+_OWNER_KEYS = _OWNER_REQUIRED | {"location_evidence"}
+_EVIDENCE_KEYS = frozenset(_EVIDENCE_FIELDS)
+_ASSIGNMENT_KEYS = frozenset(_ASSIGNMENT_FIELDS)
+
+_ENUMS = (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSource)
+_MEMBER = {enum: {member.value: member for member in enum} for enum in _ENUMS}
 
 
 def _require_keys(
-    obj, allowed: tuple[str, ...], required: tuple[str, ...], where: str, strings: tuple[str, ...] = ()
+    obj, allowed: frozenset | tuple, required: tuple[str, ...], where: str, strings: tuple[str, ...] = ()
 ) -> None:
     """Check that `obj` is an object with known fields, the required ones, and a string in each of `strings`."""
     if not isinstance(obj, dict):
@@ -121,11 +136,8 @@ def _listed(names: list) -> str:
     return ", ".join(map(_shown, names[:3])) + (f" and {len(names) - 3} more" if len(names) > 3 else "")
 
 
-def _parse_enum(enum_cls, value, field: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise SchemaError(f"unknown value {_shown(value)} for field {field!r}") from None
+def _unknown_value(value, field: str) -> SchemaError:
+    return SchemaError(f"unknown value {_shown(value)} for field {field!r}")
 
 
 def _parse_date(value, field: str) -> date:
@@ -137,36 +149,55 @@ def _parse_date(value, field: str) -> date:
         raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(value)}") from None
 
 
-def _parse_evidence(obj: dict, where: str) -> LocationEvidence:
-    _require_keys(obj, ("source", "payload", "recorded_at"), ("source", "payload", "recorded_at"), where)
-    source = _parse_enum(EvidenceSource, obj["source"], f"{where}.source")
-    payload = obj["payload"]
-    if source is EvidenceSource.MEMBER_LOCATIONS:
-        if not isinstance(payload, list) or not all(isinstance(p, str) for p in payload):
-            raise SchemaError(f"{where}.payload must be a list of jurisdiction codes")
-        payload = tuple(payload)
-    elif not isinstance(payload, str):
-        raise SchemaError(f"{where}.payload must be a jurisdiction code string")
-    return LocationEvidence(source, payload, _parse_date(obj["recorded_at"], f"{where}.recorded_at"))
+# A JSON escape of a UTF-16 surrogate, paired or not, and a surrogate itself.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
     """Parse a snapshot bundle. Raises typed errors, never panics.
 
     The caller is expected to run validate_snapshot on the result;
-    parsing only enforces the document schema.
+    parsing only enforces the document schema, and that every string
+    can be written as UTF-8.
     """
     if isinstance(document, bytes):
         try:
             document = document.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BundleParseError("document is not valid UTF-8", exc.start) from None
+        suspect = _SURROGATE_ESCAPE.search(document)
+    else:
+        suspect = _SURROGATE_ESCAPE.search(document) or not document.isascii() and _SURROGATE.search(document)
     try:
-        return _snapshot_from(json.loads(document))
+        data = json.loads(document)
+        snapshot = _snapshot_from(data)
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON: {exc.msg}", exc.pos) from None
     except RecursionError:
         raise BundleParseError("JSON nested too deeply") from None
+    # json.loads turns an unpaired surrogate escape into a lone surrogate,
+    # which no artifact could hold: UTF-8 cannot encode it. The strings are
+    # walked only when the text holds such an escape (or, in a str, the
+    # character itself); a paired escape or an escaped backslash before
+    # `u` also matches, and the walk finds nothing there.
+    if suspect:
+        for where, text in _strings(data, ""):
+            if _SURROGATE.search(text):
+                raise BundleParseError(f"{where} holds an unpaired surrogate, which UTF-8 cannot encode")
+    return snapshot
+
+
+def _strings(node, where: str):
+    """Each string in a schema-checked document, with its place: the schema admits only known field names."""
+    if type(node) is str:
+        yield where, node
+    elif type(node) is list:
+        for i, child in enumerate(node):
+            yield from _strings(child, f"{where}[{i}]")
+    elif type(node) is dict:
+        for key, child in node.items():
+            yield from _strings(child, f"{where}.{key}" if where else key)
 
 
 def _snapshot_from(data) -> ArchitectureSnapshot:
@@ -174,110 +205,34 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     version = data["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported schema_version {_shown(version)} (supported: {SCHEMA_VERSION})")
-    collections = {}
-    for name, (fast, checked) in _COLLECTION_PARSERS.items():
-        records = _require_array(data[name], name)
-        parsed = fast(records)
-        collections[name] = tuple(checked(records) if parsed is None else parsed)
+    # The collections are read in this order, so a document with several
+    # faults always names the same one.
+    components = _components(_require_array(data["components"], "components"))
+    dependencies = _dependencies(_require_array(data["dependencies"], "dependencies"))
+    owners = _owners(_require_array(data["owners"], "owners"))
+    ownership = _ownership(_require_array(data["ownership"], "ownership"))
     return ArchitectureSnapshot(
-        id=data["snapshot_id"], taken_at=_parse_date(data["taken_at"], "taken_at"), **collections
+        data["snapshot_id"], _parse_date(data["taken_at"], "taken_at"), components, dependencies, owners, ownership
     )
 
 
-# The checked loops: each record's fields are checked one by one, so the
-# first fault raises a SchemaError that names its place in the document.
-
-
-def _checked_components(records: list) -> list[Component]:
-    components = []
-    for i, c in enumerate(records):
-        where = f"components[{i}]"
-        _require_keys(c, ("id", "name", "kind", "status"), ("id", "name", "kind", "status"), where, ("id", "name"))
-        components.append(
-            Component(
-                id=c["id"],
-                name=c["name"],
-                kind=_parse_enum(ComponentKind, c["kind"], f"{where}.kind"),
-                status=_parse_enum(ComponentStatus, c["status"], f"{where}.status"),
-            )
-        )
-    return components
-
-
-def _checked_dependencies(records: list) -> list[DependencyEdge]:
-    dependencies = []
-    for i, e in enumerate(records):
-        where = f"dependencies[{i}]"
-        _require_keys(e, _EDGE_ENDPOINTS + ("kind", "multiplicity"), _EDGE_ENDPOINTS, where, _EDGE_ENDPOINTS)
-        multiplicity = e.get("multiplicity", 1)
-        if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity < 1:
-            raise SchemaError(f"{where}.multiplicity must be a positive integer")
-        dependencies.append(
-            DependencyEdge(
-                user=e["user"],
-                owner_component=e["owner_component"],
-                kind=_parse_enum(DependencyKind, e.get("kind", "use"), f"{where}.kind"),
-                multiplicity=multiplicity,
-            )
-        )
-    return dependencies
-
-
-def _checked_evidence(records, where: str) -> tuple[LocationEvidence, ...]:
-    return tuple(_parse_evidence(ev, f"{where}[{j}]") for j, ev in enumerate(_require_array(records, where)))
-
-
-def _checked_owners(records: list) -> list[Owner]:
-    owners = []
-    for i, o in enumerate(records):
-        where = f"owners[{i}]"
-        _require_keys(o, ("id", "name", "kind", "location_evidence"), ("id", "name", "kind"), where, ("id", "name"))
-        evidence = _checked_evidence(o.get("location_evidence", []), f"{where}.location_evidence")
-        owners.append(
-            Owner(
-                id=o["id"],
-                name=o["name"],
-                kind=_parse_enum(OwnerKind, o["kind"], f"{where}.kind"),
-                location_evidence=evidence,
-            )
-        )
-    return owners
-
-
-def _checked_ownership(records: list) -> list[OwnershipAssignment]:
-    ownership = []
-    for i, a in enumerate(records):
-        where = f"ownership[{i}]"
-        _require_keys(a, ("component", "owner"), ("component", "owner"), where, ("component", "owner"))
-        ownership.append(OwnershipAssignment(component=a["component"], owner=a["owner"]))
-    return ownership
-
-
-# The fast paths: one subset test of each record's fields, exact type
-# checks (json.loads makes only values of the exact built-in types) and a
-# dict lookup per enum value; a missing field, an unknown or unhashable
-# enum value and a bad date surface as KeyError, TypeError or ValueError.
-# No message is formatted. They return None for any record the checked
-# loop would reject, and the caller then runs that loop to raise its error.
-
-_ENUMS = (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSource)
-_MEMBER = {enum: {member.value: member for member in enum} for enum in _ENUMS}
-_COMPONENT_FIELDS = frozenset(("id", "name", "kind", "status"))
-_EDGE_FIELDS = frozenset(_EDGE_ENDPOINTS + ("kind", "multiplicity"))
-_OWNER_FIELDS = frozenset(("id", "name", "kind", "location_evidence"))
-_EVIDENCE_FIELDS = frozenset(("source", "payload", "recorded_at"))
-_ASSIGNMENT_FIELDS = frozenset(("component", "owner"))
+# One loop per record type. Each record's string fields are read in a try
+# (a record that is not an object, or lacks one, reads as None) and meet
+# exact type checks, json.loads making only values of the exact built-in
+# types; then one test of its field names and a dict lookup per enum value.
+# A message is formatted only on the branch that raises. When the field
+# test fails, `_require_keys` runs on the record to say which field is
+# wrong, and it always raises there.
 
 
 def _slot_setters(cls) -> tuple:
     """The setter of each field of a frozen, slotted model record, in field order.
 
-    The fast path builds edges, by far the largest collection, as
-    unpickling builds objects: `object.__new__`, then a direct set of
-    each slot. A frozen dataclass's `__init__` sets each field through
-    `object.__setattr__`, which makes building 100k edges take more than
-    twice as long. The record's `__post_init__`, if it had one, would not
-    run, so none may.
+    Edges, by far the largest collection, are built as unpickling builds
+    objects: `object.__new__`, then a direct set of each slot. A frozen
+    dataclass's `__init__` sets each field through `object.__setattr__`,
+    which makes building 100k edges take more than twice as long. The
+    record's `__post_init__`, if it had one, would not run, so none may.
     """
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"{cls.__name__} has a __post_init__ that building by slots would skip")
@@ -287,104 +242,115 @@ def _slot_setters(cls) -> tuple:
 _EDGE_SETTERS = _slot_setters(DependencyEdge)
 
 
-def _fast_components(records: list) -> list[Component] | None:
+def _components(records: list) -> tuple[Component, ...]:
     kinds, statuses = _MEMBER[ComponentKind], _MEMBER[ComponentStatus]
     components = []
-    try:
-        for c in records:
-            if type(c) is not dict or not c.keys() <= _COMPONENT_FIELDS:
-                return None
+    for i, c in enumerate(records):
+        try:
             cid, name = c["id"], c["name"]
-            if type(cid) is not str or type(name) is not str:
-                return None
-            components.append(Component(cid, name, kinds[c["kind"]], statuses[c["status"]]))
-    except (KeyError, TypeError):
-        return None
-    return components
+        except (KeyError, TypeError):
+            cid = name = None
+        if type(cid) is not str or type(name) is not str or c.keys() != _COMPONENT_KEYS:
+            _require_keys(c, _COMPONENT_KEYS, _COMPONENT_FIELDS, f"components[{i}]", ("id", "name"))
+        try:
+            kind = kinds[c["kind"]]
+        except (KeyError, TypeError):
+            raise _unknown_value(c["kind"], f"components[{i}].kind") from None
+        try:
+            status = statuses[c["status"]]
+        except (KeyError, TypeError):
+            raise _unknown_value(c["status"], f"components[{i}].status") from None
+        components.append(Component(cid, name, kind, status))
+    return tuple(components)
 
 
-def _fast_dependencies(records: list) -> list[DependencyEdge] | None:
+def _dependencies(records: list) -> tuple[DependencyEdge, ...]:
     kinds = _MEMBER[DependencyKind]
     set_user, set_used, set_kind, set_multiplicity = _EDGE_SETTERS
     dependencies = []
-    try:
-        for e in records:
-            if type(e) is not dict or not e.keys() <= _EDGE_FIELDS:
-                return None
-            user, used, multiplicity = e["user"], e["owner_component"], e.get("multiplicity", 1)
-            if type(user) is not str or type(used) is not str or type(multiplicity) is not int or multiplicity < 1:
-                return None
-            edge = object.__new__(DependencyEdge)
-            set_user(edge, user)
-            set_used(edge, used)
-            set_kind(edge, kinds[e.get("kind", "use")])
-            set_multiplicity(edge, multiplicity)
-            dependencies.append(edge)
-    except (KeyError, TypeError):
-        return None
-    return dependencies
+    for i, e in enumerate(records):
+        try:
+            user, used = e["user"], e["owner_component"]
+        except (KeyError, TypeError):
+            user = used = None
+        if type(user) is not str or type(used) is not str or not e.keys() <= _EDGE_KEYS:
+            _require_keys(e, _EDGE_KEYS, _EDGE_ENDPOINTS, f"dependencies[{i}]", _EDGE_ENDPOINTS)
+        multiplicity = e.get("multiplicity", 1)
+        if type(multiplicity) is not int or multiplicity < 1:
+            raise SchemaError(f"dependencies[{i}].multiplicity must be a positive integer")
+        try:
+            kind = kinds[e.get("kind", "use")]
+        except (KeyError, TypeError):
+            raise _unknown_value(e["kind"], f"dependencies[{i}].kind") from None
+        edge = object.__new__(DependencyEdge)
+        set_user(edge, user)
+        set_used(edge, used)
+        set_kind(edge, kind)
+        set_multiplicity(edge, multiplicity)
+        dependencies.append(edge)
+    return tuple(dependencies)
 
 
-def _fast_evidence(records) -> tuple[LocationEvidence, ...] | None:
+def _owners(records: list) -> tuple[Owner, ...]:
+    kinds = _MEMBER[OwnerKind]
+    owners = []
+    for i, o in enumerate(records):
+        try:
+            oid, name = o["id"], o["name"]
+        except (KeyError, TypeError):
+            oid = name = None
+        if type(oid) is not str or type(name) is not str or not _OWNER_REQUIRED <= o.keys() <= _OWNER_KEYS:
+            _require_keys(o, _OWNER_KEYS, _OWNER_FIELDS, f"owners[{i}]", ("id", "name"))
+        evidence = _evidence(o.get("location_evidence", []), i)
+        try:
+            kind = kinds[o["kind"]]
+        except (KeyError, TypeError):
+            raise _unknown_value(o["kind"], f"owners[{i}].kind") from None
+        owners.append(Owner(oid, name, kind, evidence))
+    return tuple(owners)
+
+
+def _evidence(records, owner: int) -> tuple[LocationEvidence, ...]:
+    """The `location_evidence` of the owner at index `owner`."""
     if type(records) is not list:
-        return None
+        raise SchemaError(f"owners[{owner}].location_evidence must be a JSON array")
     sources = _MEMBER[EvidenceSource]
     evidence = []
-    try:
-        for ev in records:
-            if type(ev) is not dict or not ev.keys() <= _EVIDENCE_FIELDS:
-                return None
-            source, payload, recorded_at = sources[ev["source"]], ev["payload"], ev["recorded_at"]
-            if source is EvidenceSource.MEMBER_LOCATIONS:
-                if type(payload) is not list or not all(type(p) is str for p in payload):
-                    return None
-                payload = tuple(payload)
-            elif type(payload) is not str:
-                return None
-            if type(recorded_at) is not str:
-                return None
-            evidence.append(LocationEvidence(source, payload, date.fromisoformat(recorded_at)))
-    except (KeyError, TypeError, ValueError):
-        return None
+    for j, ev in enumerate(records):
+        if type(ev) is not dict or ev.keys() != _EVIDENCE_KEYS:
+            _require_keys(ev, _EVIDENCE_KEYS, _EVIDENCE_FIELDS, f"owners[{owner}].location_evidence[{j}]")
+        try:
+            source = sources[ev["source"]]
+        except (KeyError, TypeError):
+            raise _unknown_value(ev["source"], f"owners[{owner}].location_evidence[{j}].source") from None
+        payload = ev["payload"]
+        if source is EvidenceSource.MEMBER_LOCATIONS:
+            if type(payload) is not list or not all(type(p) is str for p in payload):
+                raise SchemaError(
+                    f"owners[{owner}].location_evidence[{j}].payload must be a list of jurisdiction codes"
+                )
+            payload = tuple(payload)
+        elif type(payload) is not str:
+            raise SchemaError(f"owners[{owner}].location_evidence[{j}].payload must be a jurisdiction code string")
+        try:
+            recorded_at = date.fromisoformat(ev["recorded_at"])
+        except (TypeError, ValueError):
+            recorded_at = _parse_date(ev["recorded_at"], f"owners[{owner}].location_evidence[{j}].recorded_at")
+        evidence.append(LocationEvidence(source, payload, recorded_at))
     return tuple(evidence)
 
 
-def _fast_owners(records: list) -> list[Owner] | None:
-    kinds = _MEMBER[OwnerKind]
-    owners = []
-    try:
-        for o in records:
-            if type(o) is not dict or not o.keys() <= _OWNER_FIELDS:
-                return None
-            oid, name, evidence = o["id"], o["name"], _fast_evidence(o.get("location_evidence", []))
-            if type(oid) is not str or type(name) is not str or evidence is None:
-                return None
-            owners.append(Owner(oid, name, kinds[o["kind"]], evidence))
-    except (KeyError, TypeError):
-        return None
-    return owners
-
-
-def _fast_ownership(records: list) -> list[OwnershipAssignment] | None:
+def _ownership(records: list) -> tuple[OwnershipAssignment, ...]:
     ownership = []
-    for a in records:
-        if type(a) is not dict or not a.keys() <= _ASSIGNMENT_FIELDS:
-            return None
-        component, owner = a.get("component"), a.get("owner")
-        if type(component) is not str or type(owner) is not str:
-            return None
+    for i, a in enumerate(records):
+        try:
+            component, owner = a["component"], a["owner"]
+        except (KeyError, TypeError):
+            component = owner = None
+        if type(component) is not str or type(owner) is not str or a.keys() != _ASSIGNMENT_KEYS:
+            _require_keys(a, _ASSIGNMENT_KEYS, _ASSIGNMENT_FIELDS, f"ownership[{i}]", _ASSIGNMENT_FIELDS)
         ownership.append(OwnershipAssignment(component, owner))
-    return ownership
-
-
-# Bundle collection -> (fast path, checked loop), in the order the checked
-# loops have always run, so a document with several faults names the same one.
-_COLLECTION_PARSERS = {
-    "components": (_fast_components, _checked_components),
-    "dependencies": (_fast_dependencies, _checked_dependencies),
-    "owners": (_fast_owners, _checked_owners),
-    "ownership": (_fast_ownership, _checked_ownership),
-}
+    return tuple(ownership)
 
 
 # The JSON string of every enum value, escaped once instead of per record.

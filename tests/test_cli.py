@@ -1,8 +1,15 @@
+import contextlib
 import gc
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taxarch
 from taxarch import cli
 from taxarch.cli import main
 from taxarch.generate import fixture
@@ -238,3 +245,66 @@ def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monk
     finally:
         gc.enable()
     assert during == ([] if outcome is SystemExit else [False])
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["report", "--fixture", "devnullsoft", "--out-dir", "{file}"], None),
+        (["report", "--fixture", "devnullsoft", "--out-dir", "{file}/sub"], None),
+        (["diff", "{bundle}", "{bundle}", "--out", "{tmp}/missing/delta.json"], None),
+        (["gen", "--components", "10", "--teams", "2", "--out", "{tmp}/missing/bundle.json"], None),
+        (["fixture", "devnullsoft", "--out", "{tmp}/missing/bundle.json"], None),
+        (["diff", "{bundle}", "{bundle}"], "/dev/full"),
+    ],
+    ids=["report-out-dir-is-a-file", "report-out-dir-under-a-file", "diff-out", "gen-out", "fixture-out", "diff-stdout-full"],
+)
+def test_unwritable_output_exit_2_without_traceback(tmp_path, devnullsoft_bundle, argv, stdout):
+    if stdout is not None and not Path(stdout).exists():
+        pytest.skip(f"{stdout} is not on this system")
+    (tmp_path / "file").write_text("not a directory")
+    argv = [arg.format(file=tmp_path / "file", bundle=devnullsoft_bundle, tmp=tmp_path) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(taxarch.__file__).parents[1]))
+    with open(stdout or os.devnull, "wb") as out:
+        run = subprocess.run([sys.executable, "-m", "taxarch.cli", *argv], stdout=out, stderr=subprocess.PIPE, env=env)
+    err = run.stderr.decode("utf-8", "replace")
+    assert run.returncode == 2, err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "stats", "diff"])
+def test_unpaired_surrogate_exit_2_on_every_command(tmp_path, capsys, command):
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    doc["components"][0]["id"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    args = {
+        "validate": ["validate", str(path)],
+        "report": ["report", str(path), "--out-dir", str(tmp_path / "out")],
+        "stats": ["stats", str(path)],
+        "diff": ["diff", str(path), str(path)],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: components[0].id holds an unpaired surrogate, which UTF-8 cannot encode\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "{bundle}", "{bundle}"],
+        ["gen", "--components", "10", "--teams", "2", "--seed", "3"],
+        ["fixture", "casestudy_matrix"],
+    ],
+    ids=["diff", "gen", "fixture"],
+)
+def test_stdout_artifact_equals_out_file_also_on_a_text_stream(tmp_path, devnullsoft_bundle, capsysbinary, argv):
+    argv = [arg.format(bundle=devnullsoft_bundle) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "artifact")]) == 0
+    expected = (tmp_path / "artifact").read_bytes()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue().encode("utf-8") == expected

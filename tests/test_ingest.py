@@ -118,6 +118,50 @@ def test_parse_never_panics_on_arbitrary_bytes():
             parse_bundle(blob)
 
 
+def _devnullsoft_text_with(path, escaped: str) -> str:
+    """The devnullsoft bundle as JSON text, with the string at `path` replaced by `escaped`, written as is."""
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = "\x00marker"
+    return json.dumps(doc).replace(json.dumps("\x00marker"), f'"{escaped}"')
+
+
+@pytest.mark.parametrize(
+    "path, escaped, field",
+    [
+        (("snapshot_id",), "\\ud800", "snapshot_id"),
+        (("components", 2, "id"), "svc\\udfff", "components[2].id"),
+        (("owners", 1, "location_evidence", 0, "payload"), "\\uDE80SWE", "owners[1].location_evidence[0].payload"),
+        (("ownership", 3, "owner"), "\\ude80\\ud83d", "ownership[3].owner"),
+    ],
+    ids=["snapshot-id", "component-id", "evidence-payload", "reversed-pair"],
+)
+def test_unpaired_surrogate_escape_rejected_without_echo(path, escaped, field):
+    for document in (_devnullsoft_text_with(path, escaped), _devnullsoft_text_with(path, escaped).encode()):
+        with pytest.raises(BundleParseError) as exc:
+            parse_bundle(document)
+        message = str(exc.value)
+        assert message.startswith(f"{field} holds an unpaired surrogate")
+        assert message.isascii() and "\\" not in message  # neither the surrogate nor its escape is echoed
+
+
+def test_raw_surrogate_in_str_document_rejected():
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    doc["components"][0]["name"] = "svc\ud800"
+    with pytest.raises(BundleParseError, match=r"^components\[0\]\.name holds an unpaired surrogate"):
+        parse_bundle(json.dumps(doc, ensure_ascii=False))
+
+
+@pytest.mark.parametrize("escaped, text", [("\\\\ud800", "\\ud800"), ("\\ud83d\\ude80", "\U0001f680")])
+def test_escaped_backslash_and_paired_surrogates_accepted(escaped, text):
+    snapshot = parse_bundle(_devnullsoft_text_with(("snapshot_id",), escaped).encode())
+    assert snapshot.id == text
+    assert parse_bundle(serialize_bundle(snapshot)) == snapshot
+
+
 EDGES = "user,owner_component\nbilling,auth\ncatalog,auth\ncatalog,billing\n"
 OWNERSHIP = "component,owner\nauth,team-a\nbilling,team-b\ncatalog,team-b\n"
 JURISDICTIONS = "owner,jurisdiction\nteam-a,SWE\nteam-b,N/A\n"
