@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -131,21 +132,23 @@ def _read_snapshot(path: str) -> ArchitectureSnapshot:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _write(data: bytes | None, path: str | Path | None) -> None:
-    """Write an artifact to `path`, or to standard output when there is no path; with no data, make `path` a
-    directory. A write that fails is an input failure, exit 2, as a read that fails is."""
+def _write(data: bytes, path: str | Path | None) -> None:
+    """Write an artifact to `path`, or to standard output when there is no path. A write that fails is an input
+    failure, exit 2, as a read that fails is."""
     try:
-        if not path and not hasattr(sys.stdout, "buffer"):  # a text stream in its place, as from redirect_stdout
-            sys.stdout.write(data.decode("utf-8"))
-        elif not path:
+        if path:
+            Path(path).write_bytes(data)
+        else:
             sys.stdout.flush()
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
-        elif data is None:
-            Path(path).mkdir(parents=True, exist_ok=True)
-        else:
-            Path(path).write_bytes(data)
     except OSError as exc:
+        if not path:
+            # The buffer keeps the bytes it could not write, and the interpreter flushes it again on exit, where
+            # the same failure would print "Exception ignored" and exit 120; point fd 1 at devnull to drop them.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise CliError(f"cannot write {path or 'standard output'}: {exc}") from None
 
 
@@ -204,7 +207,10 @@ def cmd_report(args) -> int:
     component_csv, owner_csv = emit_registers(registers)
 
     out_dir = Path(args.out_dir)
-    _write(None, out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_dir}: {exc}") from None
     _write(emit_graph(run.matrix, scheme=scheme).encode("utf-8"), out_dir / "view.dot")
     _write(emit_table(run.matrix, table_format, scheme=scheme).encode("utf-8"), out_dir / table_file)
     _write((component_csv + "\n" + owner_csv).encode("utf-8"), out_dir / "registers.csv")
