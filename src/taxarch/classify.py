@@ -184,14 +184,15 @@ def aggregate(
     ownership of a kept component.
     """
     jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
+    # component -> its owner's jurisdiction, built once: two lookups per edge instead of four.
+    # A component whose owner is None stays unowned.
+    component_j = {c: jurisdiction_of.get(o, UNKNOWN) for c, o in owner_of.items() if o is not None}
     counts: dict[tuple[str, str], int] = {}
     for e in snapshot.dependencies:
-        user_owner = owner_of.get(e.user)
-        used_owner = owner_of.get(e.owner_component)
-        if user_owner is None or used_owner is None:
+        user_j = component_j.get(e.user)
+        used_j = component_j.get(e.owner_component)
+        if user_j is None or used_j is None:
             raise IntegrityError(f"dependency {e.user!r}->{e.owner_component!r} has an unowned endpoint")
-        user_j = jurisdiction_of.get(user_owner, UNKNOWN)
-        used_j = jurisdiction_of.get(used_owner, UNKNOWN)
         key = (user_j, used_j)
         counts[key] = counts.get(key, 0) + e.multiplicity
     matrix = JurisdictionFlowMatrix.from_counts(counts, snapshot.id)

@@ -100,12 +100,16 @@ class SnapshotDelta:
 
 
 def _edge_map(snapshot: ArchitectureSnapshot) -> dict[tuple[str, str, str], int]:
-    return {(e.user, e.owner_component, e.kind.value): e.multiplicity for e in snapshot.dependencies}
+    # `_value_` is the member's plain attribute; `.value` is a Python-level descriptor.
+    return {(e.user, e.owner_component, e.kind._value_): e.multiplicity for e in snapshot.dependencies}
 
 
 def _changed(a: dict, b: dict) -> tuple[tuple, ...]:
-    """(key, old, new) for each key of both mappings whose value differs, sorted by key."""
-    return tuple((k, a[k], b[k]) for k in sorted(a.keys() & b.keys()) if a[k] != b[k])
+    """(key, old, new) for each key of both mappings whose value differs, sorted by key.
+
+    One pass over `a`; only the differing rows are sorted, not every common key.
+    """
+    return tuple(sorted((k, old, new) for k, old in a.items() if (new := b.get(k, old)) != old))
 
 
 def diff_snapshots(
@@ -120,8 +124,8 @@ def diff_snapshots(
 
     a_edges = _edge_map(a)
     b_edges = _edge_map(b)
-    edges_added = sorted(set(b_edges) - set(a_edges))
-    edges_removed = sorted(set(a_edges) - set(b_edges))
+    edges_added = sorted(b_edges.keys() - a_edges.keys())
+    edges_removed = sorted(a_edges.keys() - b_edges.keys())
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in _changed(a_edges, b_edges))
 
     run_a, run_b = (run_pipeline(s, cascade, policy) for s in (a, b))

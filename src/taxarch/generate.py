@@ -13,6 +13,7 @@ Fixtures:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from datetime import date
@@ -64,11 +65,14 @@ class GeneratorParams:
             raise GenerationError("component_count and team_count must be positive")
         if not 0.0 <= self.unresolved_rate <= 1.0:
             raise GenerationError("unresolved_rate must be in [0, 1]")
-        if self.dependency_density < 0:
-            raise GenerationError("dependency_density must be >= 0")
+        if not 0 <= self.dependency_density < math.inf:
+            raise GenerationError(f"dependency_density must be finite and >= 0, got {self.dependency_density}")
         invalid = [code for code, _ in self.jurisdiction_weights if not is_valid_jurisdiction(code)]
         if invalid:
             raise GenerationError(f"invalid jurisdiction code(s) {invalid} (expected alpha-3 or UNKNOWN)")
+        outside = [code for code, w in self.jurisdiction_weights if not 0.0 <= w <= 1.0]
+        if outside:
+            raise GenerationError(f"jurisdiction weight(s) of {outside} must be in [0, 1]")
         total = sum(w for _, w in self.jurisdiction_weights)
         if abs(total - 1.0) > 1e-9:
             raise GenerationError(f"jurisdiction weights must sum to 1, got {total}")
@@ -87,7 +91,8 @@ def _weighted_choice(rng: random.Random, weights: tuple[tuple[str, float], ...])
 def generate(params: GeneratorParams) -> ArchitectureSnapshot:
     """Generate a valid snapshot; identical params and seed give identical output."""
     n = params.component_count
-    edge_target = round(params.dependency_density * n)
+    wanted = params.dependency_density * n  # a finite density may still overflow to inf here
+    edge_target = round(wanted) if math.isfinite(wanted) else wanted
     capacity = n * (n - 1)
     if edge_target > capacity:
         raise GenerationError(

@@ -184,10 +184,10 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     Violations become findings; the function never raises. Findings are
     sorted so the report is independent of collection order.
 
-    Each group of record checks except the evidence checks is first
-    asked, as set algebra over the whole snapshot, whether any record
-    breaks it; only then are its records walked one by one to word the
-    findings. A clean snapshot never formats a message.
+    Each group of record checks is first asked, as set algebra over the
+    whole snapshot, whether any record breaks it; only then are its
+    records walked one by one to word the findings. A clean snapshot
+    never formats a message.
     """
     findings: list[Finding] = []
     component_ids = {c.id for c in snapshot.components}
@@ -208,7 +208,59 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
             else:
                 seen.add(node.id)
 
-    for o in snapshot.owners:
+    findings += _evidence_findings(snapshot.owners)
+    findings += _dependency_findings(snapshot.dependencies, component_ids)
+    findings += _ownership_findings(snapshot.ownership, component_ids, owner_ids)
+    findings.sort()
+    return ValidationReport("failed" if findings else "ok", tuple(findings))
+
+
+# Evidence source -> index of the resolver group that reads it, for single-code sources.
+_SINGLE_CODE_GROUP = {
+    source: group
+    for group, sources in enumerate(RESOLVER_SOURCES.values())
+    for source in sources
+    if source is not EvidenceSource.MEMBER_LOCATIONS
+}
+_STR = frozenset({str})
+
+
+def _evidence_is_clean(owners: tuple[Owner, ...]) -> bool:
+    """Whether no evidence record can give a finding, by one pass over all of it.
+
+    True when every payload has its source's shape, every distinct code
+    is valid, and no owner has two single codes in one resolver group on
+    one date (so none at its latest date). Payload types are checked
+    before anything is hashed.
+    """
+    members = EvidenceSource.MEMBER_LOCATIONS  # a local: the class attribute costs ten times as much
+    codes: set[str] = set()
+    dated: dict[tuple, str] = {}  # (owner index, resolver group, date) -> the first single code seen
+    for i, o in enumerate(owners):
+        for ev in o.location_evidence:
+            payload = ev.payload
+            if ev.source is members:
+                if type(payload) is not tuple or not _STR.issuperset(map(type, payload)):
+                    return False
+                codes.update(payload)
+            elif type(payload) is str:
+                try:
+                    first = dated.setdefault((i, _SINGLE_CODE_GROUP[ev.source], ev.recorded_at), payload)
+                except (KeyError, TypeError):  # a source that is none of the enum's, or an unhashable date
+                    return False
+                if first != payload:
+                    return False
+                codes.add(payload)
+            else:
+                return False
+    return all(map(is_valid_jurisdiction, codes))
+
+
+def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
+    if _evidence_is_clean(owners):
+        return []
+    findings = []
+    for o in owners:
         for ev in o.location_evidence:
             codes = ev.payload if ev.source is EvidenceSource.MEMBER_LOCATIONS else (ev.payload,)
             if type(codes) is not tuple or not all(type(code) is str for code in codes):
@@ -235,10 +287,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
             except ConflictingEvidenceError as exc:
                 findings.append(_finding("conflicting-evidence", str(exc), o.id))
 
-    findings += _dependency_findings(snapshot.dependencies, component_ids)
-    findings += _ownership_findings(snapshot.ownership, component_ids, owner_ids)
-    findings.sort()
-    return ValidationReport("failed" if findings else "ok", tuple(findings))
+    return findings
 
 
 def _dependency_findings(dependencies: tuple[DependencyEdge, ...], component_ids: set[str]) -> list[Finding]:

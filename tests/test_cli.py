@@ -177,6 +177,24 @@ def test_gen_infeasible_exit_2(tmp_path, capsys):
     assert main(["gen", "--components", "10", "--teams", "2", "--jurisdictions", "swe:1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--density", "inf"], "dependency_density"),
+        (["--density", "1e308"], "density 1e+308"),
+        (["--density", "nan"], "dependency_density"),
+        (["--jurisdictions", "DEU:nan,FRA:nan"], "jurisdiction weight"),
+        (["--jurisdictions", "DEU:1.5,FRA:-0.5"], "jurisdiction weight"),
+    ],
+    ids=["density-inf", "density-1e308", "density-nan", "weights-nan", "weights-outside-0-1"],
+)
+def test_gen_non_finite_or_out_of_range_params_exit_2(flags, named, capsys):
+    assert main(["gen", "--components", "5", "--teams", "2"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
 def test_fixture_subcommand(tmp_path):
     out = tmp_path / "d.json"
     assert main(["fixture", "devnullsoft", "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from taxarch.classify import aggregate, compute_stats
@@ -62,6 +64,22 @@ def test_invalid_params_rejected():
         GeneratorParams(component_count=1, team_count=1, jurisdiction_weights=(("SWE", 0.4),))
     with pytest.raises(GenerationError):
         GeneratorParams(component_count=1, team_count=1, jurisdiction_weights=(("swe", 1.0),))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dependency_density": math.inf},
+        {"dependency_density": 1e308},
+        {"dependency_density": math.nan},
+        {"jurisdiction_weights": (("DEU", math.nan), ("FRA", math.nan))},
+        {"jurisdiction_weights": (("DEU", 1.5), ("FRA", -0.5))},
+    ],
+    ids=["density-inf", "density-1e308", "density-nan", "weights-nan", "weights-outside-0-1"],
+)
+def test_non_finite_or_out_of_range_params_rejected(bad):
+    with pytest.raises(GenerationError):
+        generate(GeneratorParams(component_count=5, team_count=2, **bad))
 
 
 def test_case_study_scale_params():

@@ -5,7 +5,7 @@ import copy
 import json
 import random
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from taxarch.classify import EdgeClass, aggregate, apply_scope_filter, classify_edge, compute_stats
 from taxarch.cli import main
+from taxarch.diff import diff_snapshots
 from taxarch.generate import GeneratorParams, fixture, generate
 from taxarch.ingest import (
     IngestError,
@@ -50,6 +51,7 @@ from reference_parse import (
     _checked_owners,
     _checked_ownership,
 )
+from reference_diff import reference_diff_snapshots
 from reference_validate import reference_validate_snapshot
 
 
@@ -353,22 +355,33 @@ DEVNULLSOFT_DOC = json.loads(serialize_bundle(fixture("devnullsoft")))
 DEEP = "\x00deep"  # placeholder, replaced by deeply nested arrays in the document text
 
 
-def _paths(node, path=()):
-    yield path
+def _nodes(node, path=()):
+    yield path, node
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in children:
-        yield from _paths(child, path + (key,))
+        yield from _nodes(child, path + (key,))
 
 
-NODE_PATHS = [p for p in _paths(DEVNULLSOFT_DOC) if p]
+def _field(path):
+    """The path with each list index read as "*": the same field of every record."""
+    return tuple("*" if type(key) is int else key for key in path)
+
+
+NODE_PATHS = [p for p, _ in _nodes(DEVNULLSOFT_DOC) if p]
+FIELD_VALUES: dict[tuple, list] = {}  # field -> every value it holds in the bundle
+for _path, _node in _nodes(DEVNULLSOFT_DOC):
+    FIELD_VALUES.setdefault(_field(_path), []).append(_node)
 
 
 @st.composite
 def mutated_bundles(draw):
-    """The devnullsoft bundle with nodes of wrong type or replaced by text, missing or extra keys, or deep nesting."""
+    """The devnullsoft bundle with nodes of wrong type or replaced by text, missing or extra keys, or deep
+    nesting; or, in about half the bundles, with only field values replaced by others of the same type."""
     doc = copy.deepcopy(DEVNULLSOFT_DOC)
+    same_type_only = draw(st.booleans())
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        *parents, last = draw(st.sampled_from(NODE_PATHS))
+        path = draw(st.sampled_from(NODE_PATHS))
+        *parents, last = path
         parent = doc
         try:
             for key in parents:
@@ -376,8 +389,18 @@ def mutated_bundles(draw):
             parent[last]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed this node
-        mutation = draw(st.sampled_from(["wrong-type", "text", "missing", "extra", "deep"]))
-        if mutation == "wrong-type":
+        mutation = "same-type" if same_type_only else draw(
+            st.sampled_from(["same-type", "wrong-type", "text", "missing", "extra", "deep"])
+        )
+        if mutation == "same-type":
+            # a value the same field holds elsewhere in the bundle, or a drawn code, date or count
+            values = st.sampled_from(FIELD_VALUES[_field(path)])
+            if type(parent[last]) is str:
+                values |= st.sampled_from(["SWE", "DEU", "GBR", "FRA", UNKNOWN]) | st.dates().map(date.isoformat)
+            elif type(parent[last]) is int:
+                values |= st.integers(min_value=1, max_value=5)
+            parent[last] = copy.deepcopy(draw(values))
+        elif mutation == "wrong-type":
             parent[last] = draw(json_values)
         elif mutation == "text":
             parent[last] = draw(any_text)
@@ -505,7 +528,7 @@ def mutated_records(draw, records):
     """A list of well-formed records with up to three nodes anywhere in it replaced, dropped or added."""
     doc = draw(st.lists(records, max_size=4))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        *parents, last = draw(st.sampled_from([p for p in _paths(doc) if p] or [(0,)]))
+        *parents, last = draw(st.sampled_from([p for p, _ in _nodes(doc) if p] or [(0,)]))
         parent = doc
         try:
             for key in parents:
@@ -590,6 +613,38 @@ def test_parser_gives_the_reference_message_at_each_edge(kind, records):
     assert _outcome(parse, records) == _outcome(reference, records)
 
 
+SINGLE_CODE_GROUPS = (
+    (EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.QUESTIONNAIRE),
+    (EvidenceSource.MANAGER_LOCATION,),
+)
+EVIDENCE_DEFECTS = ("conflict-at-latest", "conflict-at-older-date", "malformed-code", "wrong-shape", "unhashable-member")
+
+
+@st.composite
+def defective_evidence(draw, defect, taken_at):
+    """Records that give an owner one evidence defect; a generated owner's own records are dated `taken_at`."""
+    group = draw(st.sampled_from(SINGLE_CODE_GROUPS))
+    source = st.sampled_from(group)
+    day = taken_at + timedelta(days=draw(st.integers(min_value=-1, max_value=1)))
+    if defect in ("conflict-at-latest", "conflict-at-older-date"):
+        at = taken_at + timedelta(days=2) if defect == "conflict-at-latest" else taken_at - timedelta(days=365)
+        records = [LocationEvidence(draw(source), code, at) for code in ("SWE", "DEU")]
+        if defect == "conflict-at-older-date":
+            # a newer record of the same group, so the conflict is not at the latest date
+            records.append(LocationEvidence(draw(source), "GBR", taken_at + timedelta(days=1)))
+        return tuple(records)
+    if defect == "malformed-code":
+        code = draw(st.sampled_from(["swe", "SW", "SWED", "", "SWE\n"]) | texts)
+        if draw(st.booleans()):
+            return (LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ["SWE", code], day),)
+        return (LocationEvidence(draw(source), code, day),)
+    if defect == "wrong-shape":
+        if draw(st.booleans()):
+            return (LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, [draw(st.integers() | st.none())], day),)
+        return (LocationEvidence(draw(source), draw(st.sampled_from([("SWE",), ["SWE"], 5, None])), day),)
+    return (LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, [["SWE"], ["DEU"]], day),)
+
+
 @st.composite
 def defective_snapshots(draw):
     """A generated snapshot with up to three defects of the kinds each set-algebra check of validate looks for."""
@@ -607,6 +662,7 @@ def defective_snapshots(draw):
             st.sampled_from(
                 ["duplicate-id", "empty-id", "dangling-reference", "self-dependency", "invalid-multiplicity"]
                 + ["duplicate-edge", "missing-owner", "multiple-owners", "unknown-owner", "unknown-component"]
+                + list(EVIDENCE_DEFECTS)
             )
         )
         if defect == "duplicate-id":
@@ -633,6 +689,12 @@ def defective_snapshots(draw):
             ownership.append(OwnershipAssignment(draw(component_ids), "ghost"))
         elif defect == "unknown-component":
             ownership.append(OwnershipAssignment("ghost", draw(owner_ids)))
+        elif defect in EVIDENCE_DEFECTS:
+            i = draw(st.integers(min_value=0, max_value=len(owners) - 1))
+            o = owners[i]
+            owners[i] = Owner(
+                o.id, o.name, o.kind, o.location_evidence + draw(defective_evidence(defect, snapshot.taken_at))
+            )
     return ArchitectureSnapshot(
         snapshot.id, snapshot.taken_at, tuple(components), tuple(dependencies), tuple(owners), tuple(ownership)
     )
@@ -642,3 +704,87 @@ def defective_snapshots(draw):
 @given(library_snapshots | defective_snapshots())
 def test_validate_finds_what_the_record_by_record_reference_finds(snapshot):
     assert validate_snapshot(snapshot) == reference_validate_snapshot(snapshot)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        LocationEvidence("explicit_assignment", "SWE", date(2023, 1, 1)),
+        LocationEvidence(EvidenceSource.MANAGER_LOCATION, "SWE", ["2023-01-01"]),
+        LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, [["SWE"]], date(2023, 1, 1)),
+        LocationEvidence(EvidenceSource.QUESTIONNAIRE, {"SWE"}, date(2023, 1, 1)),
+    ],
+    ids=["source-a-plain-string", "unhashable-date", "member-holding-a-list", "unhashable-payload"],
+)
+def test_validate_evidence_of_odd_types_as_the_reference_does(record):
+    snapshot = ArchitectureSnapshot("odd", date(2023, 6, 30), (), (), (Owner("t", "t", OwnerKind.TEAM, (record,)),), ())
+    assert validate_snapshot(snapshot) == reference_validate_snapshot(snapshot)
+
+
+@st.composite
+def churned_pairs(draw):
+    """A generated snapshot and a later copy with edges added, removed and re-weighted, components
+    added and moved to other owners, and newer evidence of every source for some owners.
+
+    Both snapshots list their records in drawn orders: the generator's are sorted, and a
+    diff that forgot to sort its rows would pass on them."""
+    g = draw(snapshots())
+    a = ArchitectureSnapshot(
+        g.id,
+        g.taken_at,
+        *(tuple(draw(st.permutations(records))) for records in (g.components, g.dependencies, g.owners, g.ownership)),
+    )
+    ids = [c.id for c in a.components]
+    owner_ids = [o.id for o in a.owners]
+    index = st.integers(min_value=0, max_value=10**6)
+    components, dependencies, owners, ownership = (
+        list(a.components),
+        list(a.dependencies),
+        list(a.owners),
+        list(a.ownership),
+    )
+    for k in range(draw(st.integers(min_value=0, max_value=2))):
+        components.append(Component(f"new-{k}", f"new-{k}", ComponentKind.LIBRARY, ComponentStatus.PRODUCTION))
+        ownership.append(OwnershipAssignment(f"new-{k}", draw(st.sampled_from(owner_ids))))
+        ids.append(f"new-{k}")
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if dependencies:
+            dependencies.pop(draw(index) % len(dependencies))
+    for i in draw(st.lists(index, max_size=5)):
+        if dependencies:
+            e = dependencies[i % len(dependencies)]
+            dependencies[i % len(dependencies)] = DependencyEdge(
+                e.user, e.owner_component, e.kind, draw(st.integers(min_value=1, max_value=5))
+            )
+    present = {(e.user, e.owner_component, e.kind) for e in dependencies}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        edge = (draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(st.sampled_from(DependencyKind)))
+        if edge[0] != edge[1] and edge not in present:
+            present.add(edge)
+            dependencies.append(DependencyEdge(*edge, draw(st.integers(min_value=1, max_value=3))))
+    for i in draw(st.lists(index, max_size=4)):
+        moved = ownership[i % len(ownership)]
+        ownership[i % len(ownership)] = OwnershipAssignment(moved.component, draw(st.sampled_from(owner_ids)))
+    new_codes = st.sampled_from(["SWE", "DEU", "USA", UNKNOWN])
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(owners) - 1), max_size=4)):
+        source = draw(st.sampled_from(EvidenceSource))
+        payload = draw(
+            st.lists(new_codes, min_size=1, max_size=4) if source is EvidenceSource.MEMBER_LOCATIONS else new_codes
+        )
+        day = a.taken_at + timedelta(days=draw(st.integers(min_value=1, max_value=30)))
+        o = owners[i]
+        owners[i] = Owner(o.id, o.name, o.kind, o.location_evidence + (LocationEvidence(source, payload, day),))
+    b = ArchitectureSnapshot(
+        f"{a.id}-next",
+        a.taken_at + timedelta(days=31),
+        *(tuple(draw(st.permutations(records))) for records in (components, dependencies, owners, ownership)),
+    )
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(churned_pairs())
+def test_diff_equals_the_reference_diff_both_ways(pair):
+    a, b = pair
+    assert diff_snapshots(a, b) == reference_diff_snapshots(a, b)
+    assert diff_snapshots(b, a) == reference_diff_snapshots(b, a)
