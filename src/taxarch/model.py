@@ -70,18 +70,38 @@ class ConflictingEvidenceError(ValueError):
     """Same-dated records name different codes; picking one would hide the conflict from an audit trail."""
 
 
-def latest_evidence(owner: Owner, sources: tuple[EvidenceSource, ...]) -> list[LocationEvidence]:
-    """The owner's latest-dated records from `sources`; single codes among them must agree, else ConflictingEvidenceError."""
-    candidates = [ev for ev in owner.location_evidence if ev.source in sources]
-    if len(candidates) < 2:
-        return candidates
-    decided_at = max(ev.recorded_at for ev in candidates)
-    latest = [ev for ev in candidates if ev.recorded_at == decided_at]
-    if len({ev.payload for ev in latest if isinstance(ev.payload, str)}) > 1:
-        raise ConflictingEvidenceError(
-            f"owner {owner.id!r}: conflicting {latest[0].source.value} evidence dated {decided_at.isoformat()}"
-        )
+# Evidence source -> the name of the resolver that reads it.
+_RESOLVER_OF = {source: name for name, sources in RESOLVER_SOURCES.items() for source in sources}
+
+
+def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
+    """Each resolver's records of `owner` dated its latest day, in record order, keyed by RESOLVER_SOURCES name.
+
+    The one selection of evidence, made in one pass; `validate_snapshot` and `resolve_jurisdictions` both read it.
+    A resolver with no records has no key. Dates of one resolver that cannot be ordered raise TypeError.
+    """
+    latest: dict[str, list[LocationEvidence]] = {}
+    for ev in owner.location_evidence:
+        name = _RESOLVER_OF.get(ev.source)
+        if name is None:
+            continue
+        records = latest.get(name)
+        if records is None or ev.recorded_at > records[0].recorded_at:
+            latest[name] = [ev]
+        elif ev.recorded_at == records[0].recorded_at:
+            records.append(ev)
     return latest
+
+
+def conflict(owner: Owner, records: list[LocationEvidence]) -> str | None:
+    """The one conflict rule: the message when single codes among one resolver's latest records differ, else None.
+
+    `validate_snapshot` reports it as a finding; a resolver the cascade reaches raises ConflictingEvidenceError.
+    """
+    if len(records) < 2 or len({ev.payload for ev in records if isinstance(ev.payload, str)}) < 2:
+        return None
+    first = records[0]
+    return f"owner {owner.id!r}: conflicting {first.source.value} evidence dated {first.recorded_at.isoformat()}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,10 +204,11 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     Violations become findings; the function never raises. Findings are
     sorted so the report is independent of collection order.
 
-    Each group of record checks is first asked, as set algebra over the
-    whole snapshot, whether any record breaks it; only then are its
-    records walked one by one to word the findings. A clean snapshot
-    never formats a message.
+    The id, dependency and ownership checks are first asked as set algebra
+    over the whole snapshot; only a group that fails has its records
+    walked to word the findings. The evidence is walked, not gated, with
+    the `latest_evidence` and `conflict` that the resolver cascade uses.
+    A clean snapshot never formats a message.
     """
     findings: list[Finding] = []
     component_ids = {c.id for c in snapshot.components}
@@ -215,55 +236,16 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     return ValidationReport("failed" if findings else "ok", tuple(findings))
 
 
-# Evidence source -> index of the resolver group that reads it, for single-code sources.
-_SINGLE_CODE_GROUP = {
-    source: group
-    for group, sources in enumerate(RESOLVER_SOURCES.values())
-    for source in sources
-    if source is not EvidenceSource.MEMBER_LOCATIONS
-}
-_STR = frozenset({str})
-
-
-def _evidence_is_clean(owners: tuple[Owner, ...]) -> bool:
-    """Whether no evidence record can give a finding, by one pass over all of it.
-
-    True when every payload has its source's shape, every distinct code
-    is valid, and no owner has two single codes in one resolver group on
-    one date (so none at its latest date). Payload types are checked
-    before anything is hashed.
-    """
-    members = EvidenceSource.MEMBER_LOCATIONS  # a local: the class attribute costs ten times as much
-    codes: set[str] = set()
-    dated: dict[tuple, str] = {}  # (owner index, resolver group, date) -> the first single code seen
-    for i, o in enumerate(owners):
-        for ev in o.location_evidence:
-            payload = ev.payload
-            if ev.source is members:
-                if type(payload) is not tuple or not _STR.issuperset(map(type, payload)):
-                    return False
-                codes.update(payload)
-            elif type(payload) is str:
-                try:
-                    first = dated.setdefault((i, _SINGLE_CODE_GROUP[ev.source], ev.recorded_at), payload)
-                except (KeyError, TypeError):  # a source that is none of the enum's, or an unhashable date
-                    return False
-                if first != payload:
-                    return False
-                codes.add(payload)
-            else:
-                return False
-    return all(map(is_valid_jurisdiction, codes))
-
-
 def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
-    if _evidence_is_clean(owners):
-        return []
+    """One walk over the evidence: each payload's shape, each distinct code once, and each owner's selection."""
+    members = EvidenceSource.MEMBER_LOCATIONS  # a local: the class attribute costs ten times as much
+    only_str = {str}  # only_str.issuperset(map(type, codes)) checks each code's exact type in C
+    valid: set[str] = set()  # codes already found valid
     findings = []
     for o in owners:
         for ev in o.location_evidence:
-            codes = ev.payload if ev.source is EvidenceSource.MEMBER_LOCATIONS else (ev.payload,)
-            if type(codes) is not tuple or not all(type(code) is str for code in codes):
+            codes = ev.payload if ev.source is members else (ev.payload,)
+            if type(codes) is not tuple or not only_str.issuperset(map(type, codes)):
                 findings.append(
                     _finding(
                         "evidence-shape",
@@ -272,8 +254,12 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
                     )
                 )
                 continue
+            if valid.issuperset(codes):
+                continue
             for code in codes:
-                if not is_valid_jurisdiction(code):
+                if is_valid_jurisdiction(code):
+                    valid.add(code)
+                else:
                     findings.append(
                         _finding(
                             "malformed-jurisdiction",
@@ -281,12 +267,19 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
                             o.id,
                         )
                     )
-        for sources in RESOLVER_SOURCES.values():
-            try:
-                latest_evidence(o, sources)
-            except ConflictingEvidenceError as exc:
-                findings.append(_finding("conflicting-evidence", str(exc), o.id))
-
+        if len(o.location_evidence) < 2:
+            continue
+        try:
+            latest = latest_evidence(o)
+        except TypeError:
+            findings.append(
+                _finding("evidence-shape", f"recorded_at values in evidence of owner {o.id!r} cannot be ordered", o.id)
+            )
+            continue
+        for records in latest.values():
+            message = conflict(o, records)
+            if message is not None:
+                findings.append(_finding("conflicting-evidence", message, o.id))
     return findings
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 
-from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, latest_evidence
+from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, LocationEvidence, Owner, conflict, latest_evidence
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
 
@@ -38,7 +38,8 @@ class Resolver:
 
     def describe(self) -> str:
         if self.name == "member_majority":
-            return f"member_majority({self.threshold:g})"
+            # The shortest text that parses back to the same float, so a recorded cascade re-runs exactly.
+            return f"member_majority({repr(float(self.threshold)).removesuffix('.0')})"
         return self.name
 
 
@@ -83,9 +84,11 @@ class JurisdictionAssignment:
         return self.resolver if self.resolver is not None else "unresolved"
 
 
-def _try_resolver(resolver: Resolver, owner: Owner) -> JurisdictionAssignment | None:
-    """Decide from the resolver's evidence recorded on the latest date, or decline; ConflictingEvidenceError on a conflict."""
-    latest = latest_evidence(owner, RESOLVER_SOURCES[resolver.name])
+def _try_resolver(resolver: Resolver, owner: Owner, latest: list[LocationEvidence]) -> JurisdictionAssignment | None:
+    """Decide from the resolver's records of the latest date, or decline; ConflictingEvidenceError on a conflict."""
+    message = conflict(owner, latest)
+    if message is not None:
+        raise ConflictingEvidenceError(message)
     if resolver.name == "member_majority":
         # A jurisdiction is decisive when its share of member locations
         # reaches the threshold.
@@ -109,9 +112,10 @@ def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = D
         raise CascadeConfigError("cascade must not be empty")
     assignments = []
     for owner in sorted(owners, key=lambda o: o.id):
+        latest = latest_evidence(owner)
         decided = None
         for resolver in cascade:
-            decided = _try_resolver(resolver, owner)
+            decided = _try_resolver(resolver, owner, latest.get(resolver.name, []))
             if decided is not None:
                 break
         assignments.append(decided if decided is not None else JurisdictionAssignment(owner.id, UNKNOWN, None))

@@ -1,5 +1,7 @@
 """The pre-change `validate_snapshot`, kept as the reference its set-algebra
-fast path is compared against: it walks every record, one check at a time."""
+fast path is compared against: it walks every record, one check at a time.
+It selects evidence with the pre-change `latest_evidence`, which filters an
+owner's records once per resolver group."""
 
 from taxarch.model import (
     RESOLVER_SOURCES,
@@ -7,10 +9,25 @@ from taxarch.model import (
     DependencyKind,
     EvidenceSource,
     Finding,
+    LocationEvidence,
+    Owner,
     ValidationReport,
     is_valid_jurisdiction,
-    latest_evidence,
 )
+
+
+def latest_evidence(owner: Owner, sources: tuple[EvidenceSource, ...]) -> list[LocationEvidence]:
+    """The owner's latest-dated records from `sources`; single codes among them must agree, else ConflictingEvidenceError."""
+    candidates = [ev for ev in owner.location_evidence if ev.source in sources]
+    if len(candidates) < 2:
+        return candidates
+    decided_at = max(ev.recorded_at for ev in candidates)
+    latest = [ev for ev in candidates if ev.recorded_at == decided_at]
+    if len({ev.payload for ev in latest if isinstance(ev.payload, str)}) > 1:
+        raise ConflictingEvidenceError(
+            f"owner {owner.id!r}: conflicting {latest[0].source.value} evidence dated {decided_at.isoformat()}"
+        )
+    return latest
 
 
 def _finding(code: str, message: str, *ids: str) -> Finding:

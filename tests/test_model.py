@@ -1,6 +1,6 @@
 import json
 import random
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 
@@ -165,6 +165,20 @@ def test_conflicting_same_dated_statements_are_a_finding(small_snapshot):
     assert report.status == "failed"
     assert [(f.code, f.offending_ids) for f in report.findings] == [("conflicting-evidence", ("t3",))]
     assert "'t3'" in report.findings[0].message
+
+
+@pytest.mark.parametrize("other", [datetime(2023, 7, 1, 12), ["2023-07-01"]], ids=["datetime", "list"])
+def test_dates_that_cannot_be_ordered_are_an_evidence_shape_finding(small_snapshot, other):
+    snapshot = _with_evidence(
+        small_snapshot,
+        LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", TODAY),
+        LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", other),
+    )
+    report = validate_snapshot(snapshot)
+    assert [(f.code, f.offending_ids) for f in report.findings] == [("evidence-shape", ("t3",))]
+    message = report.findings[0].message
+    assert "'t3'" in message and "recorded_at" in message
+    assert "2023" not in message and "FRA" not in message
 
 
 @pytest.mark.parametrize(

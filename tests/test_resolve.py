@@ -1,9 +1,12 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxarch.model import EvidenceSource, LocationEvidence
+from taxarch.model import UNKNOWN, EvidenceSource, LocationEvidence
 from taxarch.resolve import (
+    DEFAULT_CASCADE,
     CascadeConfigError,
     ConflictingEvidenceError,
     Resolver,
@@ -13,6 +16,7 @@ from taxarch.resolve import (
 )
 
 from conftest import TODAY, make_owner
+from reference_resolve import reference_resolve_jurisdictions
 
 
 def evidence(source, payload, when=TODAY):
@@ -100,6 +104,67 @@ def test_conflicting_same_day_evidence_raises():
         resolve_jurisdictions([owner], CASCADE_EM)
 
 
+@pytest.mark.parametrize("cascade", [DEFAULT_CASCADE, (Resolver("explicit_assignment"),)], ids=["default", "explicit"])
+def test_conflict_in_a_group_the_cascade_never_reaches_does_not_raise(cascade):
+    owner = make_owner(
+        "t",
+        evidence=[
+            evidence(EvidenceSource.MANAGER_LOCATION, "DEU"),
+            evidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE"),
+            evidence(EvidenceSource.MANAGER_LOCATION, "FRA"),
+        ],
+    )
+    (a,) = resolve_jurisdictions([owner], cascade)
+    assert (a.jurisdiction, a.resolver) == ("SWE", "explicit_assignment")
+    assert [a] == reference_resolve_jurisdictions([owner], cascade)
+    with pytest.raises(ConflictingEvidenceError, match="conflicting manager_location evidence dated 2023-06-30"):
+        resolve_jurisdictions([owner], (Resolver("manager_location"),))
+
+
+DAYS = (date(2023, 1, 1), date(2023, 2, 1), date(2023, 3, 1))
+RESOLVERS = (
+    Resolver("explicit_assignment"),
+    Resolver("member_majority"),
+    Resolver("member_majority", 0.6),
+    Resolver("member_majority", 1.0),
+    Resolver("manager_location"),
+)
+
+
+@st.composite
+def evidenced_owners(draw, oid):
+    """An owner with 0-5 records of every source on two or three dates: agreeing, conflicting or wrongly shaped."""
+    days = st.sampled_from(DAYS[: draw(st.sampled_from([2, 3]))])
+    codes = st.sampled_from(draw(st.sampled_from([("SWE",), ("SWE", "DEU"), ("SWE", "DEU", UNKNOWN)])))
+    single = codes | st.lists(codes, max_size=2) | st.integers()
+    members = st.lists(codes, max_size=4) | st.lists(st.integers(), max_size=2) | codes
+    records = [
+        LocationEvidence(source, draw(members if source is EvidenceSource.MEMBER_LOCATIONS else single), draw(days))
+        for source in EvidenceSource
+        for _ in range(draw(st.integers(min_value=0, max_value=5)))
+    ]
+    return make_owner(oid, evidence=draw(st.permutations(records)))
+
+
+def _outcome(resolve, owners, cascade):
+    """The assignments, or the error: member payloads mixing codes and numbers cannot be sorted."""
+    try:
+        return resolve(owners, cascade)
+    except (ConflictingEvidenceError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    owners=st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True).flatmap(
+        lambda ids: st.tuples(*(evidenced_owners(oid) for oid in ids))
+    ),
+    cascade=st.lists(st.sampled_from(RESOLVERS), min_size=1, max_size=4).map(tuple),
+)
+def test_resolve_decides_or_refuses_as_the_reference_does(owners, cascade):
+    assert _outcome(resolve_jurisdictions, owners, cascade) == _outcome(reference_resolve_jurisdictions, owners, cascade)
+
+
 def test_totality_and_order_normalization():
     owners = [make_owner("b", "DEU"), make_owner("a"), make_owner("c", "SWE")]
     assignments = resolve_jurisdictions(owners, CASCADE_EM)
@@ -143,6 +208,20 @@ def test_parse_cascade():
     assert cascade[1].threshold == 0.8
     with pytest.raises(CascadeConfigError):
         parse_cascade("teleport")
+
+
+@pytest.mark.parametrize(
+    "text, threshold",
+    [("0.75", 0.75), ("0.8", 0.8), ("0.9", 0.9), ("1", 1.0), ("0.7500001", 0.7500001)],
+)
+def test_describe_writes_the_threshold_it_was_given(text, threshold):
+    assert Resolver("member_majority", threshold).describe() == f"member_majority({text})"
+
+
+@given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True))
+def test_describe_parses_back_to_the_same_resolver(threshold):
+    resolver = Resolver("member_majority", threshold)
+    assert parse_cascade(resolver.describe()) == (resolver,)
 
 
 def test_resolution_summary_counts():
