@@ -42,7 +42,6 @@ from .model import (
     Owner,
     OwnerKind,
     OwnershipAssignment,
-    is_valid_jurisdiction,
 )
 
 SCHEMA_VERSION = 1
@@ -435,8 +434,16 @@ def assemble_from_csv(
 
     Components and owners are synthesized from the ids seen in the
     files; kind defaults to `other`, status to `production`. A literal
-    `N/A` jurisdiction becomes explicit UNKNOWN evidence. Repeated rows
-    for one owner must name the same code, as same-dated evidence must.
+    `N/A` jurisdiction becomes explicit UNKNOWN evidence dated `taken_at`.
+
+    CsvError is raised only for the text: a bad header, field count,
+    oversized field, kind or multiplicity, or a jurisdiction row whose
+    owner no ownership row names. Identical repeated rows collapse; all
+    else is kept as the rows say it, for `validate_snapshot` to judge as
+    it judges a bundle. A component with two owners gets two assignments
+    (`multiple-owners`), an owner with two codes two same-dated records
+    (`conflicting-evidence`), and a malformed code a record holding it
+    (`malformed-jurisdiction`).
     """
     edge_rows = _read_csv(edges_csv, ["user", "owner_component", "kind", "multiplicity"], 2, "edges")
     ownership_rows = _read_csv(ownership_csv, ["component", "owner"], 0, "ownership")
@@ -454,51 +461,26 @@ def assemble_from_csv(
         dependencies.append(DependencyEdge(user, owner_component, kind, multiplicity))
         component_ids.update((user, owner_component))
 
-    ownership = []
-    owner_by_component: dict[str, str] = {}
-    owner_ids: set[str] = set()
-    for component, owner in ownership_rows:
-        previous = owner_by_component.get(component)
-        if previous is not None and previous != owner:
-            raise CsvError(f"multiple-owners: component {component!r} assigned to both {previous!r} and {owner!r}")
-        if previous is None:
-            owner_by_component[component] = owner
-            ownership.append(OwnershipAssignment(component, owner))
-        owner_ids.add(owner)
-        component_ids.add(component)
+    ownership = tuple(OwnershipAssignment(*row) for row in dict.fromkeys(map(tuple, ownership_rows)))
+    owner_ids = {a.owner for a in ownership}
+    component_ids.update(a.component for a in ownership)
 
-    evidence_by_owner: dict[str, str] = {}
-    for owner, jurisdiction in jurisdiction_rows:
+    evidence: dict[str, list[LocationEvidence]] = {}
+    for owner, code in dict.fromkeys((owner, UNKNOWN if code == "N/A" else code) for owner, code in jurisdiction_rows):
         if owner not in owner_ids:
             raise CsvError(f"dangling-reference: jurisdiction row for unknown owner {owner!r}")
-        if jurisdiction == "N/A":
-            jurisdiction = UNKNOWN
-        if not is_valid_jurisdiction(jurisdiction):
-            raise SchemaError(f"invalid jurisdiction code {jurisdiction!r} (expected alpha-3 or N/A)")
-        previous = evidence_by_owner.setdefault(owner, jurisdiction)
-        if previous != jurisdiction:
-            raise CsvError(f"conflicting-evidence: owner {owner!r} has jurisdictions {previous!r} and {jurisdiction!r}")
+        evidence.setdefault(owner, []).append(LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, code, taken_at))
 
     components = tuple(
         Component(cid, cid, ComponentKind.OTHER, ComponentStatus.PRODUCTION)
         for cid in sorted(component_ids)
     )
-    owners = tuple(
-        Owner(
-            oid,
-            oid,
-            OwnerKind.TEAM,
-            (LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, evidence_by_owner[oid], taken_at),)
-            if oid in evidence_by_owner
-            else (),
-        )
-        for oid in sorted(owner_ids)
-    )
+    owners = tuple(Owner(oid, oid, OwnerKind.TEAM, tuple(evidence.get(oid, ()))) for oid in sorted(owner_ids))
     return ArchitectureSnapshot(
         id=snapshot_id,
         taken_at=taken_at,
         components=components,
         dependencies=tuple(dependencies),
         owners=owners,
-        ownership=tuple(ownership),
+        ownership=ownership,
     )

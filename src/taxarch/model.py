@@ -97,11 +97,18 @@ def conflict(owner: Owner, records: list[LocationEvidence]) -> str | None:
     """The one conflict rule: the message when single codes among one resolver's latest records differ, else None.
 
     `validate_snapshot` reports it as a finding; a resolver the cascade reaches raises ConflictingEvidenceError.
+    The message names a plain-string source by its text, and shows no day that is not a date.
     """
     if len(records) < 2 or len({ev.payload for ev in records if isinstance(ev.payload, str)}) < 2:
         return None
-    first = records[0]
-    return f"owner {owner.id!r}: conflicting {first.source.value} evidence dated {first.recorded_at.isoformat()}"
+    first, when = records[0], records[0].recorded_at
+    day = f"dated {when.isoformat()}" if isinstance(when, date) else "on a recorded_at that is not a date"
+    return f"owner {owner.id!r}: conflicting {_source_name(first.source)} evidence {day}"
+
+
+def _source_name(source) -> str:
+    """An evidence source as a message names it: an EvidenceSource by its value, anything else by str()."""
+    return source.value if isinstance(source, EvidenceSource) else str(source)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +256,7 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
                 findings.append(
                     _finding(
                         "evidence-shape",
-                        f"evidence payload shape does not match source {ev.source.value!r}",
+                        f"evidence payload shape does not match source {_source_name(ev.source)!r}",
                         o.id,
                     )
                 )

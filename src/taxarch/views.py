@@ -106,15 +106,12 @@ def emit_table(
 
     The N/A row and column are always present, even when empty.
     """
-    return _render(_table_rows(matrix, scheme), format, "table")
-
-
-def _render(rows: list[list[str]], format: str, what: str) -> str:
+    rows = _table_rows(matrix, scheme)
     if format == "csv":
         return _render_csv(rows)
     if format == "markdown":
         return _render_markdown(rows)
-    raise ValueError(f"unknown {what} format {format!r}")
+    raise ValueError(f"unknown table format {format!r}")
 
 
 def _csv_field(value: str) -> str:
@@ -153,11 +150,11 @@ def build_registers(
     return RegisterTables(component_rows, owner_rows)
 
 
-def emit_registers(registers: RegisterTables, format: str = "csv") -> tuple[str, str]:
-    """Render (component register, owner register) documents."""
+def emit_registers(registers: RegisterTables) -> tuple[str, str]:
+    """Render the (component register, owner register) CSV documents."""
     component_rows = [["component", "owner"]] + [list(r) for r in registers.components]
     owner_rows = [["owner", "jurisdiction", "provenance"]] + [list(r) for r in registers.owners]
-    return _render(component_rows, format, "register"), _render(owner_rows, format, "register")
+    return _render_csv(component_rows), _render_csv(owner_rows)
 
 
 class ConsistencyError(ValueError):

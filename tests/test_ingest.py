@@ -2,6 +2,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxarch.generate import fixture
 from taxarch.ingest import (
@@ -13,7 +15,7 @@ from taxarch.ingest import (
     parse_bundle,
     serialize_bundle,
 )
-from taxarch.model import ArchitectureSnapshot, validate_snapshot
+from taxarch.model import UNKNOWN, ArchitectureSnapshot, validate_snapshot
 
 from conftest import TODAY
 
@@ -177,16 +179,22 @@ def test_assemble_from_csv_basic():
     assert team_b.location_evidence[0].payload == "UNKNOWN"
 
 
-def test_assemble_duplicate_ownership_rejected():
+def _findings(snapshot):
+    return [(f.code, f.offending_ids) for f in validate_snapshot(snapshot).findings]
+
+
+def test_assemble_duplicate_ownership_is_a_multiple_owners_finding():
     dup = OWNERSHIP + "auth,team-b\n"
-    with pytest.raises(CsvError, match="multiple-owners"):
-        assemble_from_csv(EDGES, dup, JURISDICTIONS, TODAY)
+    assert _findings(assemble_from_csv(EDGES, dup, JURISDICTIONS, TODAY)) == [
+        ("multiple-owners", ("auth", "team-a", "team-b"))
+    ]
 
 
-def test_assemble_conflicting_jurisdiction_rows_rejected():
+def test_assemble_conflicting_jurisdiction_rows_are_a_conflicting_evidence_finding():
     conflicting = JURISDICTIONS + "team-a,DEU\n"
-    with pytest.raises(CsvError, match="conflicting-evidence: owner 'team-a' has jurisdictions 'SWE' and 'DEU'"):
-        assemble_from_csv(EDGES, OWNERSHIP, conflicting, TODAY)
+    assert _findings(assemble_from_csv(EDGES, OWNERSHIP, conflicting, TODAY)) == [
+        ("conflicting-evidence", ("team-a",))
+    ]
 
 
 def test_assemble_repeated_identical_jurisdiction_rows_accepted():
@@ -201,10 +209,9 @@ def test_assemble_dangling_jurisdiction_owner_rejected():
         assemble_from_csv(EDGES, OWNERSHIP, extra, TODAY)
 
 
-def test_assemble_rejects_non_alpha3_code():
+def test_assemble_non_alpha3_code_is_a_malformed_jurisdiction_finding():
     bad = "owner,jurisdiction\nteam-a,SWEDEN\nteam-b,DEU\n"
-    with pytest.raises(SchemaError):
-        assemble_from_csv(EDGES, OWNERSHIP, bad, TODAY)
+    assert _findings(assemble_from_csv(EDGES, OWNERSHIP, bad, TODAY)) == [("malformed-jurisdiction", ("team-a",))]
 
 
 def test_assemble_rejects_wrong_header():
@@ -259,3 +266,50 @@ def test_csv_errors_are_typed_and_bounded(what, text):
         assemble_from_csv(inputs["edges"], inputs["ownership"], inputs["jurisdictions"], TODAY)
     message = str(excinfo.value)
     assert message.startswith(f"{what}: ") and len(message) < 200
+
+
+CSV_COMPONENTS = st.sampled_from(["auth", "billing", "catalog"])
+CSV_OWNERS = st.sampled_from(["team-a", "team-b", "team-c"])
+VALID_CODES = ["SWE", "DEU", "N/A", UNKNOWN]
+MALFORMED_CODES = ["swe", "SWEDEN", "", "n/a"]
+
+
+def _csv(header, rows):
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=st.lists(st.tuples(CSV_COMPONENTS, CSV_COMPONENTS), max_size=4),
+    ownership=st.lists(st.tuples(CSV_COMPONENTS, CSV_OWNERS), max_size=6),
+    jurisdictions=st.lists(st.tuples(CSV_OWNERS, st.sampled_from(VALID_CODES + MALFORMED_CODES)), max_size=6),
+)
+def test_assembled_rows_are_judged_by_validate_alone(edges, ownership, jurisdictions):
+    """Repeated and conflicting rows and malformed codes assemble; validate_snapshot reports each fault."""
+    try:
+        snapshot = assemble_from_csv(
+            _csv("user,owner_component", edges),
+            _csv("component,owner", ownership),
+            _csv("owner,jurisdiction", jurisdictions),
+            TODAY,
+        )
+    except CsvError as exc:
+        assert str(exc).startswith("dangling-reference: jurisdiction row for unknown owner")
+        assert {o for o, _ in jurisdictions} - {o for _, o in ownership}
+        return
+    assert {o for o, _ in jurisdictions} <= {o for _, o in ownership}
+    owners_of, codes_of = {}, {}
+    for component, owner in ownership:
+        owners_of.setdefault(component, set()).add(owner)
+    for owner, code in jurisdictions:
+        codes_of.setdefault(owner, set()).add(UNKNOWN if code == "N/A" else code)
+    found = _findings(snapshot)
+
+    def ids(code):
+        return sorted(offending for c, offending in found if c == code)
+
+    assert ids("multiple-owners") == sorted((c, *sorted(o)) for c, o in owners_of.items() if len(o) > 1)
+    assert ids("conflicting-evidence") == sorted((o,) for o, codes in codes_of.items() if len(codes) > 1)
+    assert ids("malformed-jurisdiction") == sorted(
+        (o,) for o, codes in codes_of.items() for code in codes if code in MALFORMED_CODES
+    )

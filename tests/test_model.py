@@ -182,6 +182,38 @@ def test_dates_that_cannot_be_ordered_are_an_evidence_shape_finding(small_snapsh
 
 
 @pytest.mark.parametrize(
+    "evidence, code, message",
+    [
+        (
+            [LocationEvidence("member_locations", ["SWE"], TODAY)],
+            "evidence-shape",
+            "evidence payload shape does not match source 'member_locations'",
+        ),
+        (
+            [
+                LocationEvidence("explicit_assignment", "SWE", TODAY),
+                LocationEvidence("explicit_assignment", "FRA", TODAY),
+            ],
+            "conflicting-evidence",
+            f"owner 't3': conflicting explicit_assignment evidence dated {TODAY.isoformat()}",
+        ),
+        (
+            [
+                LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", ["2023-07-01"]),
+                LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", ["2023-07-01"]),
+            ],
+            "conflicting-evidence",
+            "owner 't3': conflicting explicit_assignment evidence on a recorded_at that is not a date",
+        ),
+    ],
+    ids=["plain-string-source-wrong-shape", "plain-string-source-conflict", "list-dates-conflict"],
+)
+def test_odd_sources_and_dates_are_findings_not_errors(small_snapshot, evidence, code, message):
+    report = validate_snapshot(_with_evidence(small_snapshot, *evidence))
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [(code, message, ("t3",))]
+
+
+@pytest.mark.parametrize(
     "evidence",
     [
         [

@@ -202,14 +202,17 @@ member_payloads = st.one_of(st.lists(codes, max_size=4), st.lists(st.integers(),
 TWO_DAYS = (date(2023, 1, 1), date(2023, 2, 1))
 
 
+SOURCES = tuple(EvidenceSource)
+
+
 @st.composite
-def any_evidence(draw, days=TWO_DAYS):
-    source = draw(st.sampled_from(EvidenceSource))
-    payload = draw(member_payloads if source is EvidenceSource.MEMBER_LOCATIONS else single_payloads)
+def any_evidence(draw, days=TWO_DAYS, sources=SOURCES):
+    source = draw(st.sampled_from(sources))
+    payload = draw(member_payloads if source == EvidenceSource.MEMBER_LOCATIONS else single_payloads)
     return LocationEvidence(source, payload, draw(st.sampled_from(days)))
 
 
-def library_snapshots_dated(days):
+def library_snapshots_dated(days, sources=SOURCES):
     return st.builds(
         ArchitectureSnapshot,
         id=texts,
@@ -223,7 +226,11 @@ def library_snapshots_dated(days):
         ).map(tuple),
         owners=st.lists(
             st.builds(
-                Owner, few_ids, texts, st.sampled_from(OwnerKind), st.lists(any_evidence(days), max_size=3).map(tuple)
+                Owner,
+                few_ids,
+                texts,
+                st.sampled_from(OwnerKind),
+                st.lists(any_evidence(days, sources), max_size=3).map(tuple),
             ),
             max_size=4,
         ).map(tuple),
@@ -234,10 +241,16 @@ def library_snapshots_dated(days):
 library_snapshots = library_snapshots_dated(TWO_DAYS)
 
 
-# A datetime cannot be ordered against a date: validate reports it, where the
-# reference, which the comparison property below runs, raises TypeError.
+# A datetime cannot be ordered against a date, a list date has no isoformat and
+# a plain-string or unknown source no value: validate reports each, where the
+# reference, which the comparison property below runs, raises.
 @settings(max_examples=300, deadline=None)
-@given(library_snapshots_dated(TWO_DAYS + (datetime(2023, 2, 1),)))
+@given(
+    library_snapshots_dated(
+        TWO_DAYS + (datetime(2023, 2, 1), ["2023-02-01"]),
+        SOURCES + tuple(source.value for source in EvidenceSource) + ("bogus", None),
+    )
+)
 def test_validate_never_raises_on_library_built_snapshots(snapshot):
     report = validate_snapshot(snapshot)
     assert report.ok == (report.findings == ())

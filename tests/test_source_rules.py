@@ -7,6 +7,10 @@
 - No use of `gc` outside `cli.py`: the collector's state is global to
   the process, so only the command line, which owns the process, may
   pause it; a library caller of `parse_bundle` never has it changed.
+- `is_valid_jurisdiction` is used only by `model.py`, where
+  `validate_snapshot` judges the codes of every snapshot however it was
+  read, and by `generate.py`, which checks the generator's own
+  parameters: a second judge of input codes would word its own faults.
 """
 
 import ast
@@ -59,3 +63,15 @@ def test_only_the_cli_touches_the_cyclic_collector(path):
     uses = [line for line, name in _imported_packages(tree) if name == "gc"]
     uses += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "gc"]
     assert uses == [], f"{path.relative_to(PACKAGE)}: uses gc on line(s) {uses}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("model.py", "generate.py")], ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_only_validate_and_the_generator_judge_jurisdiction_codes(path):
+    tree = _tree(path)
+    names = [(node.lineno, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    names += [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    names += [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.alias)]
+    uses = [line for line, name in names if name == "is_valid_jurisdiction"]
+    assert uses == [], f"{path.relative_to(PACKAGE)}: uses is_valid_jurisdiction on line(s) {uses}"
