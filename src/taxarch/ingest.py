@@ -381,7 +381,7 @@ def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
     dependencies = [
         f'    {{\n      "user": {_quote(e.user)},\n      "owner_component": {_quote(e.owner_component)},\n'
         f'      "kind": {_JSON_VALUE[e.kind]},\n      "multiplicity": {int.__repr__(e.multiplicity)}\n    }}'
-        for e in sorted(snapshot.dependencies, key=lambda e: (e.user, e.owner_component, e.kind.value))
+        for e in sorted(snapshot.dependencies, key=lambda e: (e.user, e.owner_component, e.kind))
     ]
     owners = [
         f'    {{\n      "id": {_quote(o.id)},\n      "name": {_quote(o.name)},\n      "kind": {_JSON_VALUE[o.kind]},\n'

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -78,12 +79,14 @@ def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
     """Each resolver's records of `owner` dated its latest day, in record order, keyed by RESOLVER_SOURCES name.
 
     The one selection of evidence, made in one pass; `validate_snapshot` and `resolve_jurisdictions` both read it.
-    A resolver with no records has no key. Dates of one resolver that cannot be ordered raise TypeError.
+    A resolver with no records has no key, and a record of an unknown or unhashable source is skipped.
+    Dates of one resolver that cannot be ordered raise TypeError.
     """
     latest: dict[str, list[LocationEvidence]] = {}
     for ev in owner.location_evidence:
-        name = _RESOLVER_OF.get(ev.source)
-        if name is None:
+        try:
+            name = _RESOLVER_OF[ev.source]
+        except (KeyError, TypeError):  # a source no resolver reads, or an unhashable one
             continue
         records = latest.get(name)
         if records is None or ev.recorded_at > records[0].recorded_at:
@@ -211,11 +214,11 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     Violations become findings; the function never raises. Findings are
     sorted so the report is independent of collection order.
 
-    The id, dependency and ownership checks are first asked as set algebra
-    over the whole snapshot; only a group that fails has its records
-    walked to word the findings. The evidence is walked, not gated, with
-    the `latest_evidence` and `conflict` that the resolver cascade uses.
-    A clean snapshot never formats a message.
+    Each id, dependency and ownership invariant is one block: a set-algebra
+    test over whole columns and, only when that test fails, a listing of
+    that invariant's offenders, one finding each. The evidence is walked,
+    not tested first, with the `latest_evidence` and `conflict` that the
+    resolver cascade uses. A clean snapshot never formats a message.
     """
     findings: list[Finding] = []
     component_ids = {c.id for c in snapshot.components}
@@ -225,20 +228,27 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
         ("component", snapshot.components, component_ids),
         ("owner", snapshot.owners, owner_ids),
     ):
-        if len(ids) == len(nodes) and all(ids):
-            continue
-        seen: set[str] = set()
-        for node in nodes:
-            if not node.id:
-                findings.append(_finding("empty-id", f"{what} with empty id", node.name))
-            elif node.id in seen:
-                findings.append(_finding("duplicate-id", f"duplicate {what} id {node.id!r}", node.id))
-            else:
-                seen.add(node.id)
+        if not all(ids):
+            findings += [_finding("empty-id", f"{what} with empty id", node.name) for node in nodes if not node.id]
+        if len(ids) != len(nodes):
+            findings += [
+                _finding("duplicate-id", f"duplicate {what} id {i!r}", i)
+                for i, count in Counter(node.id for node in nodes if node.id).items()
+                for _ in range(count - 1)
+            ]
 
     findings += _evidence_findings(snapshot.owners)
-    findings += _dependency_findings(snapshot.dependencies, component_ids)
-    findings += _ownership_findings(snapshot.ownership, component_ids, owner_ids)
+    edges = snapshot.dependencies
+    findings += _dependency_findings(
+        [e.user for e in edges],
+        [e.owner_component for e in edges],
+        [e.kind for e in edges],
+        [e.multiplicity for e in edges],
+        component_ids,
+    )
+    findings += _ownership_findings(
+        [a.component for a in snapshot.ownership], [a.owner for a in snapshot.ownership], component_ids, owner_ids
+    )
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
 
@@ -290,101 +300,67 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
     return findings
 
 
-def _dependency_findings(dependencies: tuple[DependencyEdge, ...], component_ids: set[str]) -> list[Finding]:
-    users = [e.user for e in dependencies]
-    used = [e.owner_component for e in dependencies]
-    kinds = [e.kind for e in dependencies]
+def _dependency_findings(
+    users: list[str], used: list[str], kinds: list[DependencyKind], multiplicities: list[int], component_ids: set[str]
+) -> list[Finding]:
+    """The dependency invariants over the edge columns, row i of each being edge i."""
+    findings = []
+    if any(map(operator.eq, users, used)):
+        findings += [
+            _finding("self-dependency", f"component {u!r} depends on itself", u) for u, v in zip(users, used) if u == v
+        ]
+    for endpoints in (users, used):
+        if not component_ids.issuperset(endpoints):
+            findings += [
+                _finding("dangling-reference", f"dependency endpoint {x!r} is not a component", x)
+                for x in endpoints
+                if x not in component_ids
+            ]
+    if min(multiplicities, default=1) < 1:
+        findings += [
+            _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m}", u, v)
+            for u, v, m in zip(users, used, multiplicities)
+            if m < 1
+        ]
     # Equal triples hash alike, so as many distinct triple hashes as edges
     # means no duplicate edge; a hash collision only sends the check to the
-    # loop below. A set of hashes is about half the cost of a set of triples.
-    if (
-        component_ids.issuperset(users)
-        and component_ids.issuperset(used)
-        and not any(map(operator.eq, users, used))
-        and min((e.multiplicity for e in dependencies), default=1) >= 1
-        and len(set(map(hash, zip(users, used, kinds)))) == len(dependencies)
-    ):
-        return []
-    findings = []
-    seen_triples: set[tuple[str, str, DependencyKind]] = set()
-    for e in dependencies:
-        if e.user == e.owner_component:
-            findings.append(
-                _finding("self-dependency", f"component {e.user!r} depends on itself", e.user)
-            )
-        for endpoint in (e.user, e.owner_component):
-            if endpoint not in component_ids:
-                findings.append(
-                    _finding(
-                        "dangling-reference",
-                        f"dependency endpoint {endpoint!r} is not a component",
-                        endpoint,
-                    )
-                )
-        if e.multiplicity < 1:
-            findings.append(
-                _finding(
-                    "invalid-multiplicity",
-                    f"dependency {e.user!r}->{e.owner_component!r} has multiplicity {e.multiplicity}",
-                    e.user,
-                    e.owner_component,
-                )
-            )
-        triple = (e.user, e.owner_component, e.kind)
-        if triple in seen_triples:
-            findings.append(
-                _finding(
-                    "duplicate-edge",
-                    f"duplicate dependency {e.user!r}->{e.owner_component!r}; use multiplicity",
-                    e.user,
-                    e.owner_component,
-                )
-            )
-        seen_triples.add(triple)
+    # count below. A set of hashes is about half the cost of a set of triples.
+    if len(set(map(hash, zip(users, used, kinds)))) != len(users):
+        findings += [
+            _finding("duplicate-edge", f"duplicate dependency {u!r}->{v!r}; use multiplicity", u, v)
+            for (u, v, kind), count in Counter(zip(users, used, kinds)).items()
+            for _ in range(count - 1)
+        ]
     return findings
 
 
 def _ownership_findings(
-    ownership: tuple[OwnershipAssignment, ...], component_ids: set[str], owner_ids: set[str]
+    components: list[str], owners: list[str], component_ids: set[str], owner_ids: set[str]
 ) -> list[Finding]:
-    components = [a.component for a in ownership]
-    if (
-        len(components) == len(set(components)) == len(component_ids)
-        and component_ids.issuperset(components)
-        and owner_ids.issuperset(a.owner for a in ownership)
-    ):
-        return []
+    """The ownership invariants over the assignment columns, row i of each being assignment i."""
     findings = []
-    owners_per_component: dict[str, list[str]] = {}
-    for a in ownership:
-        owners_per_component.setdefault(a.component, []).append(a.owner)
-        if a.component not in component_ids:
-            findings.append(
-                _finding(
-                    "dangling-reference",
-                    f"ownership references unknown component {a.component!r}",
-                    a.component,
-                )
-            )
-        if a.owner not in owner_ids:
-            findings.append(
-                _finding(
-                    "dangling-reference",
-                    f"ownership references unknown owner {a.owner!r}",
-                    a.owner,
-                )
-            )
-    for cid in sorted(component_ids):
-        assigned = owners_per_component.get(cid, [])
-        if not assigned:
-            findings.append(_finding("missing-owner", f"component {cid!r} has no owner", cid))
-        elif len(assigned) > 1:
-            findings.append(
-                _finding(
-                    "multiple-owners",
-                    f"component {cid!r} has {len(assigned)} owners",
-                    cid,
-                    *sorted(assigned),
-                )
-            )
+    if not component_ids.issuperset(components):
+        findings += [
+            _finding("dangling-reference", f"ownership references unknown component {c!r}", c)
+            for c in components
+            if c not in component_ids
+        ]
+    if not owner_ids.issuperset(owners):
+        findings += [
+            _finding("dangling-reference", f"ownership references unknown owner {o!r}", o)
+            for o in owners
+            if o not in owner_ids
+        ]
+    findings += [
+        _finding("missing-owner", f"component {c!r} has no owner", c) for c in component_ids.difference(components)
+    ]
+    if len(set(components)) != len(components):
+        shared = {c: [] for c, count in Counter(components).items() if count > 1 and c in component_ids}
+        for c, o in zip(components, owners):
+            if c in shared:
+                shared[c].append(o)
+        findings += [
+            _finding("multiple-owners", f"component {c!r} has {len(assigned)} owners", c, *sorted(assigned))
+            for c, assigned in shared.items()
+        ]
     return findings

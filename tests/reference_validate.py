@@ -1,7 +1,8 @@
-"""The pre-change `validate_snapshot`, kept as the reference its set-algebra
-fast path is compared against: it walks every record, one check at a time.
-It selects evidence with the pre-change `latest_evidence`, which filters an
-owner's records once per resolver group."""
+"""A record-by-record `validate_snapshot`, kept as the reference that the
+one-block-per-invariant `validate_snapshot` is compared against: it walks
+every record, one check at a time, and so finds each offender without a
+set-algebra test first. It selects evidence with a `latest_evidence` that
+filters an owner's records once per resolver group."""
 
 from taxarch.model import (
     RESOLVER_SOURCES,

@@ -413,6 +413,8 @@ def mutated_bundles(draw):
             parent[last]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed this node
+        if not isinstance(parent, (dict, list)):
+            continue  # an earlier mutation replaced a container on the path by text, which indexes but holds no node
         mutation = "same-type" if same_type_only else draw(
             st.sampled_from(["same-type", "wrong-type", "text", "missing", "extra", "deep"])
         )
@@ -671,7 +673,8 @@ def defective_evidence(draw, defect, taken_at):
 
 @st.composite
 def defective_snapshots(draw):
-    """A generated snapshot with up to three defects of the kinds each set-algebra check of validate looks for."""
+    """A generated snapshot with up to five defects of the kinds each invariant block of validate looks for, some
+    defects repeated within one snapshot, so that each block's listing is compared with the reference's count."""
     snapshot = draw(snapshots())
     components, dependencies, owners, ownership = (
         list(snapshot.components),
@@ -681,20 +684,25 @@ def defective_snapshots(draw):
     )
     component_ids = st.sampled_from([c.id for c in components])
     owner_ids = st.sampled_from([o.id for o in owners])
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
         defect = draw(
             st.sampled_from(
-                ["duplicate-id", "empty-id", "dangling-reference", "self-dependency", "invalid-multiplicity"]
-                + ["duplicate-edge", "missing-owner", "multiple-owners", "unknown-owner", "unknown-component"]
+                ["duplicate-id", "empty-component-id", "empty-owner-id", "dangling-user", "dangling-used"]
+                + ["self-dependency", "invalid-multiplicity", "duplicate-edge", "triplicate-edge", "missing-owner"]
+                + ["multiple-owners", "repeated-assignment", "unknown-owner", "unknown-component"]
                 + list(EVIDENCE_DEFECTS)
             )
         )
         if defect == "duplicate-id":
             nodes = draw(st.sampled_from([components, owners]))
             nodes.append(draw(st.sampled_from(nodes)))
-        elif defect == "empty-id":
+        elif defect == "empty-component-id":
             components.append(Component("", "nameless", ComponentKind.OTHER, ComponentStatus.PRODUCTION))
-        elif defect == "dangling-reference":
+        elif defect == "empty-owner-id":
+            owners.append(Owner("", "nameless", OwnerKind.TEAM))
+        elif defect == "dangling-user":
+            dependencies.append(DependencyEdge("ghost", draw(component_ids)))
+        elif defect == "dangling-used":
             dependencies.append(DependencyEdge(draw(component_ids), "ghost"))
         elif defect == "self-dependency":
             cid = draw(component_ids)
@@ -705,10 +713,14 @@ def defective_snapshots(draw):
             dependencies[i] = DependencyEdge(e.user, e.owner_component, e.kind, draw(st.integers(max_value=0)))
         elif defect == "duplicate-edge" and dependencies:
             dependencies.append(draw(st.sampled_from(dependencies)))
+        elif defect == "triplicate-edge" and dependencies:
+            dependencies += [draw(st.sampled_from(dependencies))] * 2
         elif defect == "missing-owner" and ownership:
             ownership.pop(draw(st.integers(min_value=0, max_value=len(ownership) - 1)))
         elif defect == "multiple-owners":
             ownership.append(OwnershipAssignment(draw(component_ids), draw(owner_ids)))
+        elif defect == "repeated-assignment" and ownership:
+            ownership.append(draw(st.sampled_from(ownership)))
         elif defect == "unknown-owner":
             ownership.append(OwnershipAssignment(draw(component_ids), "ghost"))
         elif defect == "unknown-component":
@@ -730,19 +742,38 @@ def test_validate_finds_what_the_record_by_record_reference_finds(snapshot):
     assert validate_snapshot(snapshot) == reference_validate_snapshot(snapshot)
 
 
-@pytest.mark.parametrize(
-    "record",
-    [
-        LocationEvidence("explicit_assignment", "SWE", date(2023, 1, 1)),
-        LocationEvidence(EvidenceSource.MANAGER_LOCATION, "SWE", ["2023-01-01"]),
-        LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, [["SWE"]], date(2023, 1, 1)),
-        LocationEvidence(EvidenceSource.QUESTIONNAIRE, {"SWE"}, date(2023, 1, 1)),
-    ],
-    ids=["source-a-plain-string", "unhashable-date", "member-holding-a-list", "unhashable-payload"],
+# A record of an unhashable source, dated the same day as an explicit record: no resolver reads it.
+UNHASHABLE_SOURCE_BESIDE_EXPLICIT = (
+    LocationEvidence(["x"], "SWE", date(2023, 1, 1)),
+    LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", date(2023, 1, 1)),
 )
-def test_validate_evidence_of_odd_types_as_the_reference_does(record):
-    snapshot = ArchitectureSnapshot("odd", date(2023, 6, 30), (), (), (Owner("t", "t", OwnerKind.TEAM, (record,)),), ())
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        (LocationEvidence("explicit_assignment", "SWE", date(2023, 1, 1)),),
+        (LocationEvidence(EvidenceSource.MANAGER_LOCATION, "SWE", ["2023-01-01"]),),
+        (LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, [["SWE"]], date(2023, 1, 1)),),
+        (LocationEvidence(EvidenceSource.QUESTIONNAIRE, {"SWE"}, date(2023, 1, 1)),),
+        UNHASHABLE_SOURCE_BESIDE_EXPLICIT,
+    ],
+    ids=[
+        "source-a-plain-string",
+        "unhashable-date",
+        "member-holding-a-list",
+        "unhashable-payload",
+        "unhashable-source-beside-explicit",
+    ],
+)
+def test_validate_evidence_of_odd_types_as_the_reference_does(records):
+    snapshot = ArchitectureSnapshot("odd", date(2023, 6, 30), (), (), (Owner("t", "t", OwnerKind.TEAM, records),), ())
     assert validate_snapshot(snapshot) == reference_validate_snapshot(snapshot)
+
+
+def test_the_cascade_skips_a_record_of_an_unhashable_source():
+    [assignment] = resolve_jurisdictions([Owner("t", "t", OwnerKind.TEAM, UNHASHABLE_SOURCE_BESIDE_EXPLICIT)])
+    assert (assignment.jurisdiction, assignment.resolver) == ("SWE", "explicit_assignment")
 
 
 @st.composite
