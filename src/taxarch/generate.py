@@ -1,7 +1,7 @@
 """Synthetic snapshot generation and built-in fixtures.
 
-The generator is seeded and versioned: the same parameters and seed
-produce byte-identical bundles on every machine (Mersenne Twister via
+The generator is seeded: the same parameters and seed produce
+byte-identical bundles on every machine (Mersenne Twister via
 random.Random; outputs pinned by golden tests).
 
 Fixtures:
@@ -26,7 +26,6 @@ from .model import (
     ComponentKind,
     ComponentStatus,
     DependencyEdge,
-    DependencyKind,
     EvidenceSource,
     LocationEvidence,
     Owner,
@@ -34,8 +33,6 @@ from .model import (
     OwnershipAssignment,
     is_valid_jurisdiction,
 )
-
-GENERATOR_VERSION = 1
 
 DEFAULT_WEIGHTS = {
     "SWE": 0.30,
@@ -129,9 +126,7 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         used = rng.randrange(n)
         if user != used:
             pairs.add(user * n + used)
-    dependencies = tuple(
-        DependencyEdge(ids[pair // n], ids[pair % n], DependencyKind.USE, 1) for pair in sorted(pairs)
-    )
+    dependencies = tuple(DependencyEdge(ids[pair // n], ids[pair % n]) for pair in sorted(pairs))
 
     return ArchitectureSnapshot(
         id=f"generated-s{params.seed}",

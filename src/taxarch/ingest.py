@@ -13,16 +13,15 @@ equal `json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
 
 A parsed document is read in one pass, one loop per record type. Each
 record meets one test of its field names, exact type checks and a dict
-lookup per enum value, and edges are built slot by slot. A message is
-formatted only where a check fails: it names the first faulty record and
-field, and a well-formed bundle formats none. A string holding an unpaired
-surrogate, which UTF-8 cannot encode, is refused too.
+lookup per enum value. A message is formatted only where a check fails:
+it names the first faulty record and field, and a well-formed bundle
+formats none. A string holding an unpaired surrogate, which UTF-8 cannot
+encode, is refused too.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import re
@@ -224,23 +223,6 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
 # wrong, and it always raises there.
 
 
-def _slot_setters(cls) -> tuple:
-    """The setter of each field of a frozen, slotted model record, in field order.
-
-    Edges, by far the largest collection, are built as unpickling builds
-    objects: `object.__new__`, then a direct set of each slot. A frozen
-    dataclass's `__init__` sets each field through `object.__setattr__`,
-    which makes building 100k edges take more than twice as long. The
-    record's `__post_init__`, if it had one, would not run, so none may.
-    """
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} has a __post_init__ that building by slots would skip")
-    return tuple(getattr(cls, f.name).__set__ for f in dataclasses.fields(cls))
-
-
-_EDGE_SETTERS = _slot_setters(DependencyEdge)
-
-
 def _components(records: list) -> tuple[Component, ...]:
     kinds, statuses = _MEMBER[ComponentKind], _MEMBER[ComponentStatus]
     components = []
@@ -265,7 +247,6 @@ def _components(records: list) -> tuple[Component, ...]:
 
 def _dependencies(records: list) -> tuple[DependencyEdge, ...]:
     kinds = _MEMBER[DependencyKind]
-    set_user, set_used, set_kind, set_multiplicity = _EDGE_SETTERS
     dependencies = []
     for i, e in enumerate(records):
         try:
@@ -281,12 +262,7 @@ def _dependencies(records: list) -> tuple[DependencyEdge, ...]:
             kind = kinds[e.get("kind", "use")]
         except (KeyError, TypeError):
             raise _unknown_value(e["kind"], f"dependencies[{i}].kind") from None
-        edge = object.__new__(DependencyEdge)
-        set_user(edge, user)
-        set_used(edge, used)
-        set_kind(edge, kind)
-        set_multiplicity(edge, multiplicity)
-        dependencies.append(edge)
+        dependencies.append(DependencyEdge(user, used, kind, multiplicity))
     return tuple(dependencies)
 
 
@@ -312,7 +288,7 @@ def _owners(records: list) -> tuple[Owner, ...]:
 def _evidence(records, owner: int) -> tuple[LocationEvidence, ...]:
     """The `location_evidence` of the owner at index `owner`."""
     if type(records) is not list:
-        raise SchemaError(f"owners[{owner}].location_evidence must be a JSON array")
+        _require_array(records, f"owners[{owner}].location_evidence")
     sources = _MEMBER[EvidenceSource]
     evidence = []
     for j, ev in enumerate(records):

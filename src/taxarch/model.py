@@ -71,6 +71,10 @@ class ConflictingEvidenceError(ValueError):
     """Same-dated records name different codes; picking one would hide the conflict from an audit trail."""
 
 
+class UnorderableEvidenceError(ValueError):
+    """Dates of one resolver's records cannot be ordered, as a `date` against a `datetime`, so none is the latest."""
+
+
 # Evidence source -> the name of the resolver that reads it.
 _RESOLVER_OF = {source: name for name, sources in RESOLVER_SOURCES.items() for source in sources}
 
@@ -80,7 +84,7 @@ def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
 
     The one selection of evidence, made in one pass; `validate_snapshot` and `resolve_jurisdictions` both read it.
     A resolver with no records has no key, and a record of an unknown or unhashable source is skipped.
-    Dates of one resolver that cannot be ordered raise TypeError.
+    Dates of one resolver that cannot be ordered raise UnorderableEvidenceError.
     """
     latest: dict[str, list[LocationEvidence]] = {}
     for ev in owner.location_evidence:
@@ -89,7 +93,12 @@ def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
         except (KeyError, TypeError):  # a source no resolver reads, or an unhashable one
             continue
         records = latest.get(name)
-        if records is None or ev.recorded_at > records[0].recorded_at:
+        try:
+            newer = records is None or ev.recorded_at > records[0].recorded_at
+        except TypeError:
+            message = f"recorded_at values in evidence of owner {owner.id!r} cannot be ordered"
+            raise UnorderableEvidenceError(message) from None
+        if newer:
             latest[name] = [ev]
         elif ev.recorded_at == records[0].recorded_at:
             records.append(ev)
@@ -122,12 +131,25 @@ class Component:
     status: ComponentStatus
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DependencyEdge:
     user: str
     owner_component: str
-    kind: DependencyKind = DependencyKind.USE
-    multiplicity: int = 1
+    kind: DependencyKind
+    multiplicity: int
+
+    # A frozen dataclass's generated __init__ sets each field through object.__setattr__, which makes building
+    # the 100k edges of a large parse or `gen` more than twice as slow; this one sets each slot directly.
+    def __init__(self, user, owner_component, kind=DependencyKind.USE, multiplicity=1):
+        _set_user(self, user)
+        _set_owner_component(self, owner_component)
+        _set_kind(self, kind)
+        _set_multiplicity(self, multiplicity)
+
+
+_set_user, _set_owner_component, _set_kind, _set_multiplicity = (
+    DependencyEdge.__dict__[name].__set__ for name in DependencyEdge.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,10 +310,8 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
             continue
         try:
             latest = latest_evidence(o)
-        except TypeError:
-            findings.append(
-                _finding("evidence-shape", f"recorded_at values in evidence of owner {o.id!r} cannot be ordered", o.id)
-            )
+        except UnorderableEvidenceError as exc:
+            findings.append(_finding("evidence-shape", str(exc), o.id))
             continue
         for records in latest.values():
             message = conflict(o, records)
@@ -355,12 +375,18 @@ def _ownership_findings(
         _finding("missing-owner", f"component {c!r} has no owner", c) for c in component_ids.difference(components)
     ]
     if len(set(components)) != len(components):
-        shared = {c: [] for c, count in Counter(components).items() if count > 1 and c in component_ids}
-        for c, o in zip(components, owners):
-            if c in shared:
-                shared[c].append(o)
+        assignments = Counter(zip(components, owners))
+        findings += [
+            _finding("duplicate-assignment", f"duplicate assignment of component {c!r} to owner {o!r}", c, o)
+            for (c, o), count in assignments.items()
+            for _ in range(count - 1)
+        ]
+        owners_of: dict[str, list[str]] = {}
+        for c, o in assignments:
+            owners_of.setdefault(c, []).append(o)
         findings += [
             _finding("multiple-owners", f"component {c!r} has {len(assigned)} owners", c, *sorted(assigned))
-            for c, assigned in shared.items()
+            for c, assigned in owners_of.items()
+            if len(assigned) > 1 and c in component_ids
         ]
     return findings

@@ -121,7 +121,18 @@ def reference_validate_snapshot(snapshot) -> ValidationReport:
 
     owners_per_component: dict[str, list[str]] = {}
     for a in snapshot.ownership:
-        owners_per_component.setdefault(a.component, []).append(a.owner)
+        assigned = owners_per_component.setdefault(a.component, [])
+        if a.owner in assigned:
+            findings.append(
+                _finding(
+                    "duplicate-assignment",
+                    f"duplicate assignment of component {a.component!r} to owner {a.owner!r}",
+                    a.component,
+                    a.owner,
+                )
+            )
+        else:
+            assigned.append(a.owner)
         if a.component not in component_ids:
             findings.append(
                 _finding(

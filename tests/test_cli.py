@@ -35,6 +35,16 @@ def test_validate_failure_exit_1(tmp_path, capsys):
     assert "multiple-owners" in capsys.readouterr().out
 
 
+def test_a_repeated_ownership_row_is_a_duplicate_assignment(tmp_path, capsys):
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    doc["ownership"].append(dict(doc["ownership"][0]))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "duplicate-assignment" in out and "multiple-owners" not in out
+
+
 def test_validate_unreadable_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import random
 from datetime import date, datetime
 
@@ -10,6 +12,7 @@ from taxarch.ingest import serialize_bundle
 from taxarch.model import (
     ArchitectureSnapshot,
     DependencyEdge,
+    DependencyKind,
     EvidenceSource,
     LocationEvidence,
     OwnershipAssignment,
@@ -42,6 +45,33 @@ def test_multiple_owners_is_error(small_snapshot):
     report = validate_snapshot(snapshot)
     assert report.status == "failed"
     assert "multiple-owners" in report.codes()
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_a_repeated_assignment_is_a_duplicate_not_a_second_owner(small_snapshot, copies):
+    snapshot = make_snapshot(
+        small_snapshot.components,
+        small_snapshot.dependencies,
+        small_snapshot.owners,
+        list(small_snapshot.ownership) + [OwnershipAssignment("a", "t1")] * (copies - 1),
+    )
+    report = validate_snapshot(snapshot)
+    assert [(f.code, f.offending_ids) for f in report.findings] == [("duplicate-assignment", ("a", "t1"))] * (copies - 1)
+    assert report.findings[0].message == "duplicate assignment of component 'a' to owner 't1'"
+
+
+def test_multiple_owners_counts_distinct_owners(small_snapshot):
+    snapshot = make_snapshot(
+        small_snapshot.components,
+        small_snapshot.dependencies,
+        small_snapshot.owners,
+        list(small_snapshot.ownership) + [OwnershipAssignment("a", "t2"), OwnershipAssignment("a", "t2")],
+    )
+    findings = {(f.code, f.message, f.offending_ids) for f in validate_snapshot(snapshot).findings}
+    assert findings == {
+        ("duplicate-assignment", "duplicate assignment of component 'a' to owner 't2'", ("a", "t2")),
+        ("multiple-owners", "component 'a' has 2 owners", ("a", "t1", "t2")),
+    }
 
 
 def test_missing_owner_is_error(small_snapshot):
@@ -262,3 +292,35 @@ def test_validation_is_permutation_invariant():
         report = validate_snapshot(shuffled)
         assert report.status == baseline.status
         assert sorted(report.findings) == sorted(baseline.findings)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedEdge:
+    """`DependencyEdge` as a plain frozen, slotted dataclass declares it, with the generated `__init__`."""
+
+    user: str
+    owner_component: str
+    kind: DependencyKind = DependencyKind.USE
+    multiplicity: int = 1
+
+
+def test_dependency_edge_behaves_as_a_frozen_slotted_dataclass():
+    edge, twin = DependencyEdge("a", "b", DependencyKind.OTHER, 3), _GeneratedEdge("a", "b", DependencyKind.OTHER, 3)
+    for field in ("user", "owner_component", "kind", "multiplicity"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(edge, field, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(edge, field)
+    assert [f.name for f in dataclasses.fields(edge)] == [f.name for f in dataclasses.fields(twin)]
+    assert dataclasses.astuple(edge) == dataclasses.astuple(twin)
+    assert DependencyEdge.__slots__ == _GeneratedEdge.__slots__
+    assert not hasattr(edge, "__dict__")
+    assert edge == DependencyEdge(user="a", owner_component="b", kind=DependencyKind.OTHER, multiplicity=3)
+    assert edge != DependencyEdge("a", "b", DependencyKind.OTHER, 2) and edge != twin
+    assert hash(edge) == hash(twin)
+    assert repr(edge) == repr(twin).replace("_GeneratedEdge", "DependencyEdge")
+    assert dataclasses.replace(edge, multiplicity=5) == DependencyEdge("a", "b", DependencyKind.OTHER, 5)
+    copy = pickle.loads(pickle.dumps(edge))
+    assert type(copy) is DependencyEdge and copy == edge and hash(copy) == hash(edge)
+    assert dataclasses.astuple(DependencyEdge("a", "b")) == dataclasses.astuple(_GeneratedEdge("a", "b"))
+    assert DependencyEdge("a", "b") == DependencyEdge("a", "b", DependencyKind.USE, 1)

@@ -720,7 +720,7 @@ def defective_snapshots(draw):
         elif defect == "multiple-owners":
             ownership.append(OwnershipAssignment(draw(component_ids), draw(owner_ids)))
         elif defect == "repeated-assignment" and ownership:
-            ownership.append(draw(st.sampled_from(ownership)))
+            ownership += [draw(st.sampled_from(ownership))] * draw(st.integers(min_value=1, max_value=2))
         elif defect == "unknown-owner":
             ownership.append(OwnershipAssignment(draw(component_ids), "ghost"))
         elif defect == "unknown-component":

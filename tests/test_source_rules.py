@@ -11,6 +11,9 @@
   `validate_snapshot` judges the codes of every snapshot however it was
   read, and by `generate.py`, which checks the generator's own
   parameters: a second judge of input codes would word its own faults.
+- No use of `object.__new__`: a record is built only through its
+  constructor, so the one place that sets its fields is the one place to
+  read.
 """
 
 import ast
@@ -75,3 +78,16 @@ def test_only_validate_and_the_generator_judge_jurisdiction_codes(path):
     names += [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.alias)]
     uses = [line for line, name in names if name == "is_valid_jurisdiction"]
     assert uses == [], f"{path.relative_to(PACKAGE)}: uses is_valid_jurisdiction on line(s) {uses}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_records_are_built_only_through_their_constructors(path):
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert calls == [], f"{path.relative_to(PACKAGE)}: object.__new__ on line(s) {calls}"
