@@ -146,3 +146,72 @@ def test_gen_with_jurisdictions_bytes(tmp_path, capsys):
     out = tmp_path / "s11.json"
     assert main(GEN_ARGS_SEED_11 + ["--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == "b8812131cef09aae72548ef001605d57808ff3798a4026c82c0498d791f73ed3"
+
+
+def _scoped_snapshot():
+    """Every report.json section the pins above leave empty: exclusions, an UNKNOWN owner, a member majority."""
+    recorded = date(2023, 5, 2)
+    production, experimental = ComponentStatus.PRODUCTION, ComponentStatus.EXPERIMENTAL
+    return ArchitectureSnapshot(
+        id="scoped-2023Q2",
+        taken_at=date(2023, 6, 30),
+        components=(
+            Component("api", "api", ComponentKind.MICROSERVICE, production),
+            Component("web", "web", ComponentKind.MICROSERVICE, production),
+            Component("lib", "lib", ComponentKind.LIBRARY, production),
+            Component("ops", "ops", ComponentKind.OTHER, production),
+            Component("dark", "dark", ComponentKind.LIBRARY, production),
+            Component("beta", "beta", ComponentKind.MICROSERVICE, experimental),
+            Component("solo", "solo", ComponentKind.LIBRARY, production),
+        ),
+        dependencies=(
+            DependencyEdge("web", "api"),
+            DependencyEdge("api", "lib", DependencyKind.USE, 2),
+            DependencyEdge("lib", "dark", DependencyKind.OTHER, 3),
+            DependencyEdge("dark", "api"),
+            DependencyEdge("ops", "api"),
+            DependencyEdge("api", "ops", DependencyKind.USE, 4),
+            DependencyEdge("api", "beta"),
+            DependencyEdge("solo", "lib", DependencyKind.USE, 5),
+        ),
+        owners=(
+            Owner("t-deu", "DE team", OwnerKind.TEAM, (LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "DEU", recorded),)),
+            Owner(
+                "t-swe",
+                "SE unit",
+                OwnerKind.UNIT,
+                (LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ("SWE", "DEU", "SWE", "SWE"), recorded),),
+            ),
+            Owner("t-fra", "FR team", OwnerKind.TEAM, (LocationEvidence(EvidenceSource.MANAGER_LOCATION, "FRA", recorded),)),
+            Owner("t-none", "no evidence", OwnerKind.TEAM),
+            Owner("p-ann", "Ann", OwnerKind.INDIVIDUAL, (LocationEvidence(EvidenceSource.QUESTIONNAIRE, "NOR", recorded),)),
+        ),
+        ownership=(
+            OwnershipAssignment("api", "t-deu"),
+            OwnershipAssignment("web", "t-deu"),
+            OwnershipAssignment("lib", "t-swe"),
+            OwnershipAssignment("ops", "t-fra"),
+            OwnershipAssignment("dark", "t-none"),
+            OwnershipAssignment("beta", "t-deu"),
+            OwnershipAssignment("solo", "p-ann"),
+        ),
+    )
+
+
+SCOPED_PINS = {
+    "view.dot": "4f0ef9f7d6793d506020124f16db03127cb5d9b3c14b86eea9e7ee2b2826a22c",
+    "view.csv": "099eae55299c04512d8802532fe3aa13e8bbd50ad18f001287ab346dc3f7d98e",
+    "registers.csv": "0e8db826b5916c8bc4f083c73259e0e74d68b329dd874188b63398fc18b9b3ed",
+    "report.json": "69a0692e2a982a38d6ccd816452677b4f0ce63d7a91c3d446e8aa9a6ee7b68cc",
+}
+
+
+def test_scoped_report_artifact_bytes(tmp_path, capsys):
+    bundle = tmp_path / "scoped.json"
+    bundle.write_bytes(serialize_bundle(_scoped_snapshot()))
+    out = tmp_path / "out"
+    assert main(["report", str(bundle), "--out-dir", str(out)]) == 0
+    report = (out / "report.json").read_text(encoding="utf-8")
+    for covered in ('"individual_owner"', '"non_production"', '"N/A"', '"UNKNOWN"', "member_majority(0.75)"):
+        assert covered in report
+    assert {artifact: _sha256((out / artifact).read_bytes()) for artifact in SCOPED_PINS} == SCOPED_PINS
