@@ -211,7 +211,6 @@ class ComplianceStats:
     outbound: tuple[tuple[str, int], ...]  # user-side totals per jurisdiction
     resolution: ResolutionSummary | None = None
     exclusions: ExclusionReport | None = None
-    snapshot_id: str | None = None
 
     @property
     def domestic_ratio(self) -> float:
@@ -266,5 +265,4 @@ def compute_stats(
         outbound=tuple(sorted(outbound.items())),
         resolution=resolution,
         exclusions=exclusions,
-        snapshot_id=matrix.snapshot_id,
     )

@@ -203,7 +203,7 @@ def cmd_report(args) -> int:
     }
     if run.taken_at is not None:
         metadata["taken_at"] = run.taken_at.isoformat()
-    registers = build_registers(run.components, run.owner_of, run.assignments)
+    registers = build_registers(run)
     component_csv, owner_csv = emit_registers(registers)
 
     out_dir = Path(args.out_dir)
@@ -214,7 +214,7 @@ def cmd_report(args) -> int:
     _write(emit_graph(run.matrix, scheme=scheme).encode("utf-8"), out_dir / "view.dot")
     _write(emit_table(run.matrix, table_format, scheme=scheme).encode("utf-8"), out_dir / table_file)
     _write((component_csv + "\n" + owner_csv).encode("utf-8"), out_dir / "registers.csv")
-    _write(emit_report(run.stats, run.matrix, registers, metadata).encode("utf-8"), out_dir / "report.json")
+    _write(emit_report(run, registers, metadata).encode("utf-8"), out_dir / "report.json")
     print(_stats_line(run.stats))
     return EXIT_OK
 

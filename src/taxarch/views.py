@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .classify import ComplianceStats, EdgeClass, JurisdictionFlowMatrix, classify_cell
-from .model import UNKNOWN, Component
-from .resolve import JurisdictionAssignment
+from .classify import EdgeClass, JurisdictionFlowMatrix, classify_cell
+from .diff import PipelineRun
+from .model import UNKNOWN
 
 NA_LABEL = "N/A"
 
@@ -139,13 +139,11 @@ class RegisterTables:
     owners: tuple[tuple[str, str, str], ...]  # (owner, jurisdiction, provenance)
 
 
-def build_registers(
-    components: tuple[Component, ...], owner_of: dict[str, str], assignments: tuple[JurisdictionAssignment, ...]
-) -> RegisterTables:
-    component_rows = tuple((c.id, owner_of.get(c.id, "")) for c in sorted(components, key=lambda c: c.id))
+def build_registers(run: PipelineRun) -> RegisterTables:
+    component_rows = tuple((c.id, run.owner_of.get(c.id, "")) for c in sorted(run.components, key=lambda c: c.id))
     owner_rows = tuple(
         (a.owner, NA_LABEL if a.jurisdiction == UNKNOWN else a.jurisdiction, a.provenance)
-        for a in sorted(assignments, key=lambda a: a.owner)
+        for a in sorted(run.assignments, key=lambda a: a.owner)
     )
     return RegisterTables(component_rows, owner_rows)
 
@@ -157,30 +155,20 @@ def emit_registers(registers: RegisterTables) -> tuple[str, str]:
     return _render_csv(component_rows), _render_csv(owner_rows)
 
 
-class ConsistencyError(ValueError):
-    pass
-
-
-def emit_report(
-    stats: ComplianceStats,
-    matrix: JurisdictionFlowMatrix,
-    registers: RegisterTables,
-    metadata: dict,
-) -> str:
-    """Assemble the full machine-readable compliance report.
+def emit_report(run: PipelineRun, registers: RegisterTables, metadata: dict) -> str:
+    """Assemble the full machine-readable compliance report of one pipeline run.
 
     One document answers structure (matrix and graph source), licensing
     entities (registers), and locations (owner register jurisdictions),
-    plus the configuration needed to reproduce the run.
+    plus the configuration needed to reproduce the run. `registers` is
+    the run's `build_registers(run)`, passed in so a caller that also
+    renders it builds it once; `metadata` holds what the run cannot know.
     """
-    if stats.snapshot_id is not None and matrix.snapshot_id is not None and stats.snapshot_id != matrix.snapshot_id:
-        raise ConsistencyError(
-            f"stats are for snapshot {stats.snapshot_id!r} but matrix is for {matrix.snapshot_id!r}"
-        )
+    matrix = run.matrix
     doc = {
-        "snapshot_id": matrix.snapshot_id or stats.snapshot_id,
+        "snapshot_id": matrix.snapshot_id,
         "metadata": {k: metadata[k] for k in sorted(metadata)},
-        "stats": stats.to_dict(),
+        "stats": run.stats.to_dict(),
         "matrix": {
             "codes": list(matrix.codes),
             "cells": [
@@ -196,4 +184,4 @@ def emit_report(
             {"owner": o, "jurisdiction": j, "provenance": p} for o, j, p in registers.owners
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

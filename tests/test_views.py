@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from taxarch.classify import JurisdictionFlowMatrix, compute_stats
+from taxarch.classify import JurisdictionFlowMatrix, ScopePolicy, compute_stats
+from taxarch.diff import PipelineRun, run_pipeline
 from taxarch.generate import fixture
-from taxarch.resolve import resolve_jurisdictions, resolution_summary
+from taxarch.resolve import DEFAULT_CASCADE
 from taxarch.views import (
     BucketScheme,
     BucketSchemeError,
-    ConsistencyError,
     bucketize,
     build_registers,
     emit_graph,
@@ -159,10 +159,12 @@ def test_markdown_table():
     assert "| DEU |" in text
 
 
+def devnullsoft_run() -> PipelineRun:
+    return run_pipeline(fixture("devnullsoft"), DEFAULT_CASCADE, ScopePolicy())
+
+
 def test_registers_devnullsoft():
-    snapshot = fixture("devnullsoft")
-    assignments = resolve_jurisdictions(list(snapshot.owners))
-    components_csv, owners_csv = emit_registers(build_registers(snapshot.components, snapshot.owner_of(), assignments))
+    components_csv, owners_csv = emit_registers(build_registers(devnullsoft_run()))
     assert len(components_csv.strip().splitlines()) == 19  # header + 18
     assert len(owners_csv.strip().splitlines()) == 7  # header + 6
     assert owners_csv.splitlines()[0] == "owner,jurisdiction,provenance"
@@ -178,29 +180,20 @@ def test_registers_provenance_echoes_configuration():
         evidence=[LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ("SWE",) * 4, TODAY)],
     )
     snapshot = make_snapshot([make_component("a")], [], [owner], [("a", "t")])
-    assignments = resolve_jurisdictions([owner])
-    _, owners_csv = emit_registers(build_registers(snapshot.components, snapshot.owner_of(), assignments))
+    _, owners_csv = emit_registers(build_registers(run_pipeline(snapshot, DEFAULT_CASCADE, ScopePolicy())))
     assert "t,SWE,member_majority(0.75)" in owners_csv
 
 
 def test_registers_empty_snapshot_header_only():
-    components_csv, owners_csv = emit_registers(build_registers((), {}, []))
+    empty = JurisdictionFlowMatrix.from_counts({})
+    components_csv, owners_csv = emit_registers(build_registers(PipelineRun(empty, compute_stats(empty))))
     assert components_csv == "component,owner\n"
     assert owners_csv == "owner,jurisdiction,provenance\n"
 
 
-def report_inputs():
-    snapshot = fixture("devnullsoft")
-    assignments = resolve_jurisdictions(list(snapshot.owners))
-    matrix = devnullsoft_matrix()
-    stats = compute_stats(matrix, resolution=resolution_summary(assignments))
-    registers = build_registers(snapshot.components, snapshot.owner_of(), assignments)
-    return stats, matrix, registers
-
-
 def test_report_devnullsoft_totals():
-    stats, matrix, registers = report_inputs()
-    doc = json.loads(emit_report(stats, matrix, registers, {"tool_version": "x"}))
+    run = devnullsoft_run()
+    doc = json.loads(emit_report(run, build_registers(run), {"tool_version": "x"}))
     assert doc["stats"]["total_uses"] == 17
     assert doc["stats"]["cross_border"] == 9
     assert len(doc["component_register"]) == 18
@@ -208,13 +201,7 @@ def test_report_devnullsoft_totals():
 
 
 def test_report_is_byte_identical_across_runs():
-    stats, matrix, registers = report_inputs()
+    run = devnullsoft_run()
+    registers = build_registers(run)
     metadata = {"tool_version": "x", "cascade": ["explicit_assignment"]}
-    assert emit_report(stats, matrix, registers, metadata) == emit_report(stats, matrix, registers, metadata)
-
-
-def test_report_mismatched_snapshot_ids_rejected():
-    stats, _, registers = report_inputs()
-    other = fixture("casestudy_matrix")
-    with pytest.raises(ConsistencyError):
-        emit_report(stats, other, registers, {})
+    assert emit_report(run, registers, metadata) == emit_report(run, registers, metadata)
