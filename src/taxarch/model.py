@@ -158,7 +158,9 @@ class LocationEvidence:
 
     For member_locations the payload is a multiset of jurisdiction
     codes (stored sorted, one entry per member); for every other source
-    it is a single jurisdiction code.
+    it is a single jurisdiction code. A member_locations list or tuple
+    holding anything but strings is stored as a tuple in its order, and
+    any other payload as given, for `validate_snapshot` to report.
     """
 
     source: EvidenceSource
@@ -166,8 +168,10 @@ class LocationEvidence:
     recorded_at: date
 
     def __post_init__(self):
-        if self.source is EvidenceSource.MEMBER_LOCATIONS:
-            object.__setattr__(self, "payload", tuple(sorted(self.payload)))
+        payload = self.payload
+        if self.source is EvidenceSource.MEMBER_LOCATIONS and isinstance(payload, (list, tuple)):
+            codes = {str}.issuperset(map(type, payload))
+            object.__setattr__(self, "payload", tuple(sorted(payload) if codes else payload))
 
 
 @dataclass(frozen=True, slots=True)

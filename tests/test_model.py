@@ -166,6 +166,9 @@ def test_code_with_trailing_newline_is_malformed(small_snapshot, tmp_path, capsy
         (EvidenceSource.MANAGER_LOCATION, 5),
         (EvidenceSource.QUESTIONNAIRE, ("swe",)),
         (EvidenceSource.MEMBER_LOCATIONS, [5, 6]),
+        (EvidenceSource.MEMBER_LOCATIONS, ["SWE", 5]),
+        (EvidenceSource.MEMBER_LOCATIONS, 5),
+        (EvidenceSource.MEMBER_LOCATIONS, "SWE"),
     ],
 )
 def test_wrongly_shaped_payload_is_an_evidence_shape_finding(small_snapshot, source, payload):
@@ -178,6 +181,14 @@ def test_wrongly_shaped_payload_is_an_evidence_shape_finding(small_snapshot, sou
     )
     report = validate_snapshot(snapshot)
     assert [(f.code, f.offending_ids) for f in report.findings] == [("evidence-shape", ("t3",))]
+
+
+@pytest.mark.parametrize(
+    "payload, stored",
+    [(["SWE", "DEU", "SWE"], ("DEU", "SWE", "SWE")), (["SWE", 5], ("SWE", 5)), (5, 5), ("SWE", "SWE")],
+)
+def test_only_member_codes_are_sorted(payload, stored):
+    assert LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, payload, TODAY).payload == stored
 
 
 def _with_evidence(snapshot, *evidence):

@@ -196,7 +196,13 @@ codes = st.sampled_from(["SWE", "DEU", UNKNOWN, "swe"]) | texts
 single_payloads = st.one_of(
     codes, st.lists(codes, max_size=3), st.lists(codes, max_size=3).map(tuple), st.integers(), st.none()
 )
-member_payloads = st.one_of(st.lists(codes, max_size=4), st.lists(st.integers(), max_size=4), codes)
+member_payloads = st.one_of(
+    st.lists(codes, max_size=4),
+    st.lists(st.integers(), max_size=4),
+    st.lists(codes | st.integers(), max_size=4),
+    codes,
+    st.integers(),
+)
 
 
 TWO_DAYS = (date(2023, 1, 1), date(2023, 2, 1))
