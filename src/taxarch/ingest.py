@@ -138,13 +138,22 @@ def _unknown_value(value, field: str) -> SchemaError:
     return SchemaError(f"unknown value {_shown(value)} for field {field!r}")
 
 
-def _parse_date(value, field: str) -> date:
+# The one date form the serializer writes. `date.fromisoformat` alone accepts
+# more from Python 3.11 on (e.g. "20230401", "2023-W13-6"), so a bundle's
+# validity would depend on the interpreter.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+
+
+def _parse_date(value, field: str, *place: int) -> date:
+    """The date `value` writes; a failure names `field.format(*place)`, formatted only then."""
     if not isinstance(value, str):
-        raise SchemaError(f"field {field!r} must be an ISO-8601 date string")
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(value)}") from None
+        raise SchemaError(f"field {field.format(*place)!r} must be an ISO-8601 date string")
+    if _ISO_DATE(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"field {field.format(*place)!r} is not a valid ISO-8601 date: {_shown(value)}")
 
 
 # A JSON escape of a UTF-16 surrogate, paired or not, and a surrogate itself.
@@ -268,6 +277,7 @@ def _dependencies(records: list) -> tuple[DependencyEdge, ...]:
 
 def _owners(records: list) -> tuple[Owner, ...]:
     kinds = _MEMBER[OwnerKind]
+    dates: dict[str, date] = {}  # recorded_at text -> its date, each distinct text parsed once
     owners = []
     for i, o in enumerate(records):
         try:
@@ -276,7 +286,7 @@ def _owners(records: list) -> tuple[Owner, ...]:
             oid = name = None
         if type(oid) is not str or type(name) is not str or not _OWNER_REQUIRED <= o.keys() <= _OWNER_KEYS:
             _require_keys(o, _OWNER_KEYS, _OWNER_FIELDS, f"owners[{i}]", ("id", "name"))
-        evidence = _evidence(o.get("location_evidence", []), i)
+        evidence = _evidence(o.get("location_evidence", []), i, dates)
         try:
             kind = kinds[o["kind"]]
         except (KeyError, TypeError):
@@ -285,8 +295,8 @@ def _owners(records: list) -> tuple[Owner, ...]:
     return tuple(owners)
 
 
-def _evidence(records, owner: int) -> tuple[LocationEvidence, ...]:
-    """The `location_evidence` of the owner at index `owner`."""
+def _evidence(records, owner: int, dates: dict[str, date]) -> tuple[LocationEvidence, ...]:
+    """The `location_evidence` of the owner at index `owner`; `dates` holds the dates parsed so far."""
     if type(records) is not list:
         _require_array(records, f"owners[{owner}].location_evidence")
     sources = _MEMBER[EvidenceSource]
@@ -308,9 +318,10 @@ def _evidence(records, owner: int) -> tuple[LocationEvidence, ...]:
         elif type(payload) is not str:
             raise SchemaError(f"owners[{owner}].location_evidence[{j}].payload must be a jurisdiction code string")
         try:
-            recorded_at = date.fromisoformat(ev["recorded_at"])
-        except (TypeError, ValueError):
-            recorded_at = _parse_date(ev["recorded_at"], f"owners[{owner}].location_evidence[{j}].recorded_at")
+            recorded_at = dates[ev["recorded_at"]]
+        except (KeyError, TypeError):  # a new text, or an unhashable value
+            text = ev["recorded_at"]
+            recorded_at = dates[text] = _parse_date(text, "owners[{}].location_evidence[{}].recorded_at", owner, j)
         evidence.append(LocationEvidence(source, payload, recorded_at))
     return tuple(evidence)
 

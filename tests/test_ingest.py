@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 
 import pytest
@@ -112,6 +113,27 @@ def test_error_message_names_field_without_echoing_input(path, value, error, fie
     message = str(exc.value)
     assert len(message) < 200
     assert field in message
+
+
+@pytest.mark.parametrize("text", ["20230401", "2023-W13-6", "2023W136", "２０２３-04-01", "2023-02-30", "2023-04-01 "])
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("taken_at",), "taken_at"),
+        (("owners", 1, "location_evidence", 0, "recorded_at"), "owners[1].location_evidence[0].recorded_at"),
+    ],
+    ids=["taken_at", "recorded_at"],
+)
+def test_only_the_serialized_date_form_is_read(path, field, text):
+    """Dates are YYYY-MM-DD on every interpreter, though `date.fromisoformat` accepts more from Python 3.11 on."""
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = text
+    with pytest.raises(SchemaError, match=re.escape(f"field {field!r} is not a valid ISO-8601 date: ")):
+        parse_bundle(json.dumps(doc, ensure_ascii=False))
 
 
 def test_parse_never_panics_on_arbitrary_bytes():
