@@ -268,7 +268,10 @@ def _parse_weights(text: str) -> dict[str, float]:
     try:
         for part in text.split(","):
             code, w = part.split(":")
-            weights[code.strip()] = float(w)
+            code = code.strip()
+            if code in weights:
+                raise CliError(f"repeated jurisdiction {code!r} in --jurisdictions")
+            weights[code] = float(w)
     except ValueError:
         raise CliError(f"bad --jurisdictions {text!r} (expected CODE:WEIGHT,...)") from None
     return weights

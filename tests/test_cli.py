@@ -205,6 +205,14 @@ def test_gen_non_finite_or_out_of_range_params_exit_2(flags, named, capsys):
     assert err.startswith("error: ") and named in err
 
 
+def test_gen_repeated_jurisdiction_exit_2(capsys):
+    args = ["gen", "--components", "10", "--teams", "3", "--jurisdictions", "SWE:0.5, SWE:0.5,DEU:0.5"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: repeated jurisdiction 'SWE' in --jurisdictions\n"
+
+
 def test_fixture_subcommand(tmp_path):
     out = tmp_path / "d.json"
     assert main(["fixture", "devnullsoft", "--out", str(out)]) == 0
