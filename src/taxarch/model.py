@@ -170,8 +170,8 @@ class LocationEvidence:
     def __post_init__(self):
         payload = self.payload
         if self.source is EvidenceSource.MEMBER_LOCATIONS and isinstance(payload, (list, tuple)):
-            codes = {str}.issuperset(map(type, payload))
-            object.__setattr__(self, "payload", tuple(sorted(payload) if codes else payload))
+            all_str = {str}.issuperset(map(type, payload))
+            object.__setattr__(self, "payload", tuple(sorted(payload) if all_str else payload))
 
 
 @dataclass(frozen=True, slots=True)
