@@ -75,7 +75,11 @@ def _parse_date(value, field: str) -> date:
     if not isinstance(value, str):
         raise SchemaError(f"field {field!r} must be an ISO-8601 date string")
     try:
-        return date.fromisoformat(value)
+        # only YYYY-MM-DD with ASCII digits, whatever else this Python's `date.fromisoformat` takes
+        year, month, day = value.split("-")
+        if len(year) != 4 or len(month) != 2 or len(day) != 2 or not all(c in "0123456789" for c in year + month + day):
+            raise ValueError(value)
+        return date(int(year), int(month), int(day))
     except ValueError:
         raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(value)}") from None
 

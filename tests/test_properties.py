@@ -594,7 +594,7 @@ PARSERS = {
     "dependencies": (_dependencies, _checked_dependencies, dependency_records),
     "owners": (_owners, _checked_owners, owner_records),
     "evidence": (
-        lambda records: _evidence(records, 0),
+        lambda records: _evidence(records, 0, {}),
         lambda records: _checked_evidence(records, "owners[0].location_evidence"),
         evidence_records,
     ),
