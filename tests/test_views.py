@@ -201,7 +201,6 @@ def test_report_devnullsoft_totals():
 
 
 def test_report_is_byte_identical_across_runs():
-    run = devnullsoft_run()
-    registers = build_registers(run)
+    first, second = devnullsoft_run(), devnullsoft_run()
     metadata = {"tool_version": "x", "cascade": ["explicit_assignment"]}
-    assert emit_report(run, registers, metadata) == emit_report(run, registers, metadata)
+    assert emit_report(first, build_registers(first), metadata) == emit_report(second, build_registers(second), metadata)
