@@ -104,12 +104,22 @@ def _edge_map(snapshot: ArchitectureSnapshot) -> dict[tuple[str, str, str], int]
     return {(e.user, e.owner_component, e.kind._value_): e.multiplicity for e in snapshot.dependencies}
 
 
-def _changed(a: dict, b: dict) -> tuple[tuple, ...]:
-    """(key, old, new) for each key of both mappings whose value differs, sorted by key.
+_ABSENT = object()
 
-    One pass over `a`; only the differing rows are sorted, not every common key.
-    """
-    return tuple(sorted((k, old, new) for k, old in a.items() if (new := b.get(k, old)) != old))
+
+def _delta(a: dict, b: dict) -> tuple[tuple, tuple, tuple]:
+    """The one comparison of two keyed maps: (added keys, removed keys, (key, old, new) rows), each sorted by key.
+
+    One pass over each map hashes each key once against the other; only differing keys and rows are sorted."""
+    removed, changed = [], []
+    for k, old in a.items():
+        new = b.get(k, _ABSENT)
+        if new is _ABSENT:
+            removed.append(k)
+        elif new != old:
+            changed.append((k, old, new))
+    added = [k for k in b if k not in a]
+    return tuple(sorted(added)), tuple(sorted(removed)), tuple(sorted(changed))
 
 
 def diff_snapshots(
@@ -119,18 +129,13 @@ def diff_snapshots(
     policy: ScopePolicy = ScopePolicy(),
 ) -> SnapshotDelta:
     """Compare two snapshots under one cascade and scope policy."""
-    a_components = {c.id for c in a.components}
-    b_components = {c.id for c in b.components}
-
-    a_edges = _edge_map(a)
-    b_edges = _edge_map(b)
-    edges_added = sorted(b_edges.keys() - a_edges.keys())
-    edges_removed = sorted(a_edges.keys() - b_edges.keys())
-    multiplicity_changes = tuple((edge, new - old) for edge, old, new in _changed(a_edges, b_edges))
+    components_added, components_removed, _ = _delta(*(dict.fromkeys(c.id for c in s.components) for s in (a, b)))
+    edges_added, edges_removed, reweighted = _delta(_edge_map(a), _edge_map(b))
+    multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)
 
     run_a, run_b = (run_pipeline(s, cascade, policy) for s in (a, b))
-    ownership_changes = _changed(run_a.owner_of, run_b.owner_of)
-    jurisdiction_changes = _changed(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))
+    ownership_changes = _delta(run_a.owner_of, run_b.owner_of)[2]
+    jurisdiction_changes = _delta(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))[2]
     cell_deltas = run_b.matrix.as_dict()
     for cell, count in run_a.matrix.cells:
         cell_deltas[cell] = cell_deltas.get(cell, 0) - count
@@ -139,9 +144,7 @@ def diff_snapshots(
     # A component counts as a coupled change when its owner changed and
     # its incident edge set changed between the two snapshots.
     touched: set[str] = set()
-    for user, owner_component, _ in list(edges_added) + list(edges_removed):
-        touched.update((user, owner_component))
-    for (user, owner_component, _), _delta in multiplicity_changes:
+    for user, owner_component, _ in (*edges_added, *edges_removed, *(edge for edge, _, _ in reweighted)):
         touched.update((user, owner_component))
     reassigned = {cid for cid, _, _ in ownership_changes}
     coupled = len(reassigned & touched)
@@ -149,10 +152,10 @@ def diff_snapshots(
     return SnapshotDelta(
         snapshot_a=a.id,
         snapshot_b=b.id,
-        components_added=tuple(sorted(b_components - a_components)),
-        components_removed=tuple(sorted(a_components - b_components)),
-        edges_added=tuple(edges_added),
-        edges_removed=tuple(edges_removed),
+        components_added=components_added,
+        components_removed=components_removed,
+        edges_added=edges_added,
+        edges_removed=edges_removed,
         multiplicity_changes=multiplicity_changes,
         ownership_changes=ownership_changes,
         jurisdiction_changes=jurisdiction_changes,

@@ -324,6 +324,13 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
     return findings
 
 
+def _dangling(column: list[str], known: set[str], message: str) -> list[Finding]:
+    """The one dangling-reference rule: a finding worded `message.format(x)` per id x of `column` not in `known`."""
+    if known.issuperset(column):
+        return []
+    return [_finding("dangling-reference", message.format(x), x) for x in column if x not in known]
+
+
 def _dependency_findings(
     users: list[str], used: list[str], kinds: list[DependencyKind], multiplicities: list[int], component_ids: set[str]
 ) -> list[Finding]:
@@ -334,12 +341,7 @@ def _dependency_findings(
             _finding("self-dependency", f"component {u!r} depends on itself", u) for u, v in zip(users, used) if u == v
         ]
     for endpoints in (users, used):
-        if not component_ids.issuperset(endpoints):
-            findings += [
-                _finding("dangling-reference", f"dependency endpoint {x!r} is not a component", x)
-                for x in endpoints
-                if x not in component_ids
-            ]
+        findings += _dangling(endpoints, component_ids, "dependency endpoint {!r} is not a component")
     if min(multiplicities, default=1) < 1:
         findings += [
             _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m}", u, v)
@@ -362,19 +364,8 @@ def _ownership_findings(
     components: list[str], owners: list[str], component_ids: set[str], owner_ids: set[str]
 ) -> list[Finding]:
     """The ownership invariants over the assignment columns, row i of each being assignment i."""
-    findings = []
-    if not component_ids.issuperset(components):
-        findings += [
-            _finding("dangling-reference", f"ownership references unknown component {c!r}", c)
-            for c in components
-            if c not in component_ids
-        ]
-    if not owner_ids.issuperset(owners):
-        findings += [
-            _finding("dangling-reference", f"ownership references unknown owner {o!r}", o)
-            for o in owners
-            if o not in owner_ids
-        ]
+    findings = _dangling(components, component_ids, "ownership references unknown component {!r}")
+    findings += _dangling(owners, owner_ids, "ownership references unknown owner {!r}")
     findings += [
         _finding("missing-owner", f"component {c!r} has no owner", c) for c in component_ids.difference(components)
     ]
