@@ -34,7 +34,10 @@ class PipelineRun:
 
 
 def run_pipeline(snapshot: ArchitectureSnapshot, cascade: tuple[Resolver, ...], policy: ScopePolicy) -> PipelineRun:
-    """Build `owner_of` once, then scope, resolve every owner (scoping keeps them all) and aggregate."""
+    """Build `owner_of` once, then scope, resolve every owner (scoping keeps them all) and aggregate.
+
+    Expects a snapshot that `validate_snapshot` accepts; any other may raise or be miscounted.
+    """
     owner_of = snapshot.owner_of()
     scoped, exclusions = apply_scope_filter(snapshot, owner_of, policy)
     assignments = resolve_jurisdictions(list(snapshot.owners), cascade)
@@ -128,7 +131,10 @@ def diff_snapshots(
     cascade: tuple[Resolver, ...] = DEFAULT_CASCADE,
     policy: ScopePolicy = ScopePolicy(),
 ) -> SnapshotDelta:
-    """Compare two snapshots under one cascade and scope policy."""
+    """Compare two snapshots under one cascade and scope policy.
+
+    Expects two snapshots that `validate_snapshot` accepts; any other may raise or be miscounted.
+    """
     components_added, components_removed, _ = _delta(*(dict.fromkeys(c.id for c in s.components) for s in (a, b)))
     edges_added, edges_removed, reweighted = _delta(_edge_map(a), _edge_map(b))
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)

@@ -240,22 +240,50 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     Violations become findings; the function never raises. Findings are
     sorted so the report is independent of collection order.
 
-    Each id, dependency and ownership invariant is one block: a set-algebra
-    test over whole columns and, only when that test fails, a listing of
-    that invariant's offenders, one finding each. The evidence is walked,
-    not tested first, with the `latest_evidence` and `conflict` that the
-    resolver cascade uses. A clean snapshot never formats a message.
+    Each field type, id, dependency and ownership invariant is one block: a
+    set-algebra test over whole columns and, only when that test fails, a
+    listing of that invariant's offenders, one finding each. The evidence is
+    walked, not tested first, with the `latest_evidence` and `conflict` that
+    the resolver cascade uses. A clean snapshot never formats a message.
     """
-    findings: list[Finding] = []
-    component_ids = {c.id for c in snapshot.components}
-    owner_ids = {o.id for o in snapshot.owners}
+    components, owners = snapshot.components, snapshot.owners
+    edges, ownership = snapshot.dependencies, snapshot.ownership
+    cids, oids = [c.id for c in components], [o.id for o in owners]
+    users, used, kinds = [e.user for e in edges], [e.owner_component for e in edges], [e.kind for e in edges]
+    assigned, assignees = [a.component for a in ownership], [a.owner for a in ownership]
+    findings = _field_types(
+        "snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)
+    )
+    findings += _field_types(
+        "component",
+        (cids,),
+        ("id", cids, str),
+        ("name", [c.name for c in components], str),
+        ("kind", [c.kind for c in components], ComponentKind),
+        ("status", [c.status for c in components], ComponentStatus),
+    )
+    findings += _field_types(
+        "owner",
+        (oids,),
+        ("id", oids, str),
+        ("name", [o.name for o in owners], str),
+        ("kind", [o.kind for o in owners], OwnerKind),
+    )
+    findings += _field_types(
+        "dependency",
+        (users, used),
+        ("user", users, str),
+        ("owner_component", used, str),
+        ("kind", kinds, DependencyKind),
+    )
+    findings += _field_types(
+        "assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)
+    )
+    component_ids, owner_ids = set(cids), set(oids)
 
-    for what, nodes, ids in (
-        ("component", snapshot.components, component_ids),
-        ("owner", snapshot.owners, owner_ids),
-    ):
+    for what, nodes, ids in (("component", components, component_ids), ("owner", owners, owner_ids)):
         if not all(ids):
-            findings += [_finding("empty-id", f"{what} with empty id", node.name) for node in nodes if not node.id]
+            findings += [_finding("empty-id", f"{what} with empty id", str(node.name)) for node in nodes if not node.id]
         if len(ids) != len(nodes):
             findings += [
                 _finding("duplicate-id", f"duplicate {what} id {i!r}", i)
@@ -263,20 +291,33 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                 for _ in range(count - 1)
             ]
 
-    findings += _evidence_findings(snapshot.owners)
-    edges = snapshot.dependencies
-    findings += _dependency_findings(
-        [e.user for e in edges],
-        [e.owner_component for e in edges],
-        [e.kind for e in edges],
-        [e.multiplicity for e in edges],
-        component_ids,
-    )
-    findings += _ownership_findings(
-        [a.component for a in snapshot.ownership], [a.owner for a in snapshot.ownership], component_ids, owner_ids
-    )
+    findings += _evidence_findings(owners)
+    findings += _dependency_findings(users, used, kinds, [e.multiplicity for e in edges], component_ids)
+    findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
+
+
+def _field_types(what: str, keys: tuple[list, ...], *columns: tuple[str, list, type]) -> list[Finding]:
+    """The one field-type rule: each value of a (field, column, type) column has exactly the type a parsed bundle gives.
+
+    Each column is one C-level type test, and only when it fails are its offenders listed. Row i's record is named by
+    row i of the `keys` columns; a finding's ids are their str(), so that findings of any id type still sort.
+    """
+    findings = []
+    for field, column, expected in columns:
+        if not {expected}.issuperset(map(type, column)):
+            findings += [
+                _finding(
+                    "field-type",
+                    f"{what} {'->'.join(map(repr, key))} has {field} of type {type(value).__name__}, "
+                    f"not {expected.__name__}",
+                    *map(str, key),
+                )
+                for value, key in zip(column, zip(*keys))
+                if type(value) is not expected
+            ]
+    return findings
 
 
 def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
@@ -342,11 +383,12 @@ def _dependency_findings(
         ]
     for endpoints in (users, used):
         findings += _dangling(endpoints, component_ids, "dependency endpoint {!r} is not a component")
-    if min(multiplicities, default=1) < 1:
+    # A multiplicity is an int of at least 1, as the parser gives it: a bool, float or string never counts uses.
+    if not {int}.issuperset(map(type, multiplicities)) or min(multiplicities, default=1) < 1:
         findings += [
-            _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m}", u, v)
+            _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m!r}", u, v)
             for u, v, m in zip(users, used, multiplicities)
-            if m < 1
+            if type(m) is not int or m < 1
         ]
     # Equal triples hash alike, so as many distinct triple hashes as edges
     # means no duplicate edge; a hash collision only sends the check to the
@@ -380,7 +422,7 @@ def _ownership_findings(
         for c, o in assignments:
             owners_of.setdefault(c, []).append(o)
         findings += [
-            _finding("multiple-owners", f"component {c!r} has {len(assigned)} owners", c, *sorted(assigned))
+            _finding("multiple-owners", f"component {c!r} has {len(assigned)} owners", c, *sorted(map(str, assigned)))
             for c, assigned in owners_of.items()
             if len(assigned) > 1 and c in component_ids
         ]

@@ -107,7 +107,12 @@ def _try_resolver(resolver: Resolver, owner: Owner, latest: list[LocationEvidenc
 
 
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:
-    """Assign one jurisdiction per owner; first decisive resolver wins."""
+    """Assign one jurisdiction per owner; first decisive resolver wins.
+
+    Expects the owners of a snapshot that `validate_snapshot` accepts: an owner whose evidence payload is not of its
+    source's shape, such as a `member_locations` list holding a number, is an `evidence-shape` finding there, and
+    here may raise TypeError or decide from the wrong codes.
+    """
     if not cascade:
         raise CascadeConfigError("cascade must not be empty")
     assignments = []

@@ -9,15 +9,22 @@ import pytest
 from taxarch.cli import main
 from taxarch.generate import fixture
 from taxarch.ingest import serialize_bundle
+from taxarch.classify import ScopePolicy
+from taxarch.diff import run_pipeline
 from taxarch.model import (
     ArchitectureSnapshot,
+    Component,
+    ComponentKind,
+    ComponentStatus,
     DependencyEdge,
     DependencyKind,
     EvidenceSource,
     LocationEvidence,
+    OwnerKind,
     OwnershipAssignment,
     validate_snapshot,
 )
+from taxarch.resolve import DEFAULT_CASCADE
 
 from conftest import TODAY, make_component, make_owner, make_snapshot
 
@@ -335,3 +342,129 @@ def test_dependency_edge_behaves_as_a_frozen_slotted_dataclass():
     assert type(copy) is DependencyEdge and copy == edge and hash(copy) == hash(edge)
     assert dataclasses.astuple(DependencyEdge("a", "b")) == dataclasses.astuple(_GeneratedEdge("a", "b"))
     assert DependencyEdge("a", "b") == DependencyEdge("a", "b", DependencyKind.USE, 1)
+
+
+def _edges_weighted(*multiplicities):
+    """`small_snapshot`'s three components with one edge of each multiplicity, in the order a->b, b->c, c->a, a->c."""
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]
+    return make_snapshot(
+        [make_component("a"), make_component("b"), make_component("c")],
+        [(u, v, DependencyKind.USE, m) for (u, v), m in zip(pairs, multiplicities)],
+        [make_owner("t1", "SWE"), make_owner("t2", "DEU")],
+        [("a", "t1"), ("b", "t1"), ("c", "t2")],
+    )
+
+
+@pytest.mark.parametrize("multiplicity", ["3", None, 2.5, True], ids=["numeric-string", "none", "float", "bool"])
+def test_a_multiplicity_that_is_not_an_int_is_invalid(multiplicity):
+    report = validate_snapshot(_edges_weighted(multiplicity))
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("invalid-multiplicity", f"dependency 'a'->'b' has multiplicity {multiplicity!r}", ("a", "b"))
+    ]
+
+
+def test_float_multiplicities_are_refused_before_the_pipeline_counts_them():
+    snapshot = _edges_weighted(3.3, 2.7, 1.2, 1.1)
+    assert validate_snapshot(snapshot).codes() == ["invalid-multiplicity"] * 4
+    # An int-weighted twin validates and its matrix counts every use.
+    twin = _edges_weighted(3, 2, 1, 1)
+    assert validate_snapshot(twin).ok
+    assert run_pipeline(twin, DEFAULT_CASCADE, ScopePolicy()).matrix.total() == 7
+
+
+def _retyped(small_snapshot, **changes):
+    """`small_snapshot` with one field of one record replaced; `changes` maps a record position to its new record."""
+    snapshot = small_snapshot
+    for field, (index, record) in changes.items():
+        records = list(getattr(snapshot, field))
+        records[index] = record
+        snapshot = dataclasses.replace(snapshot, **{field: tuple(records)})
+    return snapshot
+
+
+@pytest.mark.parametrize(
+    "changes, finding",
+    [
+        (
+            {"owners": (1, make_owner("t2", "DEU", kind="individual"))},
+            ("owner 't2' has kind of type str, not OwnerKind", ("t2",)),
+        ),
+        (
+            {"dependencies": (0, DependencyEdge("a", "b", "use"))},
+            ("dependency 'a'->'b' has kind of type str, not DependencyKind", ("a", "b")),
+        ),
+        (
+            {"components": (2, Component(5, "c", ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION))},
+            ("component 5 has id of type int, not str", ("5",)),
+        ),
+        (
+            {"components": (0, Component("a", "a", "library", ComponentStatus.PRODUCTION))},
+            ("component 'a' has kind of type str, not ComponentKind", ("a",)),
+        ),
+        (
+            {"components": (0, Component("a", "a", ComponentKind.LIBRARY, "production"))},
+            ("component 'a' has status of type str, not ComponentStatus", ("a",)),
+        ),
+        (
+            {"components": (0, Component("a", None, ComponentKind.LIBRARY, ComponentStatus.PRODUCTION))},
+            ("component 'a' has name of type NoneType, not str", ("a",)),
+        ),
+        (
+            {"dependencies": (1, DependencyEdge("b", 7))},
+            ("dependency 'b'->7 has owner_component of type int, not str", ("b", "7")),
+        ),
+        (
+            {"ownership": (0, OwnershipAssignment("a", 1))},
+            ("assignment 'a'->1 has owner of type int, not str", ("a", "1")),
+        ),
+    ],
+    ids=[
+        "owner-kind",
+        "edge-kind",
+        "component-id",
+        "component-kind",
+        "component-status",
+        "component-name",
+        "edge-endpoint",
+        "assignment-owner",
+    ],
+)
+def test_a_field_of_another_type_than_the_parser_gives_is_a_field_type_finding(small_snapshot, changes, finding):
+    report = validate_snapshot(_retyped(small_snapshot, **changes))
+    assert finding in [(f.message, f.offending_ids) for f in report.findings if f.code == "field-type"]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"taken_at": datetime(2023, 1, 1, 5)}, "snapshot 'test' has taken_at of type datetime, not date"),
+        ({"taken_at": "2023-01-01"}, "snapshot 'test' has taken_at of type str, not date"),
+        ({"id": 5}, "snapshot 5 has id of type int, not str"),
+    ],
+    ids=["datetime", "string-date", "int-id"],
+)
+def test_a_snapshot_field_of_another_type_is_a_field_type_finding(small_snapshot, changes, message):
+    report = validate_snapshot(dataclasses.replace(small_snapshot, **changes))
+    assert [(f.code, f.message) for f in report.findings] == [("field-type", message)]
+
+
+def test_an_individual_owner_named_by_a_plain_string_is_not_kept_in_scope(small_snapshot):
+    # With OwnerKind.INDIVIDUAL the scope filter excludes t2's component; the plain string would keep it.
+    snapshot = _retyped(small_snapshot, owners=(1, make_owner("t2", "DEU", kind="individual")))
+    assert validate_snapshot(snapshot).codes() == ["field-type"]
+    member = _retyped(small_snapshot, owners=(1, make_owner("t2", "DEU", kind=OwnerKind.INDIVIDUAL)))
+    assert validate_snapshot(member).ok
+    exclusions = run_pipeline(member, DEFAULT_CASCADE, ScopePolicy()).stats.exclusions
+    assert [component for component, _ in exclusions.excluded_components] == ["c"]
+
+
+def test_empty_ids_of_components_named_by_two_types_still_sort(small_snapshot):
+    nameless = tuple(Component("", name, ComponentKind.OTHER, ComponentStatus.PRODUCTION) for name in (5, "x"))
+    report = validate_snapshot(dataclasses.replace(small_snapshot, components=small_snapshot.components + nameless))
+    assert [f.offending_ids for f in report.findings if f.code == "empty-id"] == [("5",), ("x",)]
+
+
+def test_owners_of_two_types_of_one_component_still_sort(small_snapshot):
+    ownership = small_snapshot.ownership + (OwnershipAssignment("a", 5),)
+    report = validate_snapshot(dataclasses.replace(small_snapshot, ownership=ownership))
+    assert [f.offending_ids for f in report.findings if f.code == "multiple-owners"] == [("a", "5", "t1")]

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxarch.classify import EdgeClass, aggregate, apply_scope_filter, classify_edge, compute_stats
+from taxarch.classify import EdgeClass, ScopePolicy, aggregate, apply_scope_filter, classify_edge, compute_stats
 from taxarch.cli import main
-from taxarch.diff import diff_snapshots
+from taxarch.diff import diff_snapshots, run_pipeline
 from taxarch.generate import GeneratorParams, fixture, generate
 from taxarch.ingest import (
     IngestError,
@@ -41,8 +41,8 @@ from taxarch.model import (
     OwnershipAssignment,
     validate_snapshot,
 )
-from taxarch.resolve import resolve_jurisdictions
-from taxarch.views import BucketScheme
+from taxarch.resolve import DEFAULT_CASCADE, resolve_jurisdictions
+from taxarch.views import BucketScheme, build_registers, emit_graph, emit_registers, emit_report, emit_table
 
 from reference_parse import (
     _checked_components,
@@ -849,3 +849,75 @@ def test_diff_equals_the_reference_diff_both_ways(pair):
     a, b = pair
     assert diff_snapshots(a, b) == reference_diff_snapshots(a, b)
     assert diff_snapshots(b, a) == reference_diff_snapshots(b, a)
+
+
+@st.composite
+def mixed_type_snapshots(draw):
+    """A structurally sound library-built snapshot (components c0.., owners t0.., one owner each, distinct edges,
+    records in the serializer's order) whose fields hold the types the parser gives or, one draw in `rarity`, another:
+    an int id, a float, bool, numeric-string or None multiplicity, an int below 1, a plain-string kind or status, a
+    datetime `taken_at`. An id keeps its value wherever it is referenced. A rare odd field is the case that tests
+    whether validate refuses every one of them: a snapshot it accepts must hold none."""
+    rarity = draw(st.sampled_from([0, 4, 12, 40]))
+
+    def pick(valid, other):
+        return draw(other if rarity and draw(st.integers(min_value=1, max_value=rarity)) == 1 else valid)
+
+    n, m = draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=1, max_value=3))
+    cids = [pick(st.just(f"c{i}"), st.just(i)) for i in range(n)]
+    oids = [pick(st.just(f"t{j}"), st.just(j)) for j in range(m)]
+    components = tuple(
+        Component(
+            cid,
+            pick(texts, st.integers()),
+            pick(st.sampled_from(ComponentKind), st.sampled_from([k.value for k in ComponentKind])),
+            pick(st.sampled_from(ComponentStatus), st.sampled_from([k.value for k in ComponentStatus])),
+        )
+        for cid in cids
+    )
+    pairs = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 2), unique=True, max_size=6))
+    odd_multiplicities = st.floats() | st.booleans() | st.integers(min_value=1, max_value=9).map(str) | st.none()
+    dependencies = tuple(
+        DependencyEdge(
+            cids[i],
+            cids[j],
+            pick(st.sampled_from(DependencyKind), st.sampled_from([k.value for k in DependencyKind])),
+            pick(st.integers(min_value=1, max_value=5), odd_multiplicities | st.integers(max_value=0)),
+        )
+        for i, j in sorted(pairs)
+        if i != j
+    )
+    explicit = st.builds(
+        LocationEvidence,
+        st.just(EvidenceSource.EXPLICIT_ASSIGNMENT),
+        st.sampled_from(["SWE", "DEU", "GBR"]),
+        st.sampled_from(TWO_DAYS),
+    )
+    owners = tuple(
+        Owner(
+            oid,
+            pick(texts, st.none()),
+            pick(st.sampled_from(OwnerKind), st.sampled_from([k.value for k in OwnerKind])),
+            tuple(draw(st.lists(explicit, max_size=1))),
+        )
+        for oid in oids
+    )
+    ownership = tuple(OwnershipAssignment(cid, draw(st.sampled_from(oids))) for cid in cids)
+    taken_at = pick(st.dates(), st.datetimes())
+    return ArchitectureSnapshot(pick(texts, st.integers()), taken_at, components, dependencies, owners, ownership)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_type_snapshots())
+def test_a_snapshot_validate_accepts_runs_through_every_stage(snapshot):
+    if not validate_snapshot(snapshot).ok:
+        return
+    run = run_pipeline(snapshot, DEFAULT_CASCADE, ScopePolicy())
+    assert {int}.issuperset(type(count) for _, count in run.matrix.cells)
+    registers = build_registers(run)
+    emit_registers(registers)
+    emit_report(run, registers, {"cascade": "default"})
+    emit_graph(run.matrix)
+    emit_table(run.matrix)
+    assert parse_bundle(serialize_bundle(snapshot)) == snapshot
+    assert diff_snapshots(snapshot, snapshot).empty
