@@ -21,6 +21,7 @@ from .model import (
     ArchitectureSnapshot,
     Component,
     DependencyEdge,
+    EdgeTable,
     Owner,
     OwnershipAssignment,
     ValidationReport,
@@ -54,6 +55,7 @@ __all__ = [
     "DEFAULT_CASCADE",
     "DependencyEdge",
     "EdgeClass",
+    "EdgeTable",
     "ExclusionReport",
     "GeneratorParams",
     "JurisdictionAssignment",

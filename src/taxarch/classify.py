@@ -7,8 +7,11 @@ row/column. Cross-border cells are the taxable licensing flows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
+from operator import ne
 
 from .model import (
     UNKNOWN,
@@ -91,9 +94,12 @@ def apply_scope_filter(
     excluded_ids = {cid for cid, _ in excluded}
 
     kept_components = tuple(c for c in snapshot.components if c.id not in excluded_ids)
-    kept_edges = tuple(
-        e for e in snapshot.dependencies if e.user not in excluded_ids and e.owner_component not in excluded_ids
-    )
+    edges = snapshot.dependencies
+    if excluded_ids:
+        keep = [u not in excluded_ids and v not in excluded_ids for u, v in zip(edges.users, edges.used)]
+        kept_edges = edges.select(keep)
+    else:
+        kept_edges = edges  # the same table: nothing to drop
     kept_ownership = tuple(a for a in snapshot.ownership if a.component not in excluded_ids)
 
     scoped = ArchitectureSnapshot(
@@ -106,9 +112,9 @@ def apply_scope_filter(
     )
     report = ExclusionReport(
         excluded_components=tuple(sorted(excluded)),
-        excluded_edges=len(snapshot.dependencies) - len(kept_edges),
+        excluded_edges=len(edges) - len(kept_edges),
         component_total=len(snapshot.components),
-        edge_total=len(snapshot.dependencies),
+        edge_total=len(edges),
     )
     return scoped, report
 
@@ -184,17 +190,20 @@ def aggregate(
     ownership of a kept component.
     """
     jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
-    # component -> its owner's jurisdiction, built once: two lookups per edge instead of four.
+    # component -> its owner's jurisdiction, built once: one lookup per endpoint.
     # A component whose owner is None stays unowned.
     component_j = {c: jurisdiction_of.get(o, UNKNOWN) for c, o in owner_of.items() if o is not None}
-    counts: dict[tuple[str, str], int] = {}
-    for e in snapshot.dependencies:
-        user_j = component_j.get(e.user)
-        used_j = component_j.get(e.owner_component)
-        if user_j is None or used_j is None:
-            raise IntegrityError(f"dependency {e.user!r}->{e.owner_component!r} has an unowned endpoint")
-        key = (user_j, used_j)
-        counts[key] = counts.get(key, 0) + e.multiplicity
+    edges = snapshot.dependencies
+    try:
+        user_j, used_j = list(map(component_j.__getitem__, edges.users)), list(map(component_j.__getitem__, edges.used))
+    except KeyError:
+        user, used = next((u, v) for u, v in zip(edges.users, edges.used) if {u, v} - component_j.keys())
+        raise IntegrityError(f"dependency {user!r}->{used!r} has an unowned endpoint") from None
+    # Each edge counts once, and an edge of multiplicity m adds m - 1 more.
+    counts = Counter(zip(user_j, used_j))
+    multiplicities = edges.multiplicities
+    for cell, m in compress(zip(zip(user_j, used_j), multiplicities), map(ne, multiplicities, repeat(1))):
+        counts[cell] += m - 1
     return JurisdictionFlowMatrix.from_counts(counts, snapshot.id)
 
 

@@ -26,6 +26,8 @@ from .model import (
     ComponentKind,
     ComponentStatus,
     DependencyEdge,
+    DependencyKind,
+    EdgeTable,
     EvidenceSource,
     LocationEvidence,
     Owner,
@@ -126,7 +128,13 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         used = rng.randrange(n)
         if user != used:
             pairs.add(user * n + used)
-    dependencies = tuple(DependencyEdge(ids[pair // n], ids[pair % n]) for pair in sorted(pairs))
+    order = sorted(pairs)
+    dependencies = EdgeTable(
+        tuple(ids[pair // n] for pair in order),
+        tuple(ids[pair % n] for pair in order),
+        (DependencyKind.USE,) * len(order),
+        (1,) * len(order),
+    )
 
     return ArchitectureSnapshot(
         id=f"generated-s{params.seed}",

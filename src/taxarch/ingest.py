@@ -5,11 +5,12 @@ canonical: fixed key order, sorted arrays, 2-space indent, trailing
 newline, so equal snapshots always produce byte-identical documents.
 
 The schema is fixed, so the canonical bytes are formatted record by
-record at each record's fixed indent, not built as a dict and handed to
-`json.dumps`, whose `indent` falls back to the pure-Python encoder.
-Every string goes through `json.encoder.encode_basestring`, the C
-escaper `json.dumps` itself uses with `ensure_ascii=False`, so the bytes
-equal `json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
+record at each record's fixed indent by the fixed-schema writer helpers
+of `jsontext`, not built as a dict and handed to `json.dumps`, whose
+`indent` falls back to the pure-Python encoder. Every string goes through
+`json.encoder.encode_basestring`, the C escaper `json.dumps` itself uses
+with `ensure_ascii=False`, so the bytes equal
+`json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
 
 A parsed document is read in one pass, one loop per record type. Each
 record meets one test of its field names, exact type checks and a dict
@@ -17,6 +18,13 @@ lookup per enum value. A message is formatted only where a check fails:
 it names the first faulty record and field, and a well-formed bundle
 formats none. A string holding an unpaired surrogate, which UTF-8 cannot
 encode, is refused too.
+
+A snapshot's `dependencies` is a `model.EdgeTable`: four parallel
+columns (users, used components, kinds, multiplicities) that iterate as
+`DependencyEdge` rows. The parser fills the columns directly, column by
+column when every edge record has its four fields, as the serializer
+writes them, and they hold no fault; any other list of edge records goes
+through the record loop, which names the first fault.
 """
 
 from __future__ import annotations
@@ -24,18 +32,21 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import re
 from datetime import date
-from json.encoder import encode_basestring as _quote
 
+from .jsontext import array as _array
+from .jsontext import quote as _quote
+from .jsontext import strings as _strings_array
 from .model import (
     UNKNOWN,
     ArchitectureSnapshot,
     Component,
     ComponentKind,
     ComponentStatus,
-    DependencyEdge,
     DependencyKind,
+    EdgeTable,
     EvidenceSource,
     LocationEvidence,
     Owner,
@@ -254,9 +265,35 @@ def _components(records: list) -> tuple[Component, ...]:
     return tuple(components)
 
 
-def _dependencies(records: list) -> tuple[DependencyEdge, ...]:
+# A getter of each of an edge record's four fields, in column order.
+_EDGE_COLUMNS = tuple(map(operator.itemgetter, (*_EDGE_ENDPOINTS, "kind", "multiplicity")))
+
+
+def _dependencies(records: list) -> EdgeTable:
+    """The edge columns, read column by column when every record is an object of the four fields holding no fault.
+
+    Each column then meets one exact-type test. Anything else sends the whole list to `_dependency_rows`, which
+    accepts what it accepts and names the first fault of the rest: a record of another length; one that is not an
+    object, whose length or field read raises TypeError; a field other than the four; an unknown or unhashable kind.
+    """
+    try:
+        if records and {4}.issuperset(map(len, records)):
+            users, used, kinds, multiplicities = (tuple(map(field, records)) for field in _EDGE_COLUMNS)
+            if (
+                {str}.issuperset(map(type, users))
+                and {str}.issuperset(map(type, used))
+                and {int}.issuperset(map(type, multiplicities))
+                and min(multiplicities) >= 1
+            ):
+                return EdgeTable(users, used, tuple(map(_MEMBER[DependencyKind].__getitem__, kinds)), multiplicities)
+    except (KeyError, TypeError):
+        pass
+    return EdgeTable.from_rows(_dependency_rows(records))
+
+
+def _dependency_rows(records: list) -> list[tuple]:
     kinds = _MEMBER[DependencyKind]
-    dependencies = []
+    rows = []
     for i, e in enumerate(records):
         try:
             user, used = e["user"], e["owner_component"]
@@ -271,8 +308,8 @@ def _dependencies(records: list) -> tuple[DependencyEdge, ...]:
             kind = kinds[e.get("kind", "use")]
         except (KeyError, TypeError):
             raise _unknown_value(e["kind"], f"dependencies[{i}].kind") from None
-        dependencies.append(DependencyEdge(user, used, kind, multiplicity))
-    return tuple(dependencies)
+        rows.append((user, used, kind, multiplicity))
+    return rows
 
 
 def _owners(records: list) -> tuple[Owner, ...]:
@@ -344,18 +381,11 @@ _JSON_VALUE = {member: _quote(member.value) for enum in _ENUMS for member in enu
 
 
 def _evidence_record(ev: LocationEvidence) -> str:
-    if isinstance(ev.payload, tuple):
-        payload = _array([f"            {_quote(code)}" for code in ev.payload], "          ")
-    else:
-        payload = _quote(ev.payload)
+    payload = _strings_array(ev.payload, "          ") if isinstance(ev.payload, tuple) else _quote(ev.payload)
     return (
         f'        {{\n          "source": {_JSON_VALUE[ev.source]},\n          "payload": {payload},\n'
         f'          "recorded_at": {_quote(ev.recorded_at.isoformat())}\n        }}'
     )
-
-
-def _array(records: list[str], indent: str) -> str:
-    return "[\n" + ",\n".join(records) + f"\n{indent}]" if records else "[]"
 
 
 def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
@@ -365,10 +395,13 @@ def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
         f'      "kind": {_JSON_VALUE[c.kind]},\n      "status": {_JSON_VALUE[c.status]}\n    }}'
         for c in sorted(snapshot.components, key=lambda c: c.id)
     ]
+    # Sorted by (user, owner_component, kind); the row index keeps equal edges in their order, as a stable sort would.
+    edges = snapshot.dependencies
+    multiplicities = edges.multiplicities
     dependencies = [
-        f'    {{\n      "user": {_quote(e.user)},\n      "owner_component": {_quote(e.owner_component)},\n'
-        f'      "kind": {_JSON_VALUE[e.kind]},\n      "multiplicity": {int.__repr__(e.multiplicity)}\n    }}'
-        for e in sorted(snapshot.dependencies, key=lambda e: (e.user, e.owner_component, e.kind))
+        f'    {{\n      "user": {_quote(user)},\n      "owner_component": {_quote(used)},\n'
+        f'      "kind": {_JSON_VALUE[kind]},\n      "multiplicity": {int.__repr__(multiplicities[i])}\n    }}'
+        for user, used, kind, i in sorted(zip(edges.users, edges.used, edges.kinds, range(len(edges))))
     ]
     owners = [
         f'    {{\n      "id": {_quote(o.id)},\n      "name": {_quote(o.name)},\n      "kind": {_JSON_VALUE[o.kind]},\n'
@@ -445,7 +478,7 @@ def assemble_from_csv(
             multiplicity = int(row[3]) if len(row) > 3 and row[3] else 1
         except ValueError as exc:
             raise CsvError(f"edges: row {i}: {exc}") from None
-        dependencies.append(DependencyEdge(user, owner_component, kind, multiplicity))
+        dependencies.append((user, owner_component, kind, multiplicity))
         component_ids.update((user, owner_component))
 
     ownership = tuple(OwnershipAssignment(*row) for row in dict.fromkeys(map(tuple, ownership_rows)))
@@ -467,7 +500,7 @@ def assemble_from_csv(
         id=snapshot_id,
         taken_at=taken_at,
         components=components,
-        dependencies=tuple(dependencies),
+        dependencies=EdgeTable.from_rows(dependencies),
         owners=owners,
         ownership=ownership,
     )

@@ -1,0 +1,34 @@
+"""JSON text as `json.dumps(value, indent=2, ensure_ascii=False)` writes it, for the fixed-schema writers.
+
+The bundle, `report.json` and `delta.json` have fixed schemas, so their
+writers format each record as one f-string at its fixed indent instead of
+handing a dict to `json.dumps`, whose `indent` falls back to the
+pure-Python encoder. Every string goes through `quote`, the C escaper
+`json.dumps` itself uses with `ensure_ascii=False`, so the bytes are the
+ones `json.dumps` would write.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Iterable
+from json.encoder import encode_basestring as quote
+
+
+def array(items: list[str], indent: str) -> str:
+    """An array of items already formatted at `indent` plus two spaces; it closes at `indent`, and is `[]` if empty."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def strings(values: Iterable[str], indent: str) -> str:
+    """An array of strings that closes at `indent`."""
+    inner = indent + "  "
+    return array([inner + quote(v) for v in values], indent)
+
+
+def value(obj, indent: str) -> str:
+    """Any JSON value nested at `indent`, for the small parts of a document whose schema is not fixed.
+
+    `json.dumps` escapes every newline inside a string, so each newline it writes starts a line of the layout.
+    """
+    return json.dumps(obj, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)

@@ -11,9 +11,11 @@ from __future__ import annotations
 import operator
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from itertools import compress
 
 UNKNOWN = "UNKNOWN"
 
@@ -131,25 +133,78 @@ class Component:
     status: ComponentStatus
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
+    """One row of a snapshot's `EdgeTable`."""
+
     user: str
     owner_component: str
-    kind: DependencyKind
-    multiplicity: int
-
-    # A frozen dataclass's generated __init__ sets each field through object.__setattr__, which makes building
-    # the 100k edges of a large parse or `gen` more than twice as slow; this one sets each slot directly.
-    def __init__(self, user, owner_component, kind=DependencyKind.USE, multiplicity=1):
-        _set_user(self, user)
-        _set_owner_component(self, owner_component)
-        _set_kind(self, kind)
-        _set_multiplicity(self, multiplicity)
+    kind: DependencyKind = DependencyKind.USE
+    multiplicity: int = 1
 
 
-_set_user, _set_owner_component, _set_kind, _set_multiplicity = (
-    DependencyEdge.__dict__[name].__set__ for name in DependencyEdge.__slots__
-)
+_EDGE_ROW = operator.attrgetter(*DependencyEdge.__slots__)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class EdgeTable(Sequence):
+    """A snapshot's dependency edges as four parallel columns; row i of each is edge i.
+
+    As a sequence it reads as its `DependencyEdge` rows: it iterates, indexes
+    and compares to a tuple as the tuple of those rows would, and a slice is a
+    table. The stages that walk every edge read the columns, so a parse of
+    100k edges builds no edge object.
+    """
+
+    users: tuple = ()
+    used: tuple = ()
+    kinds: tuple = ()
+    multiplicities: tuple = ()
+
+    def __post_init__(self):
+        columns = tuple(map(tuple, _COLUMNS(self)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"edge table columns differ in length: {list(map(len, columns))}")
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows) -> EdgeTable:
+        """The table of (user, owner_component, kind, multiplicity) rows."""
+        columns = tuple(zip(*rows))
+        return cls(*columns) if columns else cls()
+
+    def select(self, keep: list) -> EdgeTable:
+        """The table of the rows whose entry in `keep` is true."""
+        return EdgeTable(*(tuple(compress(column, keep)) for column in _COLUMNS(self)))
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self):
+        return map(DependencyEdge, *_COLUMNS(self))
+
+    def __getitem__(self, index):
+        picked = (column[index] for column in _COLUMNS(self))
+        return EdgeTable(*picked) if isinstance(index, slice) else DependencyEdge(*picked)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeTable):
+            return _COLUMNS(self) == _COLUMNS(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the tuple of its rows, which it equals
+
+    def __add__(self, other) -> EdgeTable:
+        if not isinstance(other, (EdgeTable, tuple)):
+            return NotImplemented
+        return EdgeTable.from_rows(map(_EDGE_ROW, (*self, *other)))
+
+
+_COLUMNS = operator.attrgetter(*EdgeTable.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,9 +248,13 @@ class ArchitectureSnapshot:
     id: str
     taken_at: date
     components: tuple[Component, ...]
-    dependencies: tuple[DependencyEdge, ...]
+    dependencies: EdgeTable  # any sequence of DependencyEdge is stored as its table
     owners: tuple[Owner, ...]
     ownership: tuple[OwnershipAssignment, ...]
+
+    def __post_init__(self):
+        if type(self.dependencies) is not EdgeTable:
+            object.__setattr__(self, "dependencies", EdgeTable.from_rows(map(_EDGE_ROW, self.dependencies)))
 
     def owner_index(self) -> dict[str, Owner]:
         return {o.id: o for o in self.owners}
@@ -242,15 +301,20 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
 
     Each field type, id, dependency and ownership invariant is one block: a
     set-algebra test over whole columns and, only when that test fails, a
-    listing of that invariant's offenders, one finding each. The evidence is
-    walked, not tested first, with the `latest_evidence` and `conflict` that
-    the resolver cascade uses. A clean snapshot never formats a message.
+    listing of that invariant's offenders, one finding each; the dependency
+    blocks read the `EdgeTable` columns. An evidence record's `source` and
+    `recorded_at` are field types too. Beyond those, the evidence is walked,
+    not tested first, with the `latest_evidence` and `conflict` that the
+    resolver cascade uses. A clean snapshot never formats a message.
     """
-    components, owners = snapshot.components, snapshot.owners
-    edges, ownership = snapshot.dependencies, snapshot.ownership
+    components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
+    edges = snapshot.dependencies
+    users, used, kinds = edges.users, edges.used, edges.kinds
     cids, oids = [c.id for c in components], [o.id for o in owners]
-    users, used, kinds = [e.user for e in edges], [e.owner_component for e in edges], [e.kind for e in edges]
     assigned, assignees = [a.component for a in ownership], [a.owner for a in ownership]
+    # Each evidence record is named by its owner's id and its index among that owner's records.
+    evidence = [(o.id, j, ev) for o in owners for j, ev in enumerate(o.location_evidence)]
+    holders, places, records = zip(*evidence) if evidence else ((), (), ())
     findings = _field_types(
         "snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)
     )
@@ -268,6 +332,12 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
         ("id", oids, str),
         ("name", [o.name for o in owners], str),
         ("kind", [o.kind for o in owners], OwnerKind),
+    )
+    findings += _field_types(
+        "evidence",
+        (holders, places),
+        ("source", [ev.source for ev in records], EvidenceSource),
+        ("recorded_at", [ev.recorded_at for ev in records], date),
     )
     findings += _field_types(
         "dependency",
@@ -292,13 +362,13 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
             ]
 
     findings += _evidence_findings(owners)
-    findings += _dependency_findings(users, used, kinds, [e.multiplicity for e in edges], component_ids)
+    findings += _dependency_findings(users, used, kinds, edges.multiplicities, component_ids)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
 
 
-def _field_types(what: str, keys: tuple[list, ...], *columns: tuple[str, list, type]) -> list[Finding]:
+def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Sequence, type]) -> list[Finding]:
     """The one field-type rule: each value of a (field, column, type) column has exactly the type a parsed bundle gives.
 
     Each column is one C-level type test, and only when it fails are its offenders listed. Row i's record is named by
@@ -365,7 +435,7 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
     return findings
 
 
-def _dangling(column: list[str], known: set[str], message: str) -> list[Finding]:
+def _dangling(column: Sequence[str], known: set[str], message: str) -> list[Finding]:
     """The one dangling-reference rule: a finding worded `message.format(x)` per id x of `column` not in `known`."""
     if known.issuperset(column):
         return []
@@ -373,7 +443,11 @@ def _dangling(column: list[str], known: set[str], message: str) -> list[Finding]
 
 
 def _dependency_findings(
-    users: list[str], used: list[str], kinds: list[DependencyKind], multiplicities: list[int], component_ids: set[str]
+    users: Sequence[str],
+    used: Sequence[str],
+    kinds: Sequence[DependencyKind],
+    multiplicities: Sequence[int],
+    component_ids: set[str],
 ) -> list[Finding]:
     """The dependency invariants over the edge columns, row i of each being edge i."""
     findings = []

@@ -6,11 +6,13 @@ All emitters are deterministic: equal inputs yield byte-identical output.
 
 from __future__ import annotations
 
-import json
+import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .classify import EdgeClass, JurisdictionFlowMatrix, classify_cell
 from .diff import PipelineRun
+from .jsontext import array, quote, strings, value
 from .model import UNKNOWN
 
 NA_LABEL = "N/A"
@@ -114,14 +116,18 @@ def emit_table(
     raise ValueError(f"unknown table format {format!r}")
 
 
+# A field holding a comma, a quote or a line break is quoted.
+_NEEDS_QUOTES = re.compile('[,"\n\r]').search
+
+
 def _csv_field(value: str) -> str:
-    if any(ch in value for ch in ',"\n\r'):
+    if _NEEDS_QUOTES(value):
         return '"' + value.replace('"', '""') + '"'
     return value
 
 
-def _render_csv(rows: list[list[str]]) -> str:
-    return "".join(",".join(_csv_field(f) for f in row) + "\n" for row in rows)
+def _render_csv(rows: Iterable[Sequence[str]]) -> str:
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
 def _render_markdown(rows: list[list[str]]) -> str:
@@ -150,9 +156,10 @@ def build_registers(run: PipelineRun) -> RegisterTables:
 
 def emit_registers(registers: RegisterTables) -> tuple[str, str]:
     """Render the (component register, owner register) CSV documents."""
-    component_rows = [["component", "owner"]] + [list(r) for r in registers.components]
-    owner_rows = [["owner", "jurisdiction", "provenance"]] + [list(r) for r in registers.owners]
-    return _render_csv(component_rows), _render_csv(owner_rows)
+    return (
+        _render_csv((("component", "owner"), *registers.components)),
+        _render_csv((("owner", "jurisdiction", "provenance"), *registers.owners)),
+    )
 
 
 def emit_report(run: PipelineRun, registers: RegisterTables, metadata: dict) -> str:
@@ -163,25 +170,32 @@ def emit_report(run: PipelineRun, registers: RegisterTables, metadata: dict) -> 
     plus the configuration needed to reproduce the run. `registers` is
     the run's `build_registers(run)`, passed in so a caller that also
     renders it builds it once; `metadata` holds what the run cannot know.
+
+    The bytes are those of `json.dumps(doc, indent=2, ensure_ascii=False)`
+    plus a newline, formatted by the report's fixed schema: each cell and
+    register row is one f-string, and only the small parts whose schema is
+    not fixed (`snapshot_id`, which may be null, `metadata` and `stats`) go
+    through `json.dumps`.
     """
     matrix = run.matrix
-    doc = {
-        "snapshot_id": matrix.snapshot_id,
-        "metadata": {k: metadata[k] for k in sorted(metadata)},
-        "stats": run.stats.to_dict(),
-        "matrix": {
-            "codes": list(matrix.codes),
-            "cells": [
-                {"user": user_j, "owner": used_j, "count": count}
-                for (user_j, used_j), count in matrix.cells
-            ],
-        },
-        "graph_dot": emit_graph(matrix),
-        "component_register": [
-            {"component": c, "owner": o} for c, o in registers.components
-        ],
-        "owner_register": [
-            {"owner": o, "jurisdiction": j, "provenance": p} for o, j, p in registers.owners
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    cells = [
+        f'      {{\n        "user": {quote(user_j)},\n        "owner": {quote(used_j)},\n'
+        f'        "count": {int.__repr__(count)}\n      }}'
+        for (user_j, used_j), count in matrix.cells
+    ]
+    components = [
+        f'    {{\n      "component": {quote(c)},\n      "owner": {quote(o)}\n    }}' for c, o in registers.components
+    ]
+    owners = [
+        f'    {{\n      "owner": {quote(o)},\n      "jurisdiction": {quote(j)},\n      "provenance": {quote(p)}\n    }}'
+        for o, j, p in registers.owners
+    ]
+    return (
+        f'{{\n  "snapshot_id": {value(matrix.snapshot_id, "  ")},\n'
+        f'  "metadata": {value({k: metadata[k] for k in sorted(metadata)}, "  ")},\n'
+        f'  "stats": {value(run.stats.to_dict(), "  ")},\n'
+        f'  "matrix": {{\n    "codes": {strings(matrix.codes, "    ")},\n    "cells": {array(cells, "    ")}\n  }},\n'
+        f'  "graph_dot": {quote(emit_graph(matrix))},\n'
+        f'  "component_register": {array(components, "  ")},\n'
+        f'  "owner_register": {array(owners, "  ")}\n}}\n'
+    )

@@ -182,6 +182,32 @@ def test_gen_deterministic(tmp_path):
     assert main(["validate", str(a)]) == 0
 
 
+def test_report_json_is_canonical_on_a_generated_bundle_with_non_ascii_ids(tmp_path, capsys):
+    bundle = tmp_path / "gen.json"
+    flags = ["--components", "30", "--teams", "5", "--unresolved-rate", "0.3", "--seed", "3"]
+    assert main(["gen", *flags, "--out", str(bundle)]) == 0
+    doc = json.loads(bundle.read_text(encoding="utf-8"))
+
+    def odd(text):  # non-ASCII, U+2028, and characters JSON escapes
+        return f'{text}-é中\u2028"\\\t'
+
+    for record, fields in (
+        ("components", ("id", "name")),
+        ("dependencies", ("user", "owner_component")),
+        ("owners", ("id", "name")),
+        ("ownership", ("component", "owner")),
+    ):
+        for r in doc[record]:
+            r.update((field, odd(r[field])) for field in fields)
+    bundle.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", str(bundle), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "report.json").read_text(encoding="utf-8")
+    assert "é中\u2028" in text and len(json.loads(text)["component_register"]) == 30
+    assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+
+
 def test_gen_infeasible_exit_2(tmp_path, capsys):
     assert main(["gen", "--components", "3", "--teams", "1", "--density", "100"]) == 2
     assert main(["gen", "--components", "10", "--teams", "2", "--jurisdictions", "swe:1"]) == 2

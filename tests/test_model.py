@@ -10,7 +10,7 @@ from taxarch.classify import ScopePolicy
 from taxarch.cli import main
 from taxarch.diff import run_pipeline
 from taxarch.generate import fixture
-from taxarch.ingest import serialize_bundle
+from taxarch.ingest import SchemaError, parse_bundle, serialize_bundle
 from taxarch.model import (
     ArchitectureSnapshot,
     Component,
@@ -18,6 +18,7 @@ from taxarch.model import (
     ComponentStatus,
     DependencyEdge,
     DependencyKind,
+    EdgeTable,
     EvidenceSource,
     LocationEvidence,
     OwnershipAssignment,
@@ -222,7 +223,11 @@ def test_dates_that_cannot_be_ordered_are_an_evidence_shape_finding(small_snapsh
         LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", other),
     )
     report = validate_snapshot(snapshot)
-    assert [(f.code, f.offending_ids) for f in report.findings] == [("evidence-shape", ("t3",))]
+    # The record whose date is not a `date` is also a field-type finding, named by its index.
+    assert [(f.code, f.offending_ids) for f in report.findings] == [
+        ("evidence-shape", ("t3",)),
+        ("field-type", ("t3", "1")),
+    ]
     message = report.findings[0].message
     assert "'t3'" in message and "recorded_at" in message
     assert "2023" not in message and "FRA" not in message
@@ -257,7 +262,13 @@ def test_dates_that_cannot_be_ordered_are_an_evidence_shape_finding(small_snapsh
 )
 def test_odd_sources_and_dates_are_findings_not_errors(small_snapshot, evidence, code, message):
     report = validate_snapshot(_with_evidence(small_snapshot, *evidence))
-    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [(code, message, ("t3",))]
+    # Each record's plain-string source or list date is also a field-type finding.
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings if f.code != "field-type"] == [
+        (code, message, ("t3",))
+    ]
+    assert [f.offending_ids for f in report.findings if f.code == "field-type"] == [
+        ("t3", str(j)) for j in range(len(evidence))
+    ]
 
 
 @pytest.mark.parametrize(
@@ -446,6 +457,66 @@ def test_a_field_of_another_type_than_the_parser_gives_is_a_field_type_finding(s
 def test_a_snapshot_field_of_another_type_is_a_field_type_finding(small_snapshot, changes, message):
     report = validate_snapshot(dataclasses.replace(small_snapshot, **changes))
     assert [(f.code, f.message) for f in report.findings] == [("field-type", message)]
+
+
+def _with_first_owner_evidence(small_snapshot, *evidence):
+    """`small_snapshot` whose owner 't1', which owns components a and b, holds `evidence` instead of its own."""
+    owners = (make_owner("t1", evidence=evidence),) + small_snapshot.owners[1:]
+    return dataclasses.replace(small_snapshot, owners=owners)
+
+
+def test_a_plain_string_evidence_source_is_a_field_type_finding(small_snapshot):
+    # Once accepted, such a record reached `source.value` in the resolver cascade and raised AttributeError.
+    snapshot = _with_first_owner_evidence(small_snapshot, LocationEvidence("explicit_assignment", "SWE", TODAY))
+    report = validate_snapshot(snapshot)
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("field-type", "evidence 't1'->0 has source of type str, not EvidenceSource", ("t1", "0"))
+    ]
+
+
+def test_a_datetime_recorded_at_is_a_field_type_finding(small_snapshot):
+    # Once accepted as an owner's only record, it serialized to a bundle that the parser refuses.
+    evidence = LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", datetime(2023, 1, 1, 5))
+    snapshot = _with_first_owner_evidence(small_snapshot, evidence)
+    with pytest.raises(SchemaError, match="recorded_at"):
+        parse_bundle(serialize_bundle(snapshot))
+    report = validate_snapshot(snapshot)
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("field-type", "evidence 't1'->0 has recorded_at of type datetime, not date", ("t1", "0"))
+    ]
+
+
+EDGES = (
+    DependencyEdge("a", "b"),
+    DependencyEdge("b", "c", DependencyKind.OTHER, 2),
+    DependencyEdge("c", "a", DependencyKind.USE, 3),
+)
+
+
+def test_edge_table_reads_as_the_tuple_of_its_rows():
+    table = EdgeTable.from_rows((e.user, e.owner_component, e.kind, e.multiplicity) for e in EDGES)
+    assert (table.users, table.used, table.multiplicities) == (("a", "b", "c"), ("b", "c", "a"), (1, 2, 3))
+    assert len(table) == 3 and list(table) == list(EDGES) and table == EDGES and hash(table) == hash(EDGES)
+    assert (table[0], table[-1]) == (EDGES[0], EDGES[-1]) and type(table[1]) is DependencyEdge
+    with pytest.raises(IndexError):
+        table[3]
+    assert type(table[1:]) is EdgeTable and table[1:] == EDGES[1:] and table[::-1] == EDGES[::-1]
+    assert table[:0] == () and not table[:0] and EdgeTable() == EdgeTable.from_rows([])
+    assert random.Random(7).sample(table, 2) == random.Random(7).sample(EDGES, 2)
+    assert table + EDGES[:1] == EDGES + EDGES[:1] and EDGES[1] in table
+    assert ArchitectureSnapshot("s", TODAY, (), EDGES, (), ()).dependencies == table
+    with pytest.raises(ValueError, match="differ in length"):
+        EdgeTable(("a",), ("b",), (), (1,))
+
+
+def test_a_snapshot_built_from_edge_objects_equals_its_parsed_bundle():
+    devnullsoft = fixture("devnullsoft")
+    edges = tuple(sorted(devnullsoft.dependencies, key=lambda e: (e.user, e.owner_component, e.kind)))
+    snapshot = ArchitectureSnapshot(
+        devnullsoft.id, devnullsoft.taken_at, devnullsoft.components, edges, devnullsoft.owners, devnullsoft.ownership
+    )
+    assert type(snapshot.dependencies) is EdgeTable and snapshot.dependencies == edges
+    assert parse_bundle(serialize_bundle(snapshot)) == snapshot
 
 
 def test_empty_ids_of_components_named_by_two_types_still_sort(small_snapshot):

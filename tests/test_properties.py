@@ -613,6 +613,8 @@ def test_parser_gives_the_reference_records_or_message(kind, data):
 
 # Records at the edges of what each check accepts, and records with two faults, where the order of the checks shows.
 EDGE = {"user": "a", "owner_component": "b"}
+# An edge record as the serializer writes it: the form the column-by-column read takes.
+FULL_EDGE = dict(EDGE, kind="use", multiplicity=1)
 EVIDENCE = {"source": "explicit_assignment", "payload": "SWE", "recorded_at": "2023-01-01"}
 
 
@@ -638,6 +640,17 @@ EVIDENCE = {"source": "explicit_assignment", "payload": "SWE", "recorded_at": "2
         ("evidence", [dict(EVIDENCE, recorded_at="2023-02-30")]),
         ("ownership", [{"component": "c", "owner": 5}]),
         ("ownership", [{"component": "c", "owner": "t"}, "c"]),
+        # Well-formed records, then a last one that only the record loop reads.
+        ("dependencies", [FULL_EDGE, dict(FULL_EDGE, owner_component="c"), dict(FULL_EDGE, multiplicity=True)]),
+        ("dependencies", [FULL_EDGE, dict(FULL_EDGE, kind=["use"])]),
+        ("dependencies", [FULL_EDGE, dict(FULL_EDGE, kind="other", multiplicity=0)]),
+        ("dependencies", [FULL_EDGE, dict(FULL_EDGE, user=None)]),
+        ("dependencies", [FULL_EDGE, dict(FULL_EDGE, owner_component=5)]),
+        ("dependencies", [FULL_EDGE, dict(FULL_EDGE, user="c", extra=1)]),
+        ("dependencies", [FULL_EDGE, {"user": "a", "owner_component": "b", "calls": "use", "multiplicity": 1}]),
+        ("dependencies", [FULL_EDGE, {"user": "b", "owner_component": "a", "multiplicity": 2}]),
+        ("dependencies", [FULL_EDGE, ["a", "b", "use", 1]]),
+        ("dependencies", [FULL_EDGE, "a->b"]),
     ],
 )
 def test_parser_gives_the_reference_message_at_each_edge(kind, records):
@@ -774,7 +787,9 @@ UNHASHABLE_SOURCE_BESIDE_EXPLICIT = (
 )
 def test_validate_evidence_of_odd_types_as_the_reference_does(records):
     snapshot = ArchitectureSnapshot("odd", date(2023, 6, 30), (), (), (Owner("t", "t", OwnerKind.TEAM, records),), ())
-    assert validate_snapshot(snapshot) == reference_validate_snapshot(snapshot)
+    # The reference checks no field type, and a source or date of another type is a field-type finding too.
+    findings = validate_snapshot(snapshot).findings
+    assert [f for f in findings if f.code != "field-type"] == list(reference_validate_snapshot(snapshot).findings)
 
 
 def test_the_cascade_skips_a_record_of_an_unhashable_source():

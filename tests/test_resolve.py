@@ -117,7 +117,10 @@ def test_dates_that_cannot_be_ordered_raise_the_message_validate_reports():
     assert isinstance(raised.value, ValueError) and not isinstance(raised.value, TypeError)
     assert str(raised.value) == "recorded_at values in evidence of owner 't' cannot be ordered"
     findings = validate_snapshot(make_snapshot([], [], [owner], [])).findings
-    assert [(f.code, f.message) for f in findings] == [("evidence-shape", str(raised.value))]
+    assert [(f.code, f.message) for f in findings] == [
+        ("evidence-shape", str(raised.value)),
+        ("field-type", "evidence 't'->1 has recorded_at of type datetime, not date"),
+    ]
 
 
 @pytest.mark.parametrize("cascade", [DEFAULT_CASCADE, (Resolver("explicit_assignment"),)], ids=["default", "explicit"])
