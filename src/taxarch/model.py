@@ -73,10 +73,6 @@ class ConflictingEvidenceError(ValueError):
     """Same-dated records name different codes; picking one would hide the conflict from an audit trail."""
 
 
-class UnorderableEvidenceError(ValueError):
-    """Dates of one resolver's records cannot be ordered, as a `date` against a `datetime`, so none is the latest."""
-
-
 # Evidence source -> the name of the resolver that reads it.
 _RESOLVER_OF = {source: name for name, sources in RESOLVER_SOURCES.items() for source in sources}
 
@@ -85,22 +81,14 @@ def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
     """Each resolver's records of `owner` dated its latest day, in record order, keyed by RESOLVER_SOURCES name.
 
     The one selection of evidence, made in one pass; `validate_snapshot` and `resolve_jurisdictions` both read it.
-    A resolver with no records has no key, and a record of an unknown or unhashable source is skipped.
-    Dates of one resolver that cannot be ordered raise UnorderableEvidenceError.
+    A resolver with no records has no key. It reads records of the parser's types, as `validate_snapshot` holds
+    them: each `source` an EvidenceSource, which some resolver reads, and each `recorded_at` a date.
     """
     latest: dict[str, list[LocationEvidence]] = {}
     for ev in owner.location_evidence:
-        try:
-            name = _RESOLVER_OF[ev.source]
-        except (KeyError, TypeError):  # a source no resolver reads, or an unhashable one
-            continue
+        name = _RESOLVER_OF[ev.source]
         records = latest.get(name)
-        try:
-            newer = records is None or ev.recorded_at > records[0].recorded_at
-        except TypeError:
-            message = f"recorded_at values in evidence of owner {owner.id!r} cannot be ordered"
-            raise UnorderableEvidenceError(message) from None
-        if newer:
+        if records is None or ev.recorded_at > records[0].recorded_at:
             latest[name] = [ev]
         elif ev.recorded_at == records[0].recorded_at:
             records.append(ev)
@@ -111,18 +99,12 @@ def conflict(owner: Owner, records: list[LocationEvidence]) -> str | None:
     """The one conflict rule: the message when single codes among one resolver's latest records differ, else None.
 
     `validate_snapshot` reports it as a finding; a resolver the cascade reaches raises ConflictingEvidenceError.
-    The message names a plain-string source by its text, and shows no day that is not a date.
+    It reads records of the parser's types, as `latest_evidence` selects them.
     """
     if len(records) < 2 or len({ev.payload for ev in records if isinstance(ev.payload, str)}) < 2:
         return None
-    first, when = records[0], records[0].recorded_at
-    day = f"dated {when.isoformat()}" if isinstance(when, date) else "on a recorded_at that is not a date"
-    return f"owner {owner.id!r}: conflicting {_source_name(first.source)} evidence {day}"
-
-
-def _source_name(source) -> str:
-    """An evidence source as a message names it: an EvidenceSource by its value, anything else by str()."""
-    return source.value if isinstance(source, EvidenceSource) else str(source)
+    first = records[0]
+    return f"owner {owner.id!r}: conflicting {first.source.value} evidence dated {first.recorded_at.isoformat()}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,16 +278,19 @@ def _finding(code: str, message: str, *ids: str) -> Finding:
 def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     """Check the structural invariants of a snapshot.
 
-    Violations become findings; the function never raises. Findings are
-    sorted so the report is independent of collection order.
+    Violations become findings; the function never raises, whatever a typed
+    field holds. Findings are sorted so the report is independent of
+    collection order.
 
-    Each field type, id, dependency and ownership invariant is one block: a
+    Two phases. The first holds each typed field, an evidence record's
+    `source` and `recorded_at` included, to the exact type the parser gives
+    it; any `field-type` finding ends validation, reported alone. The
+    second, on a snapshot of the parser's types only, judges the id,
+    evidence, dependency and ownership invariants. Each block is a
     set-algebra test over whole columns and, only when that test fails, a
-    listing of that invariant's offenders, one finding each; the dependency
-    blocks read the `EdgeTable` columns. An evidence record's `source` and
-    `recorded_at` are field types too. Beyond those, the evidence is walked,
-    not tested first, with the `latest_evidence` and `conflict` that the
-    resolver cascade uses. A clean snapshot never formats a message.
+    listing of its offenders, one finding each; the evidence is walked with
+    the `latest_evidence` and `conflict` that the resolver cascade uses. A
+    clean snapshot never formats a message.
     """
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
     edges = snapshot.dependencies
@@ -349,11 +334,14 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     findings += _field_types(
         "assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)
     )
+    if findings:
+        findings.sort()
+        return ValidationReport("failed", tuple(findings))
     component_ids, owner_ids = set(cids), set(oids)
 
     for what, nodes, ids in (("component", components, component_ids), ("owner", owners, owner_ids)):
         if not all(ids):
-            findings += [_finding("empty-id", f"{what} with empty id", str(node.name)) for node in nodes if not node.id]
+            findings += [_finding("empty-id", f"{what} with empty id", node.name) for node in nodes if not node.id]
         if len(ids) != len(nodes):
             findings += [
                 _finding("duplicate-id", f"duplicate {what} id {i!r}", i)
@@ -403,7 +391,7 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
                 findings.append(
                     _finding(
                         "evidence-shape",
-                        f"evidence payload shape does not match source {_source_name(ev.source)!r}",
+                        f"evidence payload shape does not match source {ev.source.value!r}",
                         o.id,
                     )
                 )
@@ -423,12 +411,7 @@ def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
                     )
         if len(o.location_evidence) < 2:
             continue
-        try:
-            latest = latest_evidence(o)
-        except UnorderableEvidenceError as exc:
-            findings.append(_finding("evidence-shape", str(exc), o.id))
-            continue
-        for records in latest.values():
+        for records in latest_evidence(o).values():
             message = conflict(o, records)
             if message is not None:
                 findings.append(_finding("conflicting-evidence", message, o.id))
@@ -496,7 +479,7 @@ def _ownership_findings(
         for c, o in assignments:
             owners_of.setdefault(c, []).append(o)
         findings += [
-            _finding("multiple-owners", f"component {c!r} has {len(assigned)} owners", c, *sorted(map(str, assigned)))
+            _finding("multiple-owners", f"component {c!r} has {len(assigned)} owners", c, *sorted(assigned))
             for c, assigned in owners_of.items()
             if len(assigned) > 1 and c in component_ids
         ]

@@ -109,9 +109,10 @@ def _try_resolver(resolver: Resolver, owner: Owner, latest: list[LocationEvidenc
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:
     """Assign one jurisdiction per owner; first decisive resolver wins.
 
-    Expects the owners of a snapshot that `validate_snapshot` accepts: an owner whose evidence payload is not of its
-    source's shape, such as a `member_locations` list holding a number, is an `evidence-shape` finding there, and
-    here may raise TypeError or decide from the wrong codes.
+    Expects the owners of a snapshot that `validate_snapshot` accepts. An owner it refuses may raise TypeError or
+    KeyError here, or be decided from the wrong codes: a `source` that is not an EvidenceSource, a `recorded_at` that
+    is not a date (dates that cannot be ordered raise a plain TypeError; there is no UnorderableEvidenceError), or a
+    payload not of its source's shape, such as a `member_locations` list holding a number.
     """
     if not cascade:
         raise CascadeConfigError("cascade must not be empty")

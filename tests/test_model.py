@@ -216,58 +216,46 @@ def test_conflicting_same_dated_statements_are_a_finding(small_snapshot):
 
 
 @pytest.mark.parametrize("other", [datetime(2023, 7, 1, 12), ["2023-07-01"]], ids=["datetime", "list"])
-def test_dates_that_cannot_be_ordered_are_an_evidence_shape_finding(small_snapshot, other):
+def test_dates_that_cannot_be_ordered_are_a_field_type_finding_alone(small_snapshot, other):
     snapshot = _with_evidence(
         small_snapshot,
         LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", TODAY),
         LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", other),
     )
     report = validate_snapshot(snapshot)
-    # The record whose date is not a `date` is also a field-type finding, named by its index.
-    assert [(f.code, f.offending_ids) for f in report.findings] == [
-        ("evidence-shape", ("t3",)),
-        ("field-type", ("t3", "1")),
+    # The record whose date is not a `date` is named by its index, and no evidence finding repeats the fault.
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("field-type", f"evidence 't3'->1 has recorded_at of type {type(other).__name__}, not date", ("t3", "1"))
     ]
-    message = report.findings[0].message
-    assert "'t3'" in message and "recorded_at" in message
-    assert "2023" not in message and "FRA" not in message
 
 
 @pytest.mark.parametrize(
-    "evidence, code, message",
+    "evidence, field",
     [
-        (
-            [LocationEvidence("member_locations", ["SWE"], TODAY)],
-            "evidence-shape",
-            "evidence payload shape does not match source 'member_locations'",
-        ),
+        ([LocationEvidence("member_locations", ["SWE"], TODAY)], "source of type str, not EvidenceSource"),
         (
             [
                 LocationEvidence("explicit_assignment", "SWE", TODAY),
                 LocationEvidence("explicit_assignment", "FRA", TODAY),
             ],
-            "conflicting-evidence",
-            f"owner 't3': conflicting explicit_assignment evidence dated {TODAY.isoformat()}",
+            "source of type str, not EvidenceSource",
         ),
         (
             [
                 LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", ["2023-07-01"]),
                 LocationEvidence(EvidenceSource.QUESTIONNAIRE, "FRA", ["2023-07-01"]),
             ],
-            "conflicting-evidence",
-            "owner 't3': conflicting explicit_assignment evidence on a recorded_at that is not a date",
+            "recorded_at of type list, not date",
         ),
     ],
     ids=["plain-string-source-wrong-shape", "plain-string-source-conflict", "list-dates-conflict"],
 )
-def test_odd_sources_and_dates_are_findings_not_errors(small_snapshot, evidence, code, message):
+def test_odd_sources_and_dates_are_findings_not_errors(small_snapshot, evidence, field):
     report = validate_snapshot(_with_evidence(small_snapshot, *evidence))
-    # Each record's plain-string source or list date is also a field-type finding.
-    assert [(f.code, f.message, f.offending_ids) for f in report.findings if f.code != "field-type"] == [
-        (code, message, ("t3",))
-    ]
-    assert [f.offending_ids for f in report.findings if f.code == "field-type"] == [
-        ("t3", str(j)) for j in range(len(evidence))
+    # Each record's plain-string source or list date is a field-type finding, and the only finding:
+    # neither the payload's shape nor a conflict is judged on records of other types than the parser's.
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("field-type", f"evidence 't3'->{j} has {field}", ("t3", str(j))) for j in range(len(evidence))
     ]
 
 
@@ -522,10 +510,16 @@ def test_a_snapshot_built_from_edge_objects_equals_its_parsed_bundle():
 def test_empty_ids_of_components_named_by_two_types_still_sort(small_snapshot):
     nameless = tuple(Component("", name, ComponentKind.OTHER, ComponentStatus.PRODUCTION) for name in (5, "x"))
     report = validate_snapshot(dataclasses.replace(small_snapshot, components=small_snapshot.components + nameless))
-    assert [f.offending_ids for f in report.findings if f.code == "empty-id"] == [("5",), ("x",)]
+    # The int name is a field-type finding, reported alone, so no empty-id finding is named by it.
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("field-type", "component '' has name of type int, not str", ("",))
+    ]
 
 
 def test_owners_of_two_types_of_one_component_still_sort(small_snapshot):
     ownership = small_snapshot.ownership + (OwnershipAssignment("a", 5),)
     report = validate_snapshot(dataclasses.replace(small_snapshot, ownership=ownership))
-    assert [f.offending_ids for f in report.findings if f.code == "multiple-owners"] == [("a", "5", "t1")]
+    # The int owner is a field-type finding, reported alone, so no multiple-owners finding lists it beside 't1'.
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        ("field-type", "assignment 'a'->5 has owner of type int, not str", ("a", "5"))
+    ]

@@ -1,10 +1,10 @@
-from datetime import date, datetime
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxarch.model import UNKNOWN, EvidenceSource, LocationEvidence, UnorderableEvidenceError, validate_snapshot
+from taxarch.model import UNKNOWN, EvidenceSource, LocationEvidence
 from taxarch.resolve import (
     DEFAULT_CASCADE,
     CascadeConfigError,
@@ -15,7 +15,7 @@ from taxarch.resolve import (
     resolve_jurisdictions,
 )
 
-from conftest import TODAY, make_owner, make_snapshot
+from conftest import TODAY, make_owner
 from reference_resolve import reference_resolve_jurisdictions
 
 
@@ -102,25 +102,6 @@ def test_conflicting_same_day_evidence_raises():
     )
     with pytest.raises(ConflictingEvidenceError):
         resolve_jurisdictions([owner], CASCADE_EM)
-
-
-def test_dates_that_cannot_be_ordered_raise_the_message_validate_reports():
-    owner = make_owner(
-        "t",
-        evidence=[
-            LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", date(2023, 7, 1)),
-            LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "DEU", datetime(2023, 7, 2)),
-        ],
-    )
-    with pytest.raises(UnorderableEvidenceError) as raised:
-        resolve_jurisdictions([owner], DEFAULT_CASCADE)
-    assert isinstance(raised.value, ValueError) and not isinstance(raised.value, TypeError)
-    assert str(raised.value) == "recorded_at values in evidence of owner 't' cannot be ordered"
-    findings = validate_snapshot(make_snapshot([], [], [owner], [])).findings
-    assert [(f.code, f.message) for f in findings] == [
-        ("evidence-shape", str(raised.value)),
-        ("field-type", "evidence 't'->1 has recorded_at of type datetime, not date"),
-    ]
 
 
 @pytest.mark.parametrize("cascade", [DEFAULT_CASCADE, (Resolver("explicit_assignment"),)], ids=["default", "explicit"])

@@ -14,6 +14,9 @@
 - No use of `object.__new__`: a record is built only through its
   constructor, so the one place that sets its fields is the one place to
   read.
+- No `except` clause in `model.py` names `TypeError`: `validate_snapshot`
+  judges its invariants only on fields of the parser's types, so no code
+  there survives a value of another type.
 """
 
 import ast
@@ -91,3 +94,10 @@ def test_records_are_built_only_through_their_constructors(path):
         and node.value.id == "object"
     ]
     assert calls == [], f"{path.relative_to(PACKAGE)}: object.__new__ on line(s) {calls}"
+
+
+
+def test_the_model_has_no_except_clause_naming_type_error():
+    clauses = [node for node in ast.walk(_tree(PACKAGE / "model.py")) if isinstance(node, ast.ExceptHandler)]
+    lines = [node.lineno for node in clauses if node.type and "TypeError" in ast.unparse(node.type)]
+    assert lines == [], f"model.py: except TypeError on line(s) {lines}"
