@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from datetime import date
 
@@ -45,6 +46,13 @@ DEFAULT_WEIGHTS = {
 }
 
 
+# The largest component or team count: one draw below a count reads one 32-bit word.
+MAX_COUNT = 2**32 - 1
+
+# At most this many words are drawn at once, so memory grows with the values kept, not with the whole target.
+_ROUND_WORDS = 65536
+
+
 class GenerationError(ValueError):
     pass
 
@@ -62,6 +70,8 @@ class GeneratorParams:
     def __post_init__(self):
         if self.component_count < 1 or self.team_count < 1:
             raise GenerationError("component_count and team_count must be positive")
+        if self.component_count > MAX_COUNT or self.team_count > MAX_COUNT:
+            raise GenerationError(f"component_count and team_count must be at most {MAX_COUNT}")
         if not 0.0 <= self.unresolved_rate <= 1.0:
             raise GenerationError("unresolved_rate must be in [0, 1]")
         if not 0 <= self.dependency_density < math.inf:
@@ -87,8 +97,54 @@ def _weighted_choice(rng: random.Random, weights: tuple[tuple[str, float], ...])
     return weights[-1][0]
 
 
+def _accepted(rng: random.Random, n: int, words: int) -> list[int]:
+    """The values that `words` more calls of rng.getrandbits(k), k = n.bit_length(), give below n, in draw order.
+
+    For 0 < n < 2**32, getrandbits(k) is one 32-bit word shifted right by 32 - k, getrandbits(32 * words) holds
+    the next `words` words, the first one lowest, and rng.randrange(n) keeps the first getrandbits(k) below n.
+    """
+    shift = 32 - n.bit_length()
+    limit = n << shift
+    drawn = struct.unpack(f"<{words}I", rng.getrandbits(32 * words).to_bytes(4 * words, "little"))
+    return [w >> shift for w in drawn if w < limit]
+
+
+def _below(rng: random.Random, n: int, count: int) -> list[int]:
+    """What `count` calls of rng.randrange(n) return, for 0 < n < 2**32.
+
+    Each word yields at most one value, and a round draws at most as many words as values are still missing, so it
+    never draws a word that the calls would not.
+    """
+    values: list[int] = []
+    while len(values) < count:
+        values += _accepted(rng, n, min(count - len(values), _ROUND_WORDS))
+    return values
+
+
+def _pairs(rng: random.Random, n: int, target: int) -> set[int]:
+    """What the loop of single draws holds: pairs of rng.randrange(n) with user != used, coded user * n + used,
+    added to a set until it holds `target` codes.
+
+    For 0 < n < 2**32 and target <= n * (n - 1). A round draws at most two words per missing code, less the accepted
+    value carried over from the last round, and each pair adds at most one code, so the set can reach `target` only at
+    a round's last pair: it never draws a word that the loop would not.
+    """
+    codes: set[int] = set()
+    values: list[int] = []  # an accepted value whose partner is not drawn yet
+    while len(codes) < target:
+        values += _accepted(rng, n, min(2 * (target - len(codes)) - len(values), _ROUND_WORDS))
+        users, used = values[0::2], values[1::2]
+        values = values[2 * len(used) :]
+        codes.update([user * n + other for user, other in zip(users, used) if user != other])
+    return codes
+
+
 def generate(params: GeneratorParams) -> ArchitectureSnapshot:
-    """Generate a valid snapshot; identical params and seed give identical output."""
+    """Generate a valid snapshot; identical params and seed give identical output.
+
+    Components' owners and dependency pairs are drawn in bulk, from the same Mersenne Twister words that one
+    rng.randrange call per value would read, so the snapshot and the generator's final state equal those of the loop.
+    """
     n = params.component_count
     wanted = params.dependency_density * n  # a finite density may still overflow to inf here
     edge_target = round(wanted) if math.isfinite(wanted) else wanted
@@ -117,18 +173,13 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         owners.append(Owner(f"t{i:04d}", f"team-{i}", OwnerKind.TEAM, evidence))
 
     ownership = tuple(
-        OwnershipAssignment(c.id, f"t{rng.randrange(params.team_count):04d}") for c in components
+        OwnershipAssignment(c.id, f"t{team:04d}")
+        for c, team in zip(components, _below(rng, params.team_count, n))
     )
 
     # Each pair (user, used) is stored as user * n + used: since used < n,
     # the ints sort in the same order as the pairs.
-    pairs: set[int] = set()
-    while len(pairs) < edge_target:
-        user = rng.randrange(n)
-        used = rng.randrange(n)
-        if user != used:
-            pairs.add(user * n + used)
-    order = sorted(pairs)
+    order = sorted(_pairs(rng, n, edge_target))
     dependencies = EdgeTable(
         tuple(ids[pair // n] for pair in order),
         tuple(ids[pair % n] for pair in order),

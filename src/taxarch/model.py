@@ -279,10 +279,12 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     """Check the structural invariants of a snapshot.
 
     Violations become findings; the function never raises, whatever a typed
-    field holds. Findings are sorted so the report is independent of
-    collection order.
+    field or a record container holds. Findings are sorted so the report is
+    independent of collection order.
 
-    Two phases. The first holds each typed field, an evidence record's
+    Two phases. The first holds the snapshot's `components`, `owners` and
+    `ownership` and each owner's `location_evidence` to a tuple or list of
+    exactly their record class, then each typed field, an evidence record's
     `source` and `recorded_at` included, to the exact type the parser gives
     it; any `field-type` finding ends validation, reported alone. The
     second, on a snapshot of the parser's types only, judges the id,
@@ -293,6 +295,20 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     clean snapshot never formats a message.
     """
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
+    findings = [
+        *_container_type("snapshot", snapshot.id, "components", components, Component),
+        *_container_type("snapshot", snapshot.id, "owners", owners, Owner),
+        *_container_type("snapshot", snapshot.id, "ownership", ownership, OwnershipAssignment),
+    ]
+    if not findings:  # each owner is an Owner
+        findings = [
+            finding
+            for o in owners
+            for finding in _container_type("owner", o.id, "location_evidence", o.location_evidence, LocationEvidence)
+        ]
+    if findings:
+        findings.sort()
+        return ValidationReport("failed", tuple(findings))
     edges = snapshot.dependencies
     users, used, kinds = edges.users, edges.used, edges.kinds
     cids, oids = [c.id for c in components], [o.id for o in owners]
@@ -354,6 +370,18 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
+
+
+def _container_type(what: str, key, field: str, container, record: type) -> list[Finding]:
+    """A field-type finding naming the first fault when `container` is not a tuple or list of exactly `record`s."""
+    if type(container) not in (tuple, list):
+        found = f"{field} of type {type(container).__name__}, not tuple or list"
+    elif {record}.issuperset(map(type, container)):
+        return []
+    else:
+        i = next(i for i, value in enumerate(container) if type(value) is not record)
+        found = f"{field}[{i}] of type {type(container[i]).__name__}, not {record.__name__}"
+    return [_finding("field-type", f"{what} {key!r} has {found}", str(key))]
 
 
 def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Sequence, type]) -> list[Finding]:

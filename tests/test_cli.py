@@ -213,6 +213,14 @@ def test_gen_infeasible_exit_2(tmp_path, capsys):
     assert main(["gen", "--components", "10", "--teams", "2", "--jurisdictions", "swe:1"]) == 2
 
 
+def test_gen_count_above_one_word_exit_2(capsys):
+    # Refused by GeneratorParams, before any of the 2**32 records is built.
+    assert main(["gen", "--components", "4294967296", "--teams", "1", "--density", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: component_count and team_count must be at most 4294967295\n"
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [

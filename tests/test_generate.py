@@ -1,12 +1,22 @@
+import importlib
 import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxarch.classify import aggregate, compute_stats
-from taxarch.generate import GenerationError, GeneratorParams, fixture, generate
+from taxarch.generate import MAX_COUNT, GenerationError, GeneratorParams, _below, _pairs, fixture, generate
 from taxarch.ingest import serialize_bundle
 from taxarch.model import validate_snapshot
 from taxarch.resolve import resolution_summary, resolve_jurisdictions
+
+from reference_generate import reference_below, reference_pairs
+
+# `taxarch.generate` the attribute is the function; the module is where `_ROUND_WORDS` lives.
+GENERATE_MODULE = importlib.import_module("taxarch.generate")
 
 
 def test_same_seed_gives_byte_identical_bundles():
@@ -64,6 +74,80 @@ def test_invalid_params_rejected():
         GeneratorParams(component_count=1, team_count=1, jurisdiction_weights=(("SWE", 0.4),))
     with pytest.raises(GenerationError):
         GeneratorParams(component_count=1, team_count=1, jurisdiction_weights=(("swe", 1.0),))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(MAX_COUNT + 1, 1), (1, MAX_COUNT + 1), (5_000_000_000, 5_000_000_000)],
+    ids=["components", "teams", "both"],
+)
+def test_counts_above_one_word_are_refused(counts):
+    with pytest.raises(GenerationError, match=f"at most {MAX_COUNT}"):
+        GeneratorParams(*counts)
+
+
+def test_counts_of_one_word_are_accepted():
+    # Only the parameters: generating this many records is not attempted.
+    assert GeneratorParams(MAX_COUNT, MAX_COUNT).component_count == MAX_COUNT
+
+
+# Counts at each side of a power of two, where the shift and the rejection rate of a draw change.
+EDGE_COUNTS = sorted({1, 2, 3, MAX_COUNT} | {c for j in range(2, 32) for c in (2**j - 1, 2**j, 2**j + 1)})
+
+
+@st.composite
+def count_and_target(draw):
+    """A count n and a pair target up to n * (n - 1): the full capacity for n <= 12, else at most 300."""
+    n = draw(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 12), st.integers(1, MAX_COUNT)))
+    capacity = n * (n - 1)
+    if n <= 12 and draw(st.booleans()):
+        return n, capacity
+    return n, draw(st.integers(0, min(capacity, 300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    drawn=count_and_target(),
+    count=st.integers(0, 300),
+    round_words=st.sampled_from([1, 2, 3, 5, 64, 65536]),
+)
+def test_bulk_draws_give_what_the_randrange_loops_give(seed, drawn, count, round_words):
+    # A small round cap makes every draw span many rounds, each carrying its odd value into the next.
+    n, target = drawn
+    with mock.patch.object(GENERATE_MODULE, "_ROUND_WORDS", round_words):
+        for helper, reference, wanted in ((_below, reference_below, count), (_pairs, reference_pairs, target)):
+            bulk, single = random.Random(seed), random.Random(seed)
+            assert helper(bulk, n, wanted) == reference(single, n, wanted)
+            assert bulk.getstate() == single.getstate()
+
+
+class _GivenWords(random.Random):
+    """A generator that reads the given 32-bit words as getrandbits reads Mersenne Twister's, and logs each request."""
+
+    def __init__(self, words):
+        super().__init__()
+        self.words, self.requests = iter(words), []
+
+    def getrandbits(self, k):
+        self.requests.append(k)
+        if k <= 32:
+            return next(self.words) >> (32 - k)
+        return sum(next(self.words) << 32 * i for i in range(k // 32))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 300, 2**31, MAX_COUNT])
+def test_bulk_draws_keep_exactly_the_words_below_the_limit(n):
+    # The words at each side of n << (32 - k), which random words almost never hit; the rounds hold at most 2 words.
+    limit = n << (32 - n.bit_length())
+    words = [limit, limit - 1, 2**32 - 1, 0, limit, 0, limit - 1, 0x12345678, 0x9ABCDEF0]
+    target = min(n * (n - 1), 2)
+    with mock.patch.object(GENERATE_MODULE, "_ROUND_WORDS", 2):
+        for helper, reference, wanted in ((_below, reference_below, 4), (_pairs, reference_pairs, target)):
+            bulk, single = _GivenWords(words), _GivenWords(words)
+            assert helper(bulk, n, wanted) == reference(single, n, wanted)
+            assert next(bulk.words) == next(single.words)
+            assert max(bulk.requests, default=0) <= 64
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,12 @@ CASES = {
         {},
         0,
     ),
+    # Several rounds of bulk draws, with rejected words and repeated pairs.
+    "gen-rounds": (
+        ["gen", "--components", "300", "--teams", "7", "--density", "30", "--unresolved-rate", "0.3", "--seed", "5"],
+        {},
+        0,
+    ),
     "validate-compact-date": (["validate", "in.json"], {"in.json": COMPACT_DATE}, 2),
     "report-week-date": (["report", "in.json", "--out-dir", "out"], {"in.json": WEEK_DATE}, 2),
 }

@@ -21,6 +21,8 @@ from taxarch.model import (
     EdgeTable,
     EvidenceSource,
     LocationEvidence,
+    Owner,
+    OwnerKind,
     OwnershipAssignment,
     validate_snapshot,
 )
@@ -445,6 +447,62 @@ def test_a_field_of_another_type_than_the_parser_gives_is_a_field_type_finding(s
 def test_a_snapshot_field_of_another_type_is_a_field_type_finding(small_snapshot, changes, message):
     report = validate_snapshot(dataclasses.replace(small_snapshot, **changes))
     assert [(f.code, f.message) for f in report.findings] == [("field-type", message)]
+
+
+def _with_first_owner(small_snapshot, location_evidence):
+    """`small_snapshot` whose owner 't1' holds `location_evidence` as given, not copied into a tuple."""
+    return dataclasses.replace(
+        small_snapshot, owners=(Owner("t1", "t1", OwnerKind.TEAM, location_evidence),) + small_snapshot.owners[1:]
+    )
+
+
+@pytest.mark.parametrize(
+    "change, message, ids",
+    [
+        (
+            lambda s: _with_first_owner(s, None),
+            "owner 't1' has location_evidence of type NoneType, not tuple or list",
+            ("t1",),
+        ),
+        (
+            lambda s: _with_first_owner(s, (s.owners[0].location_evidence[0], {"source": "explicit_assignment"})),
+            "owner 't1' has location_evidence[1] of type dict, not LocationEvidence",
+            ("t1",),
+        ),
+        (
+            lambda s: dataclasses.replace(s, components=7),
+            "snapshot 'test' has components of type int, not tuple or list",
+            ("test",),
+        ),
+        (
+            lambda s: dataclasses.replace(s, owners=(s.owners[0], "t2")),
+            "snapshot 'test' has owners[1] of type str, not Owner",
+            ("test",),
+        ),
+        (
+            lambda s: dataclasses.replace(s, ownership=iter(s.ownership)),
+            "snapshot 'test' has ownership of type tuple_iterator, not tuple or list",
+            ("test",),
+        ),
+    ],
+    ids=["evidence-none", "evidence-dict", "components-int", "owners-str", "ownership-iterator"],
+)
+def test_a_container_of_another_type_is_a_field_type_finding_alone(small_snapshot, change, message, ids):
+    # The first three raised TypeError, AttributeError and TypeError while validate built its columns.
+    report = validate_snapshot(change(small_snapshot))
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [("field-type", message, ids)]
+
+
+def test_list_containers_are_accepted(small_snapshot):
+    snapshot = _with_first_owner(small_snapshot, list(small_snapshot.owners[0].location_evidence))
+    snapshot = dataclasses.replace(
+        snapshot,
+        components=list(snapshot.components),
+        owners=list(snapshot.owners),
+        ownership=list(snapshot.ownership),
+    )
+    assert validate_snapshot(snapshot) == validate_snapshot(small_snapshot)
+    assert validate_snapshot(snapshot).status == "ok"
 
 
 def _with_first_owner_evidence(small_snapshot, *evidence):
