@@ -10,7 +10,10 @@ of `jsontext`, not built as a dict and handed to `json.dumps`, whose
 `indent` falls back to the pure-Python encoder. Every string goes through
 `json.encoder.encode_basestring`, the C escaper `json.dumps` itself uses
 with `ensure_ascii=False`, so the bytes equal
-`json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8.
+`json.dumps(doc, indent=2, ensure_ascii=False) + "\n"` in UTF-8. The
+document is encoded into one growing byte buffer, and its dependency
+records, nearly all of a large bundle, are formatted, joined and encoded
+a block at a time, so its text is never held whole as a str.
 
 A parsed document is read in one pass, one loop per record type. Each
 record meets one test of its field names, exact type checks and a dict
@@ -388,21 +391,65 @@ def _evidence_record(ev: LocationEvidence) -> str:
     )
 
 
+class UnencodableStringError(IngestError):
+    """A snapshot string holds an unpaired surrogate, so its bundle cannot be written as UTF-8."""
+
+
+# Dependency records formatted, joined and encoded at once: the largest text held beside the buffer.
+_BLOCK_RECORDS = 4096
+
+
 def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
-    """Serialize to the canonical bundle form (byte-stable for equal snapshots)."""
+    """Serialize to the canonical bundle form (byte-stable for equal snapshots).
+
+    The document is written into one growing byte buffer: the header and
+    components, then the dependency records a block of `_BLOCK_RECORDS` at
+    a time, then the owners and ownership. Raises `UnencodableStringError`,
+    naming the record and field as the parser does, when a string holds an
+    unpaired surrogate.
+    """
+    buffer = io.BytesIO()
+    try:
+        for piece in _bundle_text(snapshot):
+            buffer.write(piece.encode("utf-8"))
+    except UnicodeEncodeError:
+        # Only a failed write pays for the search: the document's text, read back, is walked for the string.
+        data = json.loads("".join(_bundle_text(snapshot)))
+        where = next(where for where, text in _strings(data, "") if _SURROGATE.search(text))
+        raise UnencodableStringError(f"{where} holds an unpaired surrogate, which UTF-8 cannot encode") from None
+    return buffer.getvalue()
+
+
+def _bundle_text(snapshot: ArchitectureSnapshot):
+    """The canonical bundle's text in pieces whose concatenation is the document."""
     components = [
         f'    {{\n      "id": {_quote(c.id)},\n      "name": {_quote(c.name)},\n'
         f'      "kind": {_JSON_VALUE[c.kind]},\n      "status": {_JSON_VALUE[c.status]}\n    }}'
         for c in sorted(snapshot.components, key=lambda c: c.id)
     ]
+    yield (
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "snapshot_id": {_quote(snapshot.id)},\n'
+        f'  "taken_at": {_quote(snapshot.taken_at.isoformat())},\n'
+        f'  "components": {_array(components, "  ")},\n  "dependencies": '
+    )
+    del components  # a suspended generator would hold it, and `rows` below, until the document ends
     # Sorted by (user, owner_component, kind); the row index keeps equal edges in their order, as a stable sort would.
     edges = snapshot.dependencies
     multiplicities = edges.multiplicities
-    dependencies = [
-        f'    {{\n      "user": {_quote(user)},\n      "owner_component": {_quote(used)},\n'
-        f'      "kind": {_JSON_VALUE[kind]},\n      "multiplicity": {int.__repr__(multiplicities[i])}\n    }}'
-        for user, used, kind, i in sorted(zip(edges.users, edges.used, edges.kinds, range(len(edges))))
-    ]
+    rows = sorted(zip(edges.users, edges.used, edges.kinds, range(len(edges))))
+    if rows:
+        # Each block is a run of the array's items; a seam between two blocks is the separator between two items.
+        for start in range(0, len(rows), _BLOCK_RECORDS):
+            yield ",\n" if start else "[\n"
+            yield ",\n".join([
+                f'    {{\n      "user": {_quote(user)},\n      "owner_component": {_quote(used)},\n'
+                f'      "kind": {_JSON_VALUE[kind]},\n      "multiplicity": {int.__repr__(multiplicities[i])}\n    }}'
+                for user, used, kind, i in rows[start : start + _BLOCK_RECORDS]
+            ])
+        yield "\n  ]"
+    else:
+        yield "[]"
+    del rows
     owners = [
         f'    {{\n      "id": {_quote(o.id)},\n      "name": {_quote(o.name)},\n      "kind": {_JSON_VALUE[o.kind]},\n'
         f'      "location_evidence": {_array([_evidence_record(ev) for ev in o.location_evidence], "      ")}\n    }}'
@@ -412,12 +459,7 @@ def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
         f'    {{\n      "component": {_quote(a.component)},\n      "owner": {_quote(a.owner)}\n    }}'
         for a in sorted(snapshot.ownership, key=lambda a: (a.component, a.owner))
     ]
-    return (
-        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "snapshot_id": {_quote(snapshot.id)},\n'
-        f'  "taken_at": {_quote(snapshot.taken_at.isoformat())},\n'
-        f'  "components": {_array(components, "  ")},\n  "dependencies": {_array(dependencies, "  ")},\n'
-        f'  "owners": {_array(owners, "  ")},\n  "ownership": {_array(ownership, "  ")}\n}}\n'
-    ).encode("utf-8")
+    yield f',\n  "owners": {_array(owners, "  ")},\n  "ownership": {_array(ownership, "  ")}\n}}\n'
 
 
 class CsvError(IngestError):

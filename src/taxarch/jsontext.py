@@ -15,9 +15,13 @@ from collections.abc import Iterable
 from json.encoder import encode_basestring as quote
 
 
+# A name, since an f-string expression may not hold a backslash before Python 3.12.
+_SEPARATOR = ",\n"
+
+
 def array(items: list[str], indent: str) -> str:
     """An array of items already formatted at `indent` plus two spaces; it closes at `indent`, and is `[]` if empty."""
-    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+    return f"[\n{_SEPARATOR.join(items)}\n{indent}]" if items else "[]"
 
 
 def strings(values: Iterable[str], indent: str) -> str:

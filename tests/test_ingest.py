@@ -1,22 +1,27 @@
+import dataclasses
 import json
 import re
+import tracemalloc
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxarch.generate import fixture
+from taxarch import ingest
+from taxarch.generate import GeneratorParams, fixture, generate
 from taxarch.ingest import (
     BundleParseError,
     CsvError,
     SchemaError,
+    UnencodableStringError,
     UnsupportedVersionError,
     assemble_from_csv,
     parse_bundle,
     serialize_bundle,
 )
-from taxarch.model import UNKNOWN, ArchitectureSnapshot, validate_snapshot
+from taxarch.model import UNKNOWN, ArchitectureSnapshot, EvidenceSource, LocationEvidence, validate_snapshot
 
 from conftest import TODAY
 
@@ -184,6 +189,51 @@ def test_escaped_backslash_and_paired_surrogates_accepted(escaped, text):
     snapshot = parse_bundle(_devnullsoft_text_with(("snapshot_id",), escaped).encode())
     assert snapshot.id == text
     assert parse_bundle(serialize_bundle(snapshot)) == snapshot
+
+
+def test_serialize_peak_memory_stays_below_two_and_a_half_times_the_output():
+    # Holding the document's text whole, and copying it to join and encode it, peaks near 3.6 times.
+    snapshot = generate(
+        GeneratorParams(component_count=2000, team_count=50, dependency_density=10, unresolved_rate=0.3, seed=3)
+    )
+    tracemalloc.start()
+    try:
+        data = serialize_bundle(snapshot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snapshot.dependencies) == 20000
+    assert peak < 2.5 * len(data)
+
+
+# The place is counted in the document as written, whose records are sorted.
+@pytest.mark.parametrize(
+    "collection, pick, changes, field",
+    [
+        ("components", lambda c: c.id == "svc-31", {"name": "svc \ud800"}, "components[7].name"),
+        (
+            "dependencies",
+            lambda e: e.user == "svc-71",
+            {"owner_component": "svc-70\udfff"},
+            "dependencies[16].owner_component",
+        ),
+        (
+            "owners",
+            lambda o: o.id == "team-ab-platform",
+            {"location_evidence": (LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE\ude80", TODAY),)},
+            "owners[1].location_evidence[0].payload",
+        ),
+    ],
+    ids=["component-name", "edge-in-a-later-block", "evidence-payload"],
+)
+@pytest.mark.parametrize("block", [3, ingest._BLOCK_RECORDS])
+def test_unencodable_string_is_a_typed_error_naming_its_field(collection, pick, changes, field, block):
+    snapshot = fixture("devnullsoft")
+    records = tuple(dataclasses.replace(r, **changes) if pick(r) else r for r in getattr(snapshot, collection))
+    snapshot = dataclasses.replace(snapshot, **{collection: records})
+    with mock.patch.object(ingest, "_BLOCK_RECORDS", block), pytest.raises(UnencodableStringError) as exc:
+        serialize_bundle(snapshot)
+    assert str(exc.value) == f"{field} holds an unpaired surrogate, which UTF-8 cannot encode"
 
 
 EDGES = "user,owner_component\nbilling,auth\ncatalog,auth\ncatalog,billing\n"

@@ -10,11 +10,13 @@ import typing
 from datetime import date, datetime, timedelta
 from enum import Enum
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxarch import ingest
 from taxarch.classify import EdgeClass, ScopePolicy, aggregate, apply_scope_filter, classify_edge, compute_stats
 from taxarch.cli import main
 from taxarch.diff import diff_snapshots, run_pipeline
@@ -312,6 +314,39 @@ def test_serialize_matches_json_dumps_and_round_trips(snapshot):
     data = serialize_bundle(snapshot)
     assert data == reference_bundle(snapshot)
     assert serialize_bundle(parse_bundle(data)) == data
+
+
+# The snapshots above hold at most four edges, far fewer than one block, so the
+# serializer's block constant is cut down to put seams between their records.
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(any_snapshots)
+def test_serialize_matches_json_dumps_across_block_seams(block, snapshot):
+    with mock.patch.object(ingest, "_BLOCK_RECORDS", block):
+        data = serialize_bundle(snapshot)
+        assert data == reference_bundle(snapshot)
+        assert serialize_bundle(parse_bundle(data)) == data
+
+
+# Ids of one to four UTF-8 bytes per character, and a character JSON writes as is.
+SEAM_IDS = ("a", "é", "日本", "\U0001d11e", "z\u2028")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_serialize_matches_json_dumps_at_edge_counts_around_a_block(block):
+    components = tuple(
+        Component(f"{x}{i}", x, ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION) for i, x in enumerate(SEAM_IDS)
+    )
+    for n in sorted({0, 1, block - 1, block, block + 1, 2 * block, 2 * block + 1}):
+        edges = tuple(
+            DependencyEdge(components[i % 5].id, components[(i * 2 + 1) % 5].id, tuple(DependencyKind)[i % 2], i + 1)
+            for i in range(n)
+        )
+        snapshot = ArchitectureSnapshot("snapshot-日本", date(2023, 1, 1), components, edges, (), ())
+        with mock.patch.object(ingest, "_BLOCK_RECORDS", block):
+            data = serialize_bundle(snapshot)
+            assert data == reference_bundle(snapshot), n
+            assert serialize_bundle(parse_bundle(data)) == data
 
 
 @given(snapshots(), st.integers(min_value=0, max_value=100))

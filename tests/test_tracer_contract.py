@@ -2,8 +2,8 @@
 package (`perfbench/tracer.py`, table `LAYER_OF_SPAN`). Renaming or
 unbinding one of those names breaks traced benchmark runs, so the
 contract is checked here by installing the tracer and taking it out, and
-by tracing a `report` and a `diff` to see that the wrapped names are
-called."""
+by tracing a `report`, a `diff` and a `gen` to see that the wrapped names
+are called."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +51,10 @@ def test_traced_names_are_called_and_owner_of_is_built_once_per_snapshot(tmp_pat
         assert metrics["classify.aggregate_edges"] > 0
         for span in ("classify.scope_s", "classify.aggregate_s", "resolve.resolve_s"):
             assert metrics[span] > 0, span
+
+
+def test_traced_gen_serializes_inside_the_span_the_benchmark_reads(tmp_path):
+    out = tmp_path / "gen.json"
+    metrics = _traced(["gen", "--components", "60", "--teams", "6", "--density", "3", "--seed", "3", "--out", str(out)])
+    assert metrics["ingest.serialize_bytes"] == out.stat().st_size
+    assert metrics["generate.edges"] > 0
