@@ -125,17 +125,14 @@ def _pairs(rng: random.Random, n: int, target: int) -> set[int]:
     """What the loop of single draws holds: pairs of rng.randrange(n) with user != used, coded user * n + used,
     added to a set until it holds `target` codes.
 
-    For 0 < n < 2**32 and target <= n * (n - 1). A round draws at most two words per missing code, less the accepted
-    value carried over from the last round, and each pair adds at most one code, so the set can reach `target` only at
-    a round's last pair: it never draws a word that the loop would not.
+    For 0 < n < 2**32 and target <= n * (n - 1). A round draws the values of at most as many pairs as codes are
+    still missing, and each pair adds at most one code, so the set can reach `target` only at a round's last pair:
+    it never draws a word that the loop would not.
     """
     codes: set[int] = set()
-    values: list[int] = []  # an accepted value whose partner is not drawn yet
     while len(codes) < target:
-        values += _accepted(rng, n, min(2 * (target - len(codes)) - len(values), _ROUND_WORDS))
-        users, used = values[0::2], values[1::2]
-        values = values[2 * len(used) :]
-        codes.update([user * n + other for user, other in zip(users, used) if user != other])
+        values = _below(rng, n, 2 * min(target - len(codes), _ROUND_WORDS))
+        codes.update([user * n + used for user, used in zip(values[0::2], values[1::2]) if user != used])
     return codes
 
 

@@ -15,19 +15,19 @@ document is encoded into one growing byte buffer, and its dependency
 records, nearly all of a large bundle, are formatted, joined and encoded
 a block at a time, so its text is never held whole as a str.
 
-A parsed document is read in one pass, one loop per record type. Each
-record meets one test of its field names, exact type checks and a dict
-lookup per enum value. A message is formatted only where a check fails:
-it names the first faulty record and field, and a well-formed bundle
-formats none. A string holding an unpaired surrogate, which UTF-8 cannot
-encode, is refused too.
+Every record list of a parsed document is read column by column by one
+reader, from its record type's schema: a tuple of (field, default, kind).
+A list meets one test of its records' field names, then each column one
+rule of its field's kind: an exact-type test, an enum lookup or a date
+parse. A well-formed bundle formats no message. When a list fails, a
+block-first walk reads it again a block at a time with the same rules
+and walks the first failing block record by record, so the message
+names the first faulty record and field. A string holding an unpaired
+surrogate, which UTF-8 cannot encode, is refused too.
 
 A snapshot's `dependencies` is a `model.EdgeTable`: four parallel
 columns (users, used components, kinds, multiplicities) that iterate as
-`DependencyEdge` rows. The parser fills the columns directly, column by
-column when every edge record has its four fields, as the serializer
-writes them, and they hold no fault; any other list of edge records goes
-through the record loop, which names the first fault.
+`DependencyEdge` rows; the parser builds it from the edge columns it reads.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import json
 import operator
 import re
 from datetime import date
+from itertools import chain, islice
 
 from .jsontext import array as _array
 from .jsontext import quote as _quote
@@ -88,26 +89,21 @@ _TOP_LEVEL_KEYS = (
     "ownership",
 )
 
-# Each record type's fields, in the order a message lists the missing ones,
-# and as a set for the one subset or equality test of a record's field names.
-_COMPONENT_FIELDS = ("id", "name", "kind", "status")
-_EDGE_ENDPOINTS = ("user", "owner_component")
-_OWNER_FIELDS = ("id", "name", "kind")
-_EVIDENCE_FIELDS = ("source", "payload", "recorded_at")
-_ASSIGNMENT_FIELDS = ("component", "owner")
-_COMPONENT_KEYS = frozenset(_COMPONENT_FIELDS)
-_EDGE_KEYS = frozenset(_EDGE_ENDPOINTS + ("kind", "multiplicity"))
-_OWNER_REQUIRED = frozenset(_OWNER_FIELDS)
-_OWNER_KEYS = _OWNER_REQUIRED | {"location_evidence"}
-_EVIDENCE_KEYS = frozenset(_EVIDENCE_FIELDS)
-_ASSIGNMENT_KEYS = frozenset(_ASSIGNMENT_FIELDS)
-
 _ENUMS = (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSource)
 _MEMBER = {enum: {member.value: member for member in enum} for enum in _ENUMS}
 
+# Each record type's fields as (name, default, kind), in the order a record's fields are judged; the default `...`
+# marks a required field. The kind names the field's rule in `_read`: str, int (positive), date, an enum, "payload"
+# (shaped by the record's source) or LocationEvidence (a list of evidence records).
+_COMPONENT = (("id", ..., str), ("name", ..., str), ("kind", ..., ComponentKind), ("status", ..., ComponentStatus))
+_EDGE = (("user", ..., str), ("owner_component", ..., str), ("multiplicity", 1, int), ("kind", "use", DependencyKind))
+_OWNER = (("id", ..., str), ("name", ..., str), ("location_evidence", [], LocationEvidence), ("kind", ..., OwnerKind))
+_EVIDENCE = (("source", ..., EvidenceSource), ("payload", ..., "payload"), ("recorded_at", ..., date))
+_ASSIGNMENT = (("component", ..., str), ("owner", ..., str))
+
 
 def _require_keys(
-    obj, allowed: frozenset | tuple, required: tuple[str, ...], where: str, strings: tuple[str, ...] = ()
+    obj, allowed: tuple[str, ...], required: tuple[str, ...], where: str, strings: tuple[str, ...] = ()
 ) -> None:
     """Check that `obj` is an object with known fields, the required ones, and a string in each of `strings`."""
     if not isinstance(obj, dict):
@@ -148,26 +144,20 @@ def _listed(names: list) -> str:
     return ", ".join(map(_shown, names[:3])) + (f" and {len(names) - 3} more" if len(names) > 3 else "")
 
 
-def _unknown_value(value, field: str) -> SchemaError:
-    return SchemaError(f"unknown value {_shown(value)} for field {field!r}")
-
-
 # The one date form the serializer writes. `date.fromisoformat` alone accepts
 # more from Python 3.11 on (e.g. "20230401", "2023-W13-6"), so a bundle's
 # validity would depend on the interpreter.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
-def _parse_date(value, field: str, *place: int) -> date:
-    """The date `value` writes; a failure names `field.format(*place)`, formatted only then."""
-    if not isinstance(value, str):
-        raise SchemaError(f"field {field.format(*place)!r} must be an ISO-8601 date string")
-    if _ISO_DATE(value):
+def _parse_date(text: str, field: str) -> date:
+    """The date `text` writes; a failure names `field`."""
+    if _ISO_DATE(text):
         try:
-            return date.fromisoformat(value)
+            return date.fromisoformat(text)
         except ValueError:
             pass
-    raise SchemaError(f"field {field.format(*place)!r} is not a valid ISO-8601 date: {_shown(value)}")
+    raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(text)}")
 
 
 # A JSON escape of a UTF-16 surrogate, paired or not, and a surrogate itself.
@@ -232,151 +222,117 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     dependencies = _dependencies(_require_array(data["dependencies"], "dependencies"))
     owners = _owners(_require_array(data["owners"], "owners"))
     ownership = _ownership(_require_array(data["ownership"], "ownership"))
-    return ArchitectureSnapshot(
-        data["snapshot_id"], _parse_date(data["taken_at"], "taken_at"), components, dependencies, owners, ownership
-    )
-
-
-# One loop per record type. Each record's string fields are read in a try
-# (a record that is not an object, or lacks one, reads as None) and meet
-# exact type checks, json.loads making only values of the exact built-in
-# types; then one test of its field names and a dict lookup per enum value.
-# A message is formatted only on the branch that raises. When the field
-# test fails, `_require_keys` runs on the record to say which field is
-# wrong, and it always raises there.
+    taken_at = _read(date, (data["taken_at"],), "taken_at", {})[0]
+    return ArchitectureSnapshot(data["snapshot_id"], taken_at, components, dependencies, owners, ownership)
 
 
 def _components(records: list) -> tuple[Component, ...]:
-    kinds, statuses = _MEMBER[ComponentKind], _MEMBER[ComponentStatus]
-    components = []
-    for i, c in enumerate(records):
-        try:
-            cid, name = c["id"], c["name"]
-        except (KeyError, TypeError):
-            cid = name = None
-        if type(cid) is not str or type(name) is not str or c.keys() != _COMPONENT_KEYS:
-            _require_keys(c, _COMPONENT_KEYS, _COMPONENT_FIELDS, f"components[{i}]", ("id", "name"))
-        try:
-            kind = kinds[c["kind"]]
-        except (KeyError, TypeError):
-            raise _unknown_value(c["kind"], f"components[{i}].kind") from None
-        try:
-            status = statuses[c["status"]]
-        except (KeyError, TypeError):
-            raise _unknown_value(c["status"], f"components[{i}].status") from None
-        components.append(Component(cid, name, kind, status))
-    return tuple(components)
-
-
-# A getter of each of an edge record's four fields, in column order.
-_EDGE_COLUMNS = tuple(map(operator.itemgetter, (*_EDGE_ENDPOINTS, "kind", "multiplicity")))
+    return tuple(map(Component, *_records(_COMPONENT, records, "components").values()))
 
 
 def _dependencies(records: list) -> EdgeTable:
-    """The edge columns, read column by column when every record is an object of the four fields holding no fault.
-
-    Each column then meets one exact-type test. Anything else sends the whole list to `_dependency_rows`, which
-    accepts what it accepts and names the first fault of the rest: a record of another length; one that is not an
-    object, whose length or field read raises TypeError; a field other than the four; an unknown or unhashable kind.
-    """
-    try:
-        if records and {4}.issuperset(map(len, records)):
-            users, used, kinds, multiplicities = (tuple(map(field, records)) for field in _EDGE_COLUMNS)
-            if (
-                {str}.issuperset(map(type, users))
-                and {str}.issuperset(map(type, used))
-                and {int}.issuperset(map(type, multiplicities))
-                and min(multiplicities) >= 1
-            ):
-                return EdgeTable(users, used, tuple(map(_MEMBER[DependencyKind].__getitem__, kinds)), multiplicities)
-    except (KeyError, TypeError):
-        pass
-    return EdgeTable.from_rows(_dependency_rows(records))
-
-
-def _dependency_rows(records: list) -> list[tuple]:
-    kinds = _MEMBER[DependencyKind]
-    rows = []
-    for i, e in enumerate(records):
-        try:
-            user, used = e["user"], e["owner_component"]
-        except (KeyError, TypeError):
-            user = used = None
-        if type(user) is not str or type(used) is not str or not e.keys() <= _EDGE_KEYS:
-            _require_keys(e, _EDGE_KEYS, _EDGE_ENDPOINTS, f"dependencies[{i}]", _EDGE_ENDPOINTS)
-        multiplicity = e.get("multiplicity", 1)
-        if type(multiplicity) is not int or multiplicity < 1:
-            raise SchemaError(f"dependencies[{i}].multiplicity must be a positive integer")
-        try:
-            kind = kinds[e.get("kind", "use")]
-        except (KeyError, TypeError):
-            raise _unknown_value(e["kind"], f"dependencies[{i}].kind") from None
-        rows.append((user, used, kind, multiplicity))
-    return rows
+    users, used, multiplicities, kinds = _records(_EDGE, records, "dependencies").values()
+    return EdgeTable(users, used, kinds, multiplicities)
 
 
 def _owners(records: list) -> tuple[Owner, ...]:
-    kinds = _MEMBER[OwnerKind]
-    dates: dict[str, date] = {}  # recorded_at text -> its date, each distinct text parsed once
-    owners = []
-    for i, o in enumerate(records):
-        try:
-            oid, name = o["id"], o["name"]
-        except (KeyError, TypeError):
-            oid = name = None
-        if type(oid) is not str or type(name) is not str or not _OWNER_REQUIRED <= o.keys() <= _OWNER_KEYS:
-            _require_keys(o, _OWNER_KEYS, _OWNER_FIELDS, f"owners[{i}]", ("id", "name"))
-        evidence = _evidence(o.get("location_evidence", []), i, dates)
-        try:
-            kind = kinds[o["kind"]]
-        except (KeyError, TypeError):
-            raise _unknown_value(o["kind"], f"owners[{i}].kind") from None
-        owners.append(Owner(oid, name, kind, evidence))
-    return tuple(owners)
-
-
-def _evidence(records, owner: int, dates: dict[str, date]) -> tuple[LocationEvidence, ...]:
-    """The `location_evidence` of the owner at index `owner`; `dates` holds the dates parsed so far."""
-    if type(records) is not list:
-        _require_array(records, f"owners[{owner}].location_evidence")
-    sources = _MEMBER[EvidenceSource]
-    evidence = []
-    for j, ev in enumerate(records):
-        if type(ev) is not dict or ev.keys() != _EVIDENCE_KEYS:
-            _require_keys(ev, _EVIDENCE_KEYS, _EVIDENCE_FIELDS, f"owners[{owner}].location_evidence[{j}]")
-        try:
-            source = sources[ev["source"]]
-        except (KeyError, TypeError):
-            raise _unknown_value(ev["source"], f"owners[{owner}].location_evidence[{j}].source") from None
-        payload = ev["payload"]
-        if source is EvidenceSource.MEMBER_LOCATIONS:
-            if type(payload) is not list or not all(type(p) is str for p in payload):
-                raise SchemaError(
-                    f"owners[{owner}].location_evidence[{j}].payload must be a list of jurisdiction codes"
-                )
-            payload = tuple(payload)
-        elif type(payload) is not str:
-            raise SchemaError(f"owners[{owner}].location_evidence[{j}].payload must be a jurisdiction code string")
-        try:
-            recorded_at = dates[ev["recorded_at"]]
-        except (KeyError, TypeError):  # a new text, or an unhashable value
-            text = ev["recorded_at"]
-            recorded_at = dates[text] = _parse_date(text, "owners[{}].location_evidence[{}].recorded_at", owner, j)
-        evidence.append(LocationEvidence(source, payload, recorded_at))
-    return tuple(evidence)
+    ids, names, evidence, kinds = _records(_OWNER, records, "owners").values()
+    return tuple(map(Owner, ids, names, kinds, evidence))
 
 
 def _ownership(records: list) -> tuple[OwnershipAssignment, ...]:
-    ownership = []
-    for i, a in enumerate(records):
+    return tuple(map(OwnershipAssignment, *_records(_ASSIGNMENT, records, "ownership").values()))
+
+
+# Records a fault walk reads at once: the largest run it walks record by record.
+_WALK_RECORDS = 1024
+
+
+def _records(schema: tuple, records: list, where: str) -> dict[str, tuple]:
+    """The columns of `records` by field name, read whole by `_columns`; a fault raises the SchemaError naming it.
+
+    The fault walk reads the list again a block of `_WALK_RECORDS` at a time and walks the first block that fails
+    record by record: `_require_keys`, then `_columns` on a list of the one record. A list fails exactly when one of
+    its records fails alone, so the walk names the first faulty record and, in it, the first faulty field.
+    """
+    try:
+        return _columns(schema, records, where)
+    except (KeyError, TypeError, SchemaError):
+        pass
+    allowed = tuple(name for name, _, _ in schema)
+    required = tuple(name for name, default, _ in schema if default is ...)
+    strings = tuple(name for name, _, kind in schema if kind is str)
+    for start in range(0, len(records), _WALK_RECORDS):
+        block = records[start : start + _WALK_RECORDS]
         try:
-            component, owner = a["component"], a["owner"]
-        except (KeyError, TypeError):
-            component = owner = None
-        if type(component) is not str or type(owner) is not str or a.keys() != _ASSIGNMENT_KEYS:
-            _require_keys(a, _ASSIGNMENT_KEYS, _ASSIGNMENT_FIELDS, f"ownership[{i}]", _ASSIGNMENT_FIELDS)
-        ownership.append(OwnershipAssignment(component, owner))
-    return tuple(ownership)
+            _columns(schema, block, where)
+        except (KeyError, TypeError, SchemaError):
+            for i, record in enumerate(block, start):
+                _require_keys(record, allowed, required, f"{where}[{i}]", strings)
+                _columns(schema, [record], f"{where}[{i}]")
+    raise SchemaError(f"{where} cannot be read")  # not reached: a list fails only where one of its records does
+
+
+def _columns(schema: tuple, records: list, where: str) -> dict[str, tuple]:
+    """Each field's column of `records` by its name, read a column at a time by the field's rule in `_read`.
+
+    A list whose records all have as many fields as the schema, the serializer's form, reads every field with
+    `itemgetter`, which proves the field names too. Any other list must hold objects of known field names, and
+    reads a required field with `itemgetter` and one with a default by `dict.get`. A fault raises SchemaError,
+    KeyError or TypeError; for a list of one record that `_require_keys` accepts, it is the SchemaError that names
+    the fault.
+    """
+    full = {len(schema)}.issuperset(map(len, records))
+    names = {name for name, _, _ in schema}
+    if not full and not ({dict}.issuperset(map(type, records)) and names.issuperset(chain.from_iterable(records))):
+        raise SchemaError(f"unknown field(s) in {where}")
+    read: dict[str, tuple] = {}
+    for name, default, kind in schema:
+        if full or default is ...:
+            values = tuple(map(operator.itemgetter(name), records))
+        else:
+            values = tuple(record.get(name, default) for record in records)
+        read[name] = _read(kind, values, f"{where}.{name}", read)
+    return read
+
+
+def _read(kind, values: tuple, where: str, read: dict[str, tuple]) -> tuple:
+    """The column `values` of a field of kind `kind`, as the records hold it; `read` holds the columns before it.
+
+    A fault raises SchemaError naming `where`, the field, and any value it shows is the column's first: the fault
+    walk reads one record at a time.
+    """
+    if kind is str:
+        if {str}.issuperset(map(type, values)):
+            return values
+        raise SchemaError(f"{where} must be a string")
+    if kind is int:
+        if {int}.issuperset(map(type, values)) and min(values, default=1) >= 1:
+            return values
+        raise SchemaError(f"{where} must be a positive integer")
+    if kind is date:  # each distinct text parsed once
+        if not {str}.issuperset(map(type, values)):
+            raise SchemaError(f"field {where!r} must be an ISO-8601 date string")
+        dates = {text: _parse_date(text, where) for text in set(values)}
+        return tuple(map(dates.__getitem__, values))
+    if kind == "payload":  # a member_locations payload is a list of strings, any other a string
+        lists = [source is EvidenceSource.MEMBER_LOCATIONS for source in read["source"]]
+        if all(
+            type(p) is list and {str}.issuperset(map(type, p)) if is_list else type(p) is str
+            for is_list, p in zip(lists, values)
+        ):
+            return values
+        shape = "a list of jurisdiction codes" if lists[0] else "a jurisdiction code string"
+        raise SchemaError(f"{where} must be {shape}")
+    if kind is LocationEvidence:  # each owner's list flattened, read as one list and regrouped
+        if not {list}.issuperset(map(type, values)):
+            raise SchemaError(f"{where} must be a JSON array")
+        evidence = map(LocationEvidence, *_records(_EVIDENCE, list(chain.from_iterable(values)), where).values())
+        return tuple(tuple(islice(evidence, len(records))) for records in values)
+    try:
+        return tuple(map(_MEMBER[kind].__getitem__, values))
+    except (KeyError, TypeError):
+        raise SchemaError(f"unknown value {_shown(values[0])} for field {where!r}") from None
 
 
 # The JSON string of every enum value, escaped once instead of per record.
@@ -485,6 +441,10 @@ def _read_csv(text: str, expected_header: list[str], optional: int, what: str) -
     return rows[1:]
 
 
+# An integer as a CSV edge row writes it; `int` alone also reads "1_000", " 7 ", "+3" and other scripts' digits.
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
+
+
 def assemble_from_csv(
     edges_csv: str,
     ownership_csv: str,
@@ -517,10 +477,12 @@ def assemble_from_csv(
         user, owner_component = row[0], row[1]
         try:
             kind = DependencyKind(row[2]) if len(row) > 2 and row[2] else DependencyKind.USE
-            multiplicity = int(row[3]) if len(row) > 3 and row[3] else 1
         except ValueError as exc:
             raise CsvError(f"edges: row {i}: {exc}") from None
-        dependencies.append((user, owner_component, kind, multiplicity))
+        multiplicity = row[3] if len(row) > 3 and row[3] else "1"
+        if not _INTEGER(multiplicity):
+            raise CsvError(f"edges: row {i}: multiplicity {_shown(multiplicity)} is not an integer written in digits")
+        dependencies.append((user, owner_component, kind, int(multiplicity)))
         component_ids.update((user, owner_component))
 
     ownership = tuple(OwnershipAssignment(*row) for row in dict.fromkeys(map(tuple, ownership_rows)))

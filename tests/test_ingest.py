@@ -21,7 +21,17 @@ from taxarch.ingest import (
     parse_bundle,
     serialize_bundle,
 )
-from taxarch.model import UNKNOWN, ArchitectureSnapshot, EvidenceSource, LocationEvidence, validate_snapshot
+from taxarch.model import (
+    UNKNOWN,
+    ArchitectureSnapshot,
+    Component,
+    DependencyEdge,
+    EvidenceSource,
+    LocationEvidence,
+    Owner,
+    OwnershipAssignment,
+    validate_snapshot,
+)
 
 from conftest import TODAY
 
@@ -319,11 +329,53 @@ def test_wrongly_typed_nodes_raise_schema_error(mutate):
         parse_bundle(json.dumps(doc))
 
 
-@pytest.mark.parametrize("row", ["billing,auth,use,x", "billing,auth,zzz,1"])
+@pytest.mark.parametrize(
+    "schema, record",
+    [
+        (ingest._COMPONENT, Component),
+        (ingest._EDGE, DependencyEdge),
+        (ingest._OWNER, Owner),
+        (ingest._EVIDENCE, LocationEvidence),
+        (ingest._ASSIGNMENT, OwnershipAssignment),
+    ],
+    ids=["Component", "DependencyEdge", "Owner", "LocationEvidence", "OwnershipAssignment"],
+)
+def test_each_parser_schema_names_the_fields_of_its_record(schema, record):
+    assert sorted(name for name, _, _ in schema) == sorted(field.name for field in dataclasses.fields(record))
+
+
+def test_the_fault_walk_reads_a_fault_in_the_last_record_a_block_at_a_time():
+    records = [{"user": f"u{i}", "owner_component": "b", "kind": "use", "multiplicity": 1} for i in range(20_000)]
+    records[-1]["multiplicity"] = 0
+    with mock.patch.object(ingest, "_require_keys", wraps=ingest._require_keys) as require_keys:
+        with pytest.raises(SchemaError, match=r"^dependencies\[19999\]\.multiplicity must be a positive integer$"):
+            ingest._dependencies(records)
+    assert 0 < require_keys.call_count <= ingest._WALK_RECORDS
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "billing,auth,use,x",
+        "billing,auth,zzz,1",
+        "billing,auth,use,1_000",
+        "billing,auth,use, 7 ",
+        "billing,auth,use,+3",
+        "billing,auth,use,\u0663",
+    ],
+)
 def test_assemble_rejects_bad_edge_field(row):
     edges = "user,owner_component,kind,multiplicity\n" + row + "\n"
     with pytest.raises(CsvError, match="row 2"):
         assemble_from_csv(edges, OWNERSHIP, JURISDICTIONS, TODAY)
+
+
+@pytest.mark.parametrize("multiplicity", ["0", "-2"])
+def test_assemble_keeps_a_multiplicity_below_one_for_validate(multiplicity):
+    edges = f"user,owner_component,kind,multiplicity\nbilling,auth,use,{multiplicity}\n"
+    snapshot = assemble_from_csv(edges, OWNERSHIP, JURISDICTIONS, TODAY)
+    assert snapshot.dependencies.multiplicities == (int(multiplicity),)
+    assert _findings(snapshot) == [("invalid-multiplicity", ("billing", "auth"))]
 
 
 @pytest.mark.parametrize("what", ["edges", "ownership", "jurisdictions"])

@@ -25,7 +25,6 @@ from taxarch.ingest import (
     IngestError,
     _components,
     _dependencies,
-    _evidence,
     _owners,
     _ownership,
     parse_bundle,
@@ -594,9 +593,9 @@ FIELD_NAMES = (
 
 
 @st.composite
-def mutated_records(draw, records):
+def mutated_records(draw, records, max_size=4):
     """A list of well-formed records with up to three nodes anywhere in it replaced, dropped or added."""
-    doc = draw(st.lists(records, max_size=4))
+    doc = draw(st.lists(records, max_size=max_size))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         *parents, last = draw(st.sampled_from([p for p, _ in _nodes(doc) if p] or [(0,)]))
         parent = doc
@@ -632,7 +631,7 @@ PARSERS = {
     "dependencies": (_dependencies, _checked_dependencies, dependency_records),
     "owners": (_owners, _checked_owners, owner_records),
     "evidence": (
-        lambda records: _evidence(records, 0, {}),
+        lambda records: ingest._read(LocationEvidence, (records,), "owners[0].location_evidence", {})[0],
         lambda records: _checked_evidence(records, "owners[0].location_evidence"),
         evidence_records,
     ),
@@ -694,6 +693,61 @@ EVIDENCE = {"source": "explicit_assignment", "payload": "SWE", "recorded_at": "2
 def test_parser_gives_the_reference_message_at_each_edge(kind, records):
     parse, reference, _ = PARSERS[kind]
     assert _outcome(parse, records) == _outcome(reference, records)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("kind", PARSERS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parser_gives_the_reference_records_or_message_across_walk_blocks(kind, block, data):
+    parse, reference, records = PARSERS[kind]
+    doc = data.draw(mutated_records(records, max_size=10))
+    with mock.patch.object(ingest, "_WALK_RECORDS", block):
+        assert _outcome(parse, doc) == _outcome(reference, doc)
+
+
+# A well-formed record of each type, and the same record with one fault in a field that the column rules judge.
+WELL_FORMED = {
+    "components": {"id": "a", "name": "a", "kind": "library", "status": "production"},
+    "dependencies": FULL_EDGE,
+    "owners": {"id": "t", "name": "t", "kind": "team", "location_evidence": [EVIDENCE]},
+    "evidence": EVIDENCE,
+    "ownership": {"component": "c", "owner": "t"},
+}
+FAULTY = {
+    "components": dict(WELL_FORMED["components"], status="gone"),
+    "dependencies": dict(FULL_EDGE, multiplicity=0),
+    "owners": dict(WELL_FORMED["owners"], location_evidence=[EVIDENCE, dict(EVIDENCE, recorded_at="2023-02-30")]),
+    "evidence": dict(EVIDENCE, source="member_locations"),
+    "ownership": dict(WELL_FORMED["ownership"], owner=5),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("faults", [{5: "faulty"}, {2: "faulty", 5: "not an object"}, {4: "not an object", 6: "faulty"}])
+@pytest.mark.parametrize("kind", PARSERS)
+def test_the_fault_walk_names_the_first_fault_of_a_later_block(kind, faults, block):
+    parse, reference, _ = PARSERS[kind]
+    records = [FAULTY[kind] if faults.get(i) == "faulty" else "x" if i in faults else WELL_FORMED[kind] for i in range(8)]
+    with mock.patch.object(ingest, "_WALK_RECORDS", block):
+        outcome = _outcome(parse, records)
+    assert outcome == _outcome(reference, records)
+    assert outcome[0] is ingest.SchemaError and f"[{min(faults)}]" in outcome[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(snapshot=snapshots(), data=st.data())
+def test_omitted_optional_fields_read_as_their_defaults(snapshot, data):
+    full = serialize_bundle(snapshot)
+    doc = json.loads(full)
+    for edge in doc["dependencies"]:
+        for field, default in (("kind", "use"), ("multiplicity", 1)):
+            if edge[field] == default and data.draw(st.booleans()):
+                del edge[field]
+    for owner in doc["owners"]:
+        if owner["location_evidence"] == [] and data.draw(st.booleans()):
+            del owner["location_evidence"]
+    assert parse_bundle(json.dumps(doc)) == parse_bundle(full)
 
 
 SINGLE_CODE_GROUPS = (
