@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import ne
+from operator import add, ne
 
 from .model import (
     UNKNOWN,
@@ -190,20 +190,27 @@ def aggregate(
     ownership of a kept component.
     """
     jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
-    # component -> its owner's jurisdiction, built once: one lookup per endpoint.
-    # A component whose owner is None stays unowned.
+    # component -> its owner's jurisdiction, built once; a component whose owner is None stays unowned.
     component_j = {c: jurisdiction_of.get(o, UNKNOWN) for c, o in owner_of.items() if o is not None}
+    # Each cell is one int, user index * width + used index, so an edge costs two lookups, one add and an
+    # int count, and each cell is decoded once.
+    codes = sorted(set(component_j.values()))
+    width = len(codes)
+    index = {code: i for i, code in enumerate(codes)}
+    as_user = {c: index[j] * width for c, j in component_j.items()}
+    as_used = {c: index[j] for c, j in component_j.items()}
     edges = snapshot.dependencies
     try:
-        user_j, used_j = list(map(component_j.__getitem__, edges.users)), list(map(component_j.__getitem__, edges.used))
+        cells = list(map(add, map(as_user.__getitem__, edges.users), map(as_used.__getitem__, edges.used)))
     except KeyError:
         user, used = next((u, v) for u, v in zip(edges.users, edges.used) if {u, v} - component_j.keys())
         raise IntegrityError(f"dependency {user!r}->{used!r} has an unowned endpoint") from None
     # Each edge counts once, and an edge of multiplicity m adds m - 1 more.
-    counts = Counter(zip(user_j, used_j))
+    by_cell = Counter(cells)
     multiplicities = edges.multiplicities
-    for cell, m in compress(zip(zip(user_j, used_j), multiplicities), map(ne, multiplicities, repeat(1))):
-        counts[cell] += m - 1
+    for cell, m in compress(zip(cells, multiplicities), map(ne, multiplicities, repeat(1))):
+        by_cell[cell] += m - 1
+    counts = {(codes[cell // width], codes[cell % width]): n for cell, n in by_cell.items()}
     return JurisdictionFlowMatrix.from_counts(counts, snapshot.id)
 
 

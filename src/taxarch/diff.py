@@ -5,18 +5,27 @@ that `report`, `stats` and `diff` share. Regular snapshotting turns the
 dated view into a series; the delta shows what moved between two
 reporting dates, including cell-wise changes in the jurisdiction flow
 matrix.
+
+The comparison works in proportion to the churn where it can: edges are
+keyed only for the rows that differ, and B re-resolves only its owners
+whose `Owner` record is new or differs from A's under the same id; every
+other owner of B keeps A's assignment.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date
 from operator import attrgetter
 
 from .classify import ComplianceStats, JurisdictionFlowMatrix, ScopePolicy, aggregate, apply_scope_filter, compute_stats
 from .jsontext import array, quote, strings
-from .model import ArchitectureSnapshot, Component
+from .model import ArchitectureSnapshot, Component, Owner
 from .resolve import DEFAULT_CASCADE, JurisdictionAssignment, Resolver, resolution_summary, resolve_jurisdictions
+
+
+_ID = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -34,14 +43,28 @@ class PipelineRun:
     assignments: tuple[JurisdictionAssignment, ...] = ()
 
 
-def run_pipeline(snapshot: ArchitectureSnapshot, cascade: tuple[Resolver, ...], policy: ScopePolicy) -> PipelineRun:
+def run_pipeline(
+    snapshot: ArchitectureSnapshot,
+    cascade: tuple[Resolver, ...],
+    policy: ScopePolicy,
+    earlier: Mapping[str, tuple[Owner, JurisdictionAssignment]] | None = None,
+) -> PipelineRun:
     """Build `owner_of` once, then scope, resolve every owner (scoping keeps them all) and aggregate.
 
+    `earlier` is an earlier snapshot's resolution under the same cascade: owner id -> (its `Owner` record, its
+    assignment). An owner whose record equals the one held there under its id takes that assignment; only the
+    rest, the owners whose records changed or are new, go to `resolve_jurisdictions`, in one call.
     Expects a snapshot that `validate_snapshot` accepts; any other may raise or be miscounted.
     """
     owner_of = snapshot.owner_of()
     scoped, exclusions = apply_scope_filter(snapshot, owner_of, policy)
-    assignments = resolve_jurisdictions(list(snapshot.owners), cascade)
+    owners = sorted(snapshot.owners, key=_ID)
+    if earlier is None:
+        assignments = resolve_jurisdictions(owners, cascade)
+    else:
+        kept = [prior[1] if (prior := earlier.get(o.id)) is not None and prior[0] == o else None for o in owners]
+        fresh = iter(resolve_jurisdictions([o for o, x in zip(owners, kept) if x is None], cascade))
+        assignments = [x if x is not None else next(fresh) for x in kept]
     matrix = aggregate(scoped, owner_of, assignments)
     stats = compute_stats(matrix, exclusions, resolution_summary(assignments))
     return PipelineRun(matrix, stats, snapshot.taken_at, scoped.components, owner_of, tuple(assignments))
@@ -135,13 +158,14 @@ class SnapshotDelta:
         )
 
 
-# `_value_` is the member's plain attribute; `.value` is a Python-level descriptor.
-_KIND_VALUE = attrgetter("_value_")
-
-
-def _edge_map(snapshot: ArchitectureSnapshot) -> dict[tuple[str, str, str], int]:
+def _edge_rows(snapshot: ArchitectureSnapshot) -> set[tuple]:
     edges = snapshot.dependencies
-    return dict(zip(zip(edges.users, edges.used, map(_KIND_VALUE, edges.kinds)), edges.multiplicities))
+    return set(zip(edges.users, edges.used, edges.kinds, edges.multiplicities))
+
+
+def _edge_map(rows: set[tuple]) -> dict[tuple[str, str, str], int]:
+    """(user, used, kind value) -> multiplicity of some differing rows; `_value_` is the member's plain attribute."""
+    return {(user, used, kind._value_): m for user, used, kind, m in rows}
 
 
 _ABSENT = object()
@@ -170,13 +194,21 @@ def diff_snapshots(
 ) -> SnapshotDelta:
     """Compare two snapshots under one cascade and scope policy.
 
+    A's owners are all resolved; B's owners are resolved only where their records are new or changed.
     Expects two snapshots that `validate_snapshot` accepts; any other may raise or be miscounted.
     """
     components_added, components_removed, _ = _delta(*(dict.fromkeys(c.id for c in s.components) for s in (a, b)))
-    edges_added, edges_removed, reweighted = _delta(_edge_map(a), _edge_map(b))
+    # Only the rows that differ are keyed: a snapshot holds each (user, used, kind) once, so a key in both
+    # differing sets is a re-weighted edge, and a key in one alone an added or removed one.
+    rows_a, rows_b = _edge_rows(a), _edge_rows(b)
+    differing = rows_a ^ rows_b
+    edges_added, edges_removed, reweighted = _delta(_edge_map(differing & rows_a), _edge_map(differing & rows_b))
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)
 
-    run_a, run_b = (run_pipeline(s, cascade, policy) for s in (a, b))
+    run_a = run_pipeline(a, cascade, policy)
+    # A's assignments are in the order of a stable sort of its owners by id, one per owner.
+    earlier = {o.id: (o, x) for o, x in zip(sorted(a.owners, key=_ID), run_a.assignments)}
+    run_b = run_pipeline(b, cascade, policy, earlier)
     ownership_changes = _delta(run_a.owner_of, run_b.owner_of)[2]
     jurisdiction_changes = _delta(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))[2]
     cell_deltas = run_b.matrix.as_dict()

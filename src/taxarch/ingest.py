@@ -477,8 +477,8 @@ def assemble_from_csv(
         user, owner_component = row[0], row[1]
         try:
             kind = DependencyKind(row[2]) if len(row) > 2 and row[2] else DependencyKind.USE
-        except ValueError as exc:
-            raise CsvError(f"edges: row {i}: {exc}") from None
+        except ValueError:
+            raise CsvError(f"edges: row {i}: kind {_shown(row[2])} is not a valid DependencyKind") from None
         multiplicity = row[3] if len(row) > 3 and row[3] else "1"
         if not _INTEGER(multiplicity):
             raise CsvError(f"edges: row {i}: multiplicity {_shown(multiplicity)} is not an integer written in digits")
@@ -492,7 +492,7 @@ def assemble_from_csv(
     evidence: dict[str, list[LocationEvidence]] = {}
     for owner, code in dict.fromkeys((owner, UNKNOWN if code == "N/A" else code) for owner, code in jurisdiction_rows):
         if owner not in owner_ids:
-            raise CsvError(f"dangling-reference: jurisdiction row for unknown owner {owner!r}")
+            raise CsvError(f"dangling-reference: jurisdiction row for unknown owner {_shown(owner)}")
         evidence.setdefault(owner, []).append(LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, code, taken_at))
 
     components = tuple(

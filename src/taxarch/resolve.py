@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 
-from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, LocationEvidence, Owner, conflict, latest_evidence
+from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
 
@@ -84,30 +84,11 @@ class JurisdictionAssignment:
         return self.resolver if self.resolver is not None else "unresolved"
 
 
-def _try_resolver(resolver: Resolver, owner: Owner, latest: list[LocationEvidence]) -> JurisdictionAssignment | None:
-    """Decide from the resolver's records of the latest date, or decline; ConflictingEvidenceError on a conflict."""
-    message = conflict(owner, latest)
-    if message is not None:
-        raise ConflictingEvidenceError(message)
-    if resolver.name == "member_majority":
-        # A jurisdiction is decisive when its share of member locations
-        # reaches the threshold.
-        members = Counter(code for ev in latest for code in ev.payload)
-        total = sum(members.values())
-        for code, count in sorted(members.items()):
-            if code != UNKNOWN and count / total >= resolver.threshold:
-                evidence = f"{count}/{total} members"
-                return JurisdictionAssignment(owner.id, code, resolver.describe(), evidence, latest[0].recorded_at)
-        return None
-
-    if not latest or latest[0].payload == UNKNOWN:
-        return None
-    ev = latest[0]
-    return JurisdictionAssignment(owner.id, ev.payload, resolver.describe(), ev.source.value, ev.recorded_at)
-
-
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:
     """Assign one jurisdiction per owner; first decisive resolver wins.
+
+    Each resolver decides from its records of the latest date or declines; one with no records declines at once.
+    A resolver the cascade reaches raises ConflictingEvidenceError when those records conflict.
 
     Expects the owners of a snapshot that `validate_snapshot` accepts. An owner it refuses may raise TypeError or
     KeyError here, or be decided from the wrong codes: a `source` that is not an EvidenceSource, a `recorded_at` that
@@ -116,12 +97,34 @@ def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = D
     """
     if not cascade:
         raise CascadeConfigError("cascade must not be empty")
+    described = [(resolver, resolver.describe()) for resolver in cascade]
     assignments = []
     for owner in sorted(owners, key=lambda o: o.id):
         latest = latest_evidence(owner)
         decided = None
-        for resolver in cascade:
-            decided = _try_resolver(resolver, owner, latest.get(resolver.name, []))
+        for resolver, description in described:
+            records = latest.get(resolver.name)
+            if not records:
+                continue
+            message = conflict(owner, records)
+            if message is not None:
+                raise ConflictingEvidenceError(message)
+            first = records[0]
+            if resolver.name == "member_majority":
+                # A jurisdiction is decisive when its share of member locations
+                # reaches the threshold.
+                members = Counter(code for ev in records for code in ev.payload)
+                total = sum(members.values())
+                for code, count in sorted(members.items()):
+                    if code != UNKNOWN and count / total >= resolver.threshold:
+                        decided = JurisdictionAssignment(
+                            owner.id, code, description, f"{count}/{total} members", first.recorded_at
+                        )
+                        break
+            elif first.payload != UNKNOWN:
+                decided = JurisdictionAssignment(
+                    owner.id, first.payload, description, first.source.value, first.recorded_at
+                )
             if decided is not None:
                 break
         assignments.append(decided if decided is not None else JurisdictionAssignment(owner.id, UNKNOWN, None))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from datetime import timedelta
 
 import taxarch.diff
 from taxarch.classify import aggregate, apply_scope_filter
@@ -8,11 +10,14 @@ from taxarch.model import (
     ArchitectureSnapshot,
     ComponentStatus,
     DependencyEdge,
+    EvidenceSource,
+    LocationEvidence,
     OwnershipAssignment,
 )
 from taxarch.resolve import DEFAULT_CASCADE, resolve_jurisdictions
 
 from conftest import make_component, make_owner, make_snapshot
+from reference_diff import reference_diff_snapshots
 
 
 def test_diff_identity_is_empty():
@@ -159,17 +164,48 @@ def test_delta_json_round_trip_and_determinism():
     assert doc["components_removed"] == sorted(c.id for c in a.components)
 
 
-def test_diff_resolves_each_snapshot_once(monkeypatch):
+def _recorded_resolve_calls(monkeypatch) -> list[list[str]]:
+    """The owner ids each `resolve_jurisdictions` call of `diff` receives, one list per call."""
     calls = []
 
-    def counting(owners, cascade=DEFAULT_CASCADE):
-        calls.append(len(owners))
+    def recording(owners, cascade=DEFAULT_CASCADE):
+        calls.append(sorted(o.id for o in owners))
         return resolve_jurisdictions(owners, cascade)
 
-    monkeypatch.setattr(taxarch.diff, "resolve_jurisdictions", counting)
-    snapshot = fixture("devnullsoft")
-    diff_snapshots(snapshot, snapshot)
-    assert calls == [len(snapshot.owners)] * 2
+    monkeypatch.setattr(taxarch.diff, "resolve_jurisdictions", recording)
+    return calls
+
+
+def test_diff_resolves_no_owner_of_b_whose_record_is_unchanged(monkeypatch):
+    calls = _recorded_resolve_calls(monkeypatch)
+    a, b = fixture("devnullsoft"), fixture("devnullsoft")
+    assert diff_snapshots(a, b).empty
+    assert calls == [sorted(o.id for o in a.owners), []]
+
+
+def test_diff_resolves_exactly_the_owners_whose_evidence_changed(monkeypatch):
+    a = fixture("devnullsoft")
+    later = a.taken_at + timedelta(days=10)
+    explicit, manager = EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.MANAGER_LOCATION
+    changed = {
+        # newer evidence of the source that decides: the decision moves
+        "team-ab-apps": lambda o: o.location_evidence + (LocationEvidence(explicit, "NOR", later),),
+        # evidence of a source the cascade reaches later: the decision stands
+        "team-ab-platform": lambda o: o.location_evidence + (LocationEvidence(manager, "DEU", later),),
+        # the same record dated anew
+        "team-ltd-commerce": lambda o: tuple(dataclasses.replace(ev, recorded_at=later) for ev in o.location_evidence),
+        # evidence replaced by other evidence
+        "team-gmbh-core": lambda o: (LocationEvidence(EvidenceSource.MEMBER_LOCATIONS, ("FRA", "FRA", "DEU"), later),),
+    }
+    owners = tuple(
+        dataclasses.replace(o, location_evidence=changed[o.id](o)) if o.id in changed else o for o in a.owners
+    )
+    b = ArchitectureSnapshot("b", a.taken_at, a.components, a.dependencies, owners, a.ownership)
+    calls = _recorded_resolve_calls(monkeypatch)
+    delta = diff_snapshots(a, b)
+    assert calls == [sorted(o.id for o in a.owners), sorted(changed)]
+    assert delta == reference_diff_snapshots(a, b)
+    assert ("team-ab-apps", "SWE", "NOR") in delta.jurisdiction_changes
 
 
 def test_diff_reports_jurisdiction_change_of_out_of_scope_owner():

@@ -378,18 +378,36 @@ def test_assemble_keeps_a_multiplicity_below_one_for_validate(multiplicity):
     assert _findings(snapshot) == [("invalid-multiplicity", ("billing", "auth"))]
 
 
-@pytest.mark.parametrize("what", ["edges", "ownership", "jurisdictions"])
+_OVERSIZED = {
+    "field-over-csv-limit": "x" * 1_000_000 + "\n",
+    "long-wrong-header": ",".join(["y" * 100_000] * 20) + "\n",
+}
+_LONG = "z" * 300
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["x" * 1_000_000 + "\n", ",".join(["y" * 100_000] * 20) + "\n"],
-    ids=["field-over-csv-limit", "long-wrong-header"],
+    ("what", "text", "prefix"),
+    [
+        *(
+            pytest.param(what, text, f"{what}: ", id=f"{name}-{what}")
+            for name, text in _OVERSIZED.items()
+            for what in ("edges", "ownership", "jurisdictions")
+        ),
+        pytest.param("edges", f"user,owner_component,kind\nbilling,auth,{_LONG}\n", "edges: ", id="long-kind-edges"),
+        pytest.param(
+            "jurisdictions",
+            f"owner,jurisdiction\n{_LONG},SWE\n",
+            "dangling-reference: ",
+            id="long-unknown-owner-jurisdictions",
+        ),
+    ],
 )
-def test_csv_errors_are_typed_and_bounded(what, text):
+def test_csv_errors_are_typed_and_bounded(what, text, prefix):
     inputs = {"edges": EDGES, "ownership": OWNERSHIP, "jurisdictions": JURISDICTIONS, what: text}
     with pytest.raises(CsvError) as excinfo:
         assemble_from_csv(inputs["edges"], inputs["ownership"], inputs["jurisdictions"], TODAY)
     message = str(excinfo.value)
-    assert message.startswith(f"{what}: ") and len(message) < 200
+    assert message.startswith(prefix) and len(message) < 200
 
 
 CSV_COMPONENTS = st.sampled_from(["auth", "billing", "catalog"])

@@ -36,6 +36,7 @@ from taxarch.model import (
     Component,
     ComponentKind,
     ComponentStatus,
+    ConflictingEvidenceError,
     DependencyEdge,
     DependencyKind,
     EvidenceSource,
@@ -45,7 +46,7 @@ from taxarch.model import (
     OwnershipAssignment,
     validate_snapshot,
 )
-from taxarch.resolve import DEFAULT_CASCADE, resolve_jurisdictions
+from taxarch.resolve import DEFAULT_CASCADE, Resolver, resolve_jurisdictions
 from taxarch.views import BucketScheme, build_registers, emit_graph, emit_registers, emit_report, emit_table
 
 from reference_parse import (
@@ -952,10 +953,23 @@ def test_a_value_of_another_type_in_any_typed_field_is_one_field_type_finding(ca
     assert f" has {field} of type {type(value).__name__}, not {hint.__name__}" in findings[0].message
 
 
+def _drawn_evidence(draw, after: date, days: int) -> LocationEvidence:
+    """One record of a drawn source and code, dated 1 to `days` days after `after`."""
+    codes = st.sampled_from(["SWE", "DEU", "USA", UNKNOWN])
+    source = draw(st.sampled_from(EvidenceSource))
+    payload = draw(st.lists(codes, min_size=1, max_size=4) if source is EvidenceSource.MEMBER_LOCATIONS else codes)
+    return LocationEvidence(source, payload, after + timedelta(days=draw(st.integers(min_value=1, max_value=days))))
+
+
 @st.composite
 def churned_pairs(draw):
-    """A generated snapshot and a later copy with edges added, removed and re-weighted, components
-    added and moved to other owners, and newer evidence of every source for some owners.
+    """A generated snapshot, a later copy, and the cascade and scope policy to compare them under.
+
+    The copy has edges added, removed and re-weighted, components added (of drawn statuses) and moved to
+    other owners, owners added and removed, newer evidence of every source for some owners, replaced
+    evidence for others (two records of one resolver on one day may conflict), and owners of a new kind or
+    name whose evidence stays. The cascade is the default, reordered, or with a drawn `member_majority`
+    threshold.
 
     Both snapshots list their records in drawn orders: the generator's are sorted, and a
     diff that forgot to sort its rows would pass on them."""
@@ -966,7 +980,6 @@ def churned_pairs(draw):
         *(tuple(draw(st.permutations(records))) for records in (g.components, g.dependencies, g.owners, g.ownership)),
     )
     ids = [c.id for c in a.components]
-    owner_ids = [o.id for o in a.owners]
     index = st.integers(min_value=0, max_value=10**6)
     components, dependencies, owners, ownership = (
         list(a.components),
@@ -975,7 +988,16 @@ def churned_pairs(draw):
         list(a.ownership),
     )
     for k in range(draw(st.integers(min_value=0, max_value=2))):
-        components.append(Component(f"new-{k}", f"new-{k}", ComponentKind.LIBRARY, ComponentStatus.PRODUCTION))
+        owners.append(Owner(f"new-t{k}", f"new-team-{k}", OwnerKind.TEAM, (_drawn_evidence(draw, a.taken_at, 30),)))
+    for i in draw(st.lists(index, max_size=2)):
+        if len(owners) > 1:
+            gone = owners.pop(i % len(owners))
+            heir = draw(st.sampled_from(owners)).id
+            ownership = [OwnershipAssignment(x.component, heir) if x.owner == gone.id else x for x in ownership]
+    owner_ids = [o.id for o in owners]
+    for k in range(draw(st.integers(min_value=0, max_value=2))):
+        status = draw(st.sampled_from(ComponentStatus))
+        components.append(Component(f"new-{k}", f"new-{k}", ComponentKind.LIBRARY, status))
         ownership.append(OwnershipAssignment(f"new-{k}", draw(st.sampled_from(owner_ids))))
         ids.append(f"new-{k}")
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
@@ -996,29 +1018,45 @@ def churned_pairs(draw):
     for i in draw(st.lists(index, max_size=4)):
         moved = ownership[i % len(ownership)]
         ownership[i % len(ownership)] = OwnershipAssignment(moved.component, draw(st.sampled_from(owner_ids)))
-    new_codes = st.sampled_from(["SWE", "DEU", "USA", UNKNOWN])
     for i in draw(st.sets(st.integers(min_value=0, max_value=len(owners) - 1), max_size=4)):
-        source = draw(st.sampled_from(EvidenceSource))
-        payload = draw(
-            st.lists(new_codes, min_size=1, max_size=4) if source is EvidenceSource.MEMBER_LOCATIONS else new_codes
-        )
-        day = a.taken_at + timedelta(days=draw(st.integers(min_value=1, max_value=30)))
         o = owners[i]
-        owners[i] = Owner(o.id, o.name, o.kind, o.location_evidence + (LocationEvidence(source, payload, day),))
+        owners[i] = Owner(o.id, o.name, o.kind, o.location_evidence + (_drawn_evidence(draw, a.taken_at, 30),))
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(owners) - 1), max_size=2)):
+        o = owners[i]
+        replaced = [_drawn_evidence(draw, a.taken_at, 2) for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+        owners[i] = Owner(o.id, o.name, o.kind, tuple(replaced))
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(owners) - 1), max_size=2)):
+        o = owners[i]
+        name, kind = draw(st.sampled_from([o.name, "renamed"])), draw(st.sampled_from(OwnerKind))
+        owners[i] = Owner(o.id, name, kind, o.location_evidence)
     b = ArchitectureSnapshot(
         f"{a.id}-next",
         a.taken_at + timedelta(days=31),
         *(tuple(draw(st.permutations(records))) for records in (components, dependencies, owners, ownership)),
     )
-    return a, b
+    cascade = tuple(draw(st.permutations(DEFAULT_CASCADE)))
+    if draw(st.booleans()):
+        threshold = draw(st.floats(min_value=0.5, max_value=1.0, exclude_min=True))
+        cascade = tuple(Resolver(r.name, threshold) if r.name == "member_majority" else r for r in cascade)
+    policy = ScopePolicy(frozenset(draw(st.sets(st.sampled_from(ComponentStatus), min_size=1))), draw(st.booleans()))
+    return a, b, cascade, policy
+
+
+def _delta_or_conflict(diff, *args):
+    try:
+        return diff(*args)
+    except ConflictingEvidenceError as exc:
+        return f"ConflictingEvidenceError: {exc}"
 
 
 @settings(max_examples=200, deadline=None)
 @given(churned_pairs())
 def test_diff_equals_the_reference_diff_both_ways(pair):
-    a, b = pair
-    assert diff_snapshots(a, b) == reference_diff_snapshots(a, b)
-    assert diff_snapshots(b, a) == reference_diff_snapshots(b, a)
+    a, b, cascade, policy = pair
+    for x, y in ((a, b), (b, a)):
+        assert _delta_or_conflict(diff_snapshots, x, y, cascade, policy) == _delta_or_conflict(
+            reference_diff_snapshots, x, y, cascade, policy
+        )
 
 
 @st.composite
