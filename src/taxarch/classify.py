@@ -192,11 +192,10 @@ def aggregate(
     jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
     # component -> its owner's jurisdiction, built once; a component whose owner is None stays unowned.
     component_j = {c: jurisdiction_of.get(o, UNKNOWN) for c, o in owner_of.items() if o is not None}
-    # Each cell is one int, user index * width + used index, so an edge costs two lookups, one add and an
-    # int count, and each cell is decoded once.
-    codes = sorted(set(component_j.values()))
-    width = len(codes)
-    index = {code: i for i, code in enumerate(codes)}
+    # Jurisdictions are numbered as first met, and each cell is one int, user index * width + used index, so an
+    # edge costs two lookups, one add and an int count, and each cell is decoded once.
+    index = {code: i for i, code in enumerate(dict.fromkeys(component_j.values()))}
+    codes, width = list(index), len(index)
     as_user = {c: index[j] * width for c, j in component_j.items()}
     as_used = {c: index[j] for c, j in component_j.items()}
     edges = snapshot.dependencies

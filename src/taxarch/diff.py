@@ -59,12 +59,10 @@ def run_pipeline(
     owner_of = snapshot.owner_of()
     scoped, exclusions = apply_scope_filter(snapshot, owner_of, policy)
     owners = sorted(snapshot.owners, key=_ID)
-    if earlier is None:
-        assignments = resolve_jurisdictions(owners, cascade)
-    else:
-        kept = [prior[1] if (prior := earlier.get(o.id)) is not None and prior[0] == o else None for o in owners]
-        fresh = iter(resolve_jurisdictions([o for o, x in zip(owners, kept) if x is None], cascade))
-        assignments = [x if x is not None else next(fresh) for x in kept]
+    earlier = earlier or {}
+    kept = [prior[1] if (prior := earlier.get(o.id)) is not None and prior[0] == o else None for o in owners]
+    fresh = iter(resolve_jurisdictions([o for o, x in zip(owners, kept) if x is None], cascade))
+    assignments = [x if x is not None else next(fresh) for x in kept]
     matrix = aggregate(scoped, owner_of, assignments)
     stats = compute_stats(matrix, exclusions, resolution_summary(assignments))
     return PipelineRun(matrix, stats, snapshot.taken_at, scoped.components, owner_of, tuple(assignments))
@@ -201,14 +199,12 @@ def diff_snapshots(
     # Only the rows that differ are keyed: a snapshot holds each (user, used, kind) once, so a key in both
     # differing sets is a re-weighted edge, and a key in one alone an added or removed one.
     rows_a, rows_b = _edge_rows(a), _edge_rows(b)
-    differing = rows_a ^ rows_b
-    edges_added, edges_removed, reweighted = _delta(_edge_map(differing & rows_a), _edge_map(differing & rows_b))
+    edges_added, edges_removed, reweighted = _delta(_edge_map(rows_a - rows_b), _edge_map(rows_b - rows_a))
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)
 
     run_a = run_pipeline(a, cascade, policy)
-    # A's assignments are in the order of a stable sort of its owners by id, one per owner.
-    earlier = {o.id: (o, x) for o, x in zip(sorted(a.owners, key=_ID), run_a.assignments)}
-    run_b = run_pipeline(b, cascade, policy, earlier)
+    owners_a = {o.id: o for o in a.owners}
+    run_b = run_pipeline(b, cascade, policy, {x.owner: (owners_a[x.owner], x) for x in run_a.assignments})
     ownership_changes = _delta(run_a.owner_of, run_b.owner_of)[2]
     jurisdiction_changes = _delta(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))[2]
     cell_deltas = run_b.matrix.as_dict()
