@@ -6,17 +6,20 @@ dated view into a series; the delta shows what moved between two
 reporting dates, including cell-wise changes in the jurisdiction flow
 matrix.
 
-The comparison works in proportion to the churn where it can: edges are
-keyed only for the rows that differ, and B re-resolves only its owners
-whose `Owner` record is new or differs from A's under the same id; every
-other owner of B keeps A's assignment.
+The comparison works in proportion to the churn where it can. It builds
+one set of edge rows, A's: B's rows are tested against it and then
+removed from it, so only the rows that differ are keyed, whatever order
+either table lists its rows in. B re-resolves only its owners whose
+`Owner` record is new or differs from A's under the same id; every other
+owner of B keeps A's assignment.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import filterfalse
 from operator import attrgetter
 
 from .classify import ComplianceStats, JurisdictionFlowMatrix, ScopePolicy, aggregate, apply_scope_filter, compute_stats
@@ -156,12 +159,13 @@ class SnapshotDelta:
         )
 
 
-def _edge_rows(snapshot: ArchitectureSnapshot) -> set[tuple]:
+def _edge_rows(snapshot: ArchitectureSnapshot) -> Iterator[tuple]:
+    """The (user, used, kind, multiplicity) rows of the snapshot's edge table, zipped from its columns."""
     edges = snapshot.dependencies
-    return set(zip(edges.users, edges.used, edges.kinds, edges.multiplicities))
+    return zip(edges.users, edges.used, edges.kinds, edges.multiplicities)
 
 
-def _edge_map(rows: set[tuple]) -> dict[tuple[str, str, str], int]:
+def _edge_map(rows: Iterable[tuple]) -> dict[tuple[str, str, str], int]:
     """(user, used, kind value) -> multiplicity of some differing rows; `_value_` is the member's plain attribute."""
     return {(user, used, kind._value_): m for user, used, kind, m in rows}
 
@@ -196,10 +200,13 @@ def diff_snapshots(
     Expects two snapshots that `validate_snapshot` accepts; any other may raise or be miscounted.
     """
     components_added, components_removed, _ = _delta(*(dict.fromkeys(c.id for c in s.components) for s in (a, b)))
-    # Only the rows that differ are keyed: a snapshot holds each (user, used, kind) once, so a key in both
-    # differing sets is a re-weighted edge, and a key in one alone an added or removed one.
-    rows_a, rows_b = _edge_rows(a), _edge_rows(b)
-    edges_added, edges_removed, reweighted = _delta(_edge_map(rows_a - rows_b), _edge_map(rows_b - rows_a))
+    # One row set, A's: B's rows not in it are B's only-rows, and removing B's rows from it leaves A's only-rows.
+    # Only those rows are keyed: a snapshot holds each (user, used, kind) once, so a key among both sides'
+    # only-rows is a re-weighted edge, and a key on one side alone an added or removed one.
+    rows_a = set(_edge_rows(a))
+    only_b = _edge_map(filterfalse(rows_a.__contains__, _edge_rows(b)))
+    rows_a.difference_update(_edge_rows(b))
+    edges_added, edges_removed, reweighted = _delta(_edge_map(rows_a), only_b)
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)
 
     run_a = run_pipeline(a, cascade, policy)

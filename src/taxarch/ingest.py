@@ -19,7 +19,10 @@ Every record list of a parsed document is read column by column by one
 reader, from its record type's schema: a tuple of (field, default, kind).
 A list meets one test of its records' field names, then each column one
 rule of its field's kind: an exact-type test, an enum lookup or a date
-parse. A well-formed bundle formats no message. When a list fails, a
+parse. An evidence payload column meets three whole-column tests, split
+by its records' sources: the member_locations payloads are lists, their
+codes are strings, and every other payload is a string. A well-formed
+bundle formats no message. When a list fails, a
 block-first walk reads it again a block at a time with the same rules
 and walks the first failing block record by record, so the message
 names the first faulty record and field. A string holding an unpaired
@@ -38,7 +41,7 @@ import json
 import operator
 import re
 from datetime import date
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from .jsontext import array as _array
 from .jsontext import quote as _quote
@@ -315,11 +318,14 @@ def _read(kind, values: tuple, where: str, read: dict[str, tuple]) -> tuple:
             raise SchemaError(f"field {where!r} must be an ISO-8601 date string")
         dates = {text: _parse_date(text, where) for text in set(values)}
         return tuple(map(dates.__getitem__, values))
-    if kind == "payload":  # a member_locations payload is a list of strings, any other a string
-        lists = [source is EvidenceSource.MEMBER_LOCATIONS for source in read["source"]]
-        if all(
-            type(p) is list and {str}.issuperset(map(type, p)) if is_list else type(p) is str
-            for is_list, p in zip(lists, values)
+    if kind == "payload":  # three column tests: member_locations payloads are lists, of strings; any other a string
+        members = EvidenceSource.MEMBER_LOCATIONS  # a local: the class attribute costs ten times as much
+        lists = [source is members for source in read["source"]]
+        member_payloads = list(compress(values, lists))
+        if (
+            {list}.issuperset(map(type, member_payloads))
+            and {str}.issuperset(map(type, chain.from_iterable(member_payloads)))
+            and {str}.issuperset(map(type, compress(values, map(operator.not_, lists))))
         ):
             return values
         shape = "a list of jurisdiction codes" if lists[0] else "a jurisdiction code string"

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 
 UNKNOWN = "UNKNOWN"
 
@@ -189,26 +189,34 @@ class EdgeTable(Sequence):
 _COLUMNS = operator.attrgetter(*EdgeTable.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LocationEvidence:
     """One piece of evidence for an owner's jurisdiction.
 
-    For member_locations the payload is a multiset of jurisdiction
-    codes (stored sorted, one entry per member); for every other source
-    it is a single jurisdiction code. A member_locations list or tuple
-    holding anything but strings is stored as a tuple in its order, and
-    any other payload as given, for `validate_snapshot` to report.
+    For member_locations the payload is a multiset of jurisdiction codes; for every other source it is a single
+    jurisdiction code. The constructor below is the one place that stores a payload.
     """
 
     source: EvidenceSource
     payload: str | tuple[str, ...]
     recorded_at: date
 
-    def __post_init__(self):
-        payload = self.payload
-        if self.source is EvidenceSource.MEMBER_LOCATIONS and isinstance(payload, (list, tuple)):
-            all_str = {str}.issuperset(map(type, payload))
-            object.__setattr__(self, "payload", tuple(sorted(payload) if all_str else payload))
+    def __init__(self, source: EvidenceSource, payload: str | tuple[str, ...], recorded_at: date):
+        """Store the record; a member_locations list or tuple is stored as a tuple, sorted when it holds only strings.
+
+        One holding anything else keeps its order, and any other payload, a plain-string `source`'s too, is stored
+        as given, for `validate_snapshot` to report.
+        """
+        if source is _MEMBER_LOCATIONS and isinstance(payload, (list, tuple)):
+            payload = tuple(sorted(payload) if {str}.issuperset(map(type, payload)) else payload)
+        _set_source(self, source)
+        _set_payload(self, payload)
+        _set_recorded_at(self, recorded_at)
+
+
+_MEMBER_LOCATIONS = EvidenceSource.MEMBER_LOCATIONS  # a global: the enum class attribute costs ten times as much
+# The slots' member descriptors' setters, which store into a frozen instance as `object.__setattr__` does.
+_set_source, _set_payload, _set_recorded_at = (getattr(LocationEvidence, s).__set__ for s in LocationEvidence.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,8 +298,9 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     second, on a snapshot of the parser's types only, judges the id,
     evidence, dependency and ownership invariants. Each block is a
     set-algebra test over whole columns and, only when that test fails, a
-    listing of its offenders, one finding each; the evidence is walked with
-    the `latest_evidence` and `conflict` that the resolver cascade uses. A
+    listing of its offenders, one finding each. An owner with two evidence
+    records or more also has its selection judged, with the
+    `latest_evidence` and `conflict` that the resolver cascade uses. A
     clean snapshot never formats a message.
     """
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
@@ -334,10 +343,11 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
         ("name", [o.name for o in owners], str),
         ("kind", [o.kind for o in owners], OwnerKind),
     )
+    sources = [ev.source for ev in records]
     findings += _field_types(
         "evidence",
         (holders, places),
-        ("source", [ev.source for ev in records], EvidenceSource),
+        ("source", sources, EvidenceSource),
         ("recorded_at", [ev.recorded_at for ev in records], date),
     )
     findings += _field_types(
@@ -365,7 +375,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                 for _ in range(count - 1)
             ]
 
-    findings += _evidence_findings(owners)
+    findings += _evidence_findings(owners, holders, sources, [ev.payload for ev in records])
     findings += _dependency_findings(users, used, kinds, edges.multiplicities, component_ids)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
@@ -406,43 +416,46 @@ def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Seq
     return findings
 
 
-def _evidence_findings(owners: tuple[Owner, ...]) -> list[Finding]:
-    """One walk over the evidence: each payload's shape, each distinct code once, and each owner's selection."""
-    members = EvidenceSource.MEMBER_LOCATIONS  # a local: the class attribute costs ten times as much
-    only_str = {str}  # only_str.issuperset(map(type, codes)) checks each code's exact type in C
-    valid: set[str] = set()  # codes already found valid
+def _evidence_findings(
+    owners: tuple[Owner, ...], holders: Sequence[str], sources: list[EvidenceSource], payloads: list
+) -> list[Finding]:
+    """The evidence invariants over the evidence columns, row i of each being record i, held by owner `holders[i]`.
+
+    One whole-column test: member_locations payloads are tuples of strings, any other payload is a string, and
+    each distinct code is valid. Only when it fails are the records walked to list the offenders. Each owner with
+    two records or more then has its latest records judged by `conflict`.
+    """
+    lists = [source is _MEMBER_LOCATIONS for source in sources]
+    member_payloads = list(compress(payloads, lists))
+    single_codes = list(compress(payloads, map(operator.not_, lists)))
     findings = []
-    for o in owners:
-        for ev in o.location_evidence:
-            codes = ev.payload if ev.source is members else (ev.payload,)
-            if type(codes) is not tuple or not only_str.issuperset(map(type, codes)):
-                findings.append(
+    if not (
+        {tuple}.issuperset(map(type, member_payloads))
+        and {str}.issuperset(map(type, chain.from_iterable(member_payloads)))
+        and {str}.issuperset(map(type, single_codes))
+        and all(map(is_valid_jurisdiction, {*chain.from_iterable(member_payloads), *single_codes}))
+    ):
+        for holder, source, payload in zip(holders, sources, payloads):
+            codes = payload if source is _MEMBER_LOCATIONS else (payload,)
+            if type(codes) is not tuple or not {str}.issuperset(map(type, codes)):
+                message = f"evidence payload shape does not match source {source.value!r}"
+                findings.append(_finding("evidence-shape", message, holder))
+            else:
+                findings += [
                     _finding(
-                        "evidence-shape",
-                        f"evidence payload shape does not match source {ev.source.value!r}",
-                        o.id,
+                        "malformed-jurisdiction",
+                        f"malformed jurisdiction code {code!r} in evidence of owner {holder!r}",
+                        holder,
                     )
-                )
-                continue
-            if valid.issuperset(codes):
-                continue
-            for code in codes:
-                if is_valid_jurisdiction(code):
-                    valid.add(code)
-                else:
-                    findings.append(
-                        _finding(
-                            "malformed-jurisdiction",
-                            f"malformed jurisdiction code {code!r} in evidence of owner {o.id!r}",
-                            o.id,
-                        )
-                    )
-        if len(o.location_evidence) < 2:
-            continue
-        for records in latest_evidence(o).values():
-            message = conflict(o, records)
-            if message is not None:
-                findings.append(_finding("conflicting-evidence", message, o.id))
+                    for code in codes
+                    if not is_valid_jurisdiction(code)
+                ]
+    for o in owners:
+        if len(o.location_evidence) > 1:
+            for records in latest_evidence(o).values():
+                message = conflict(o, records)
+                if message is not None:
+                    findings.append(_finding("conflicting-evidence", message, o.id))
     return findings
 
 

@@ -344,6 +344,62 @@ def test_dependency_edge_behaves_as_a_frozen_slotted_dataclass():
     assert DependencyEdge("a", "b") == DependencyEdge("a", "b", DependencyKind.USE, 1)
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedEvidence:
+    """`LocationEvidence` as a plain frozen, slotted dataclass declares it, with the generated `__init__`."""
+
+    source: EvidenceSource
+    payload: object
+    recorded_at: date
+
+    def __post_init__(self):
+        payload = self.payload
+        if self.source is EvidenceSource.MEMBER_LOCATIONS and isinstance(payload, (list, tuple)):
+            all_str = {str}.issuperset(map(type, payload))
+            object.__setattr__(self, "payload", tuple(sorted(payload) if all_str else payload))
+
+
+def test_location_evidence_behaves_as_a_frozen_slotted_dataclass():
+    members = EvidenceSource.MEMBER_LOCATIONS
+    ev, twin = LocationEvidence(members, ["SWE", "DEU"], TODAY), _GeneratedEvidence(members, ["SWE", "DEU"], TODAY)
+    for field in ("source", "payload", "recorded_at"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, field, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, field)
+    assert [f.name for f in dataclasses.fields(ev)] == [f.name for f in dataclasses.fields(twin)]
+    assert LocationEvidence.__slots__ == _GeneratedEvidence.__slots__
+    assert LocationEvidence.__match_args__ == _GeneratedEvidence.__match_args__
+    assert not hasattr(ev, "__dict__")
+    assert dataclasses.astuple(ev) == dataclasses.astuple(twin)
+    assert repr(ev) == repr(twin).replace("_GeneratedEvidence", "LocationEvidence")
+    assert hash(ev) == hash(twin)
+    assert ev == LocationEvidence(source=members, payload=("DEU", "SWE"), recorded_at=TODAY) and ev != twin
+    assert ev != LocationEvidence(members, ["SWE"], TODAY)
+    assert dataclasses.replace(ev, payload=["NOR", "AUT"]) == LocationEvidence(members, ("AUT", "NOR"), TODAY)
+    copy = pickle.loads(pickle.dumps(ev))
+    assert type(copy) is LocationEvidence and copy == ev and hash(copy) == hash(ev)
+
+
+@pytest.mark.parametrize(
+    "source, payload, stored",
+    [
+        (EvidenceSource.MEMBER_LOCATIONS, ["SWE", "DEU", "SWE"], ("DEU", "SWE", "SWE")),
+        (EvidenceSource.MEMBER_LOCATIONS, ("SWE", "DEU"), ("DEU", "SWE")),
+        (EvidenceSource.MEMBER_LOCATIONS, ("SWE", 1, "DEU"), ("SWE", 1, "DEU")),
+        (EvidenceSource.MEMBER_LOCATIONS, "SWE", "SWE"),
+        (EvidenceSource.EXPLICIT_ASSIGNMENT, ["SWE", "DEU"], ["SWE", "DEU"]),
+        ("member_locations", ["SWE", "DEU"], ["SWE", "DEU"]),
+    ],
+    ids=["member-list", "member-tuple", "member-tuple-with-number", "member-str", "non-member-list", "str-source"],
+)
+def test_location_evidence_stores_the_payload_as_the_generated_constructor_did(source, payload, stored):
+    ev, twin = LocationEvidence(source, payload, TODAY), _GeneratedEvidence(source, payload, TODAY)
+    assert ev.payload == twin.payload == stored
+    assert type(ev.payload) is type(twin.payload) is type(stored)
+    assert ev.source is source and ev.recorded_at is TODAY
+
+
 def _edges_weighted(*multiplicities):
     """`small_snapshot`'s three components with one edge of each multiplicity, in the order a->b, b->c, c->a, a->c."""
     pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]

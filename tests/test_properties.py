@@ -696,6 +696,39 @@ def test_parser_gives_the_reference_message_at_each_edge(kind, records):
     assert _outcome(parse, records) == _outcome(reference, records)
 
 
+MEMBERS = dict(EVIDENCE, source="member_locations", payload=["SWE", "DEU"])
+OWNER = {"id": "t", "name": "t", "kind": "team"}
+
+
+# The payload shapes that the payload rule's column tests split on, each after sound records of both shapes.
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind, records",
+    [
+        ("evidence", [EVIDENCE, MEMBERS, dict(MEMBERS, payload=["SWE", 1])]),
+        ("evidence", [EVIDENCE, MEMBERS, dict(MEMBERS, payload=["SWE", ["DEU"]])]),
+        ("evidence", [MEMBERS, EVIDENCE, dict(EVIDENCE, payload=["SWE"])]),
+        ("evidence", [MEMBERS, EVIDENCE, dict(EVIDENCE, source="manager_location", payload=["SWE"])]),
+        ("owners", [dict(OWNER, location_evidence=[EVIDENCE, dict(MEMBERS, payload="SWE")])]),
+        ("owners", [dict(OWNER, location_evidence=[MEMBERS, dict(EVIDENCE, payload=["SWE"])])]),
+        ("owners", [dict(OWNER, location_evidence=[MEMBERS]), dict(OWNER, location_evidence=[EVIDENCE, MEMBERS])]),
+    ],
+    ids=[
+        "member-number",
+        "member-nested-list",
+        "single-code-list",
+        "manager-list",
+        "sound-single-then-faulty-member",
+        "sound-member-then-faulty-single",
+        "sound-owners",
+    ],
+)
+def test_parser_gives_the_reference_message_for_each_payload_shape(kind, records, block):
+    parse, reference, _ = PARSERS[kind]
+    with mock.patch.object(ingest, "_WALK_RECORDS", block):
+        assert _outcome(parse, records) == _outcome(reference, records)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 @pytest.mark.parametrize("kind", PARSERS)
 @settings(max_examples=100, deadline=None)
