@@ -26,7 +26,9 @@ bundle formats no message. When a list fails, a
 block-first walk reads it again a block at a time with the same rules
 and walks the first failing block record by record, so the message
 names the first faulty record and field. A string holding an unpaired
-surrogate, which UTF-8 cannot encode, is refused too.
+surrogate, which UTF-8 cannot encode, is refused too; the strings are
+searched for one only when the text holds a backslash and a surrogate
+escape matches (or, in a str, holds a surrogate itself).
 
 A snapshot's `dependencies` is a `model.EdgeTable`: four parallel
 columns (users, used components, kinds, multiplicities) that iterate as
@@ -180,9 +182,11 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
             document = document.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BundleParseError("document is not valid UTF-8", exc.start) from None
-        suspect = _SURROGATE_ESCAPE.search(document)
+        suspect = "\\" in document and _SURROGATE_ESCAPE.search(document)
     else:
-        suspect = _SURROGATE_ESCAPE.search(document) or not document.isascii() and _SURROGATE.search(document)
+        suspect = ("\\" in document and _SURROGATE_ESCAPE.search(document)) or (
+            not document.isascii() and _SURROGATE.search(document)
+        )
     try:
         data = json.loads(document)
         snapshot = _snapshot_from(data)
@@ -192,9 +196,11 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         raise BundleParseError("JSON nested too deeply") from None
     # json.loads turns an unpaired surrogate escape into a lone surrogate,
     # which no artifact could hold: UTF-8 cannot encode it. The strings are
-    # walked only when the text holds such an escape (or, in a str, the
+    # walked only when the text holds a backslash, which every escape
+    # needs, and the escape regex matches (or, in a str, when it holds the
     # character itself); a paired escape or an escaped backslash before
-    # `u` also matches, and the walk finds nothing there.
+    # `u` also matches, and the walk finds nothing there. The backslash
+    # test is one memchr, a tenth of the regex's scan.
     if suspect:
         for where, text in _strings(data, ""):
             if _SURROGATE.search(text):

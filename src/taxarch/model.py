@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 UNKNOWN = "UNKNOWN"
 
@@ -80,7 +80,8 @@ _RESOLVER_OF = {source: name for name, sources in RESOLVER_SOURCES.items() for s
 def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
     """Each resolver's records of `owner` dated its latest day, in record order, keyed by RESOLVER_SOURCES name.
 
-    The one selection of evidence, made in one pass; `validate_snapshot` and `resolve_jurisdictions` both read it.
+    The one selection of evidence, made in one pass. `resolve_jurisdictions` reads it for every owner, and
+    `validate_snapshot` only when the evidence columns show an owner id with a same-dated pair of one resolver.
     A resolver with no records has no key. It reads records of the parser's types, as `validate_snapshot` holds
     them: each `source` an EvidenceSource, which some resolver reads, and each `recorded_at` a date.
     """
@@ -107,12 +108,30 @@ def conflict(owner: Owner, records: list[LocationEvidence]) -> str | None:
     return f"owner {owner.id!r}: conflicting {first.source.value} evidence dated {first.recorded_at.isoformat()}"
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls: type) -> tuple:
+    """The setters of a slotted record class's slots, in field order.
+
+    Each is a slot's member descriptor's `__set__`, which stores into a frozen instance as `object.__setattr__`
+    does, at a fraction of its cost; a hand-written `__init__` binds them once after its class.
+    """
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Component:
     id: str
     name: str
     kind: ComponentKind
     status: ComponentStatus
+
+    def __init__(self, id: str, name: str, kind: ComponentKind, status: ComponentStatus):
+        _set_component_id(self, id)
+        _set_component_name(self, name)
+        _set_component_kind(self, kind)
+        _set_component_status(self, status)
+
+
+_set_component_id, _set_component_name, _set_component_kind, _set_component_status = slot_setters(Component)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,22 +234,37 @@ class LocationEvidence:
 
 
 _MEMBER_LOCATIONS = EvidenceSource.MEMBER_LOCATIONS  # a global: the enum class attribute costs ten times as much
-# The slots' member descriptors' setters, which store into a frozen instance as `object.__setattr__` does.
-_set_source, _set_payload, _set_recorded_at = (getattr(LocationEvidence, s).__set__ for s in LocationEvidence.__slots__)
+_set_source, _set_payload, _set_recorded_at = slot_setters(LocationEvidence)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Owner:
     id: str
     name: str
     kind: OwnerKind
     location_evidence: tuple[LocationEvidence, ...] = ()
 
+    def __init__(self, id: str, name: str, kind: OwnerKind, location_evidence: tuple[LocationEvidence, ...] = ()):
+        _set_owner_id(self, id)
+        _set_owner_name(self, name)
+        _set_owner_kind(self, kind)
+        _set_location_evidence(self, location_evidence)
 
-@dataclass(frozen=True, slots=True)
+
+_set_owner_id, _set_owner_name, _set_owner_kind, _set_location_evidence = slot_setters(Owner)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class OwnershipAssignment:
     component: str
     owner: str
+
+    def __init__(self, component: str, owner: str):
+        _set_assigned_component(self, component)
+        _set_assigned_owner(self, owner)
+
+
+_set_assigned_component, _set_assigned_owner = slot_setters(OwnershipAssignment)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,17 +325,19 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     independent of collection order.
 
     Two phases. The first holds the snapshot's `components`, `owners` and
-    `ownership` and each owner's `location_evidence` to a tuple or list of
-    exactly their record class, then each typed field, an evidence record's
-    `source` and `recorded_at` included, to the exact type the parser gives
-    it; any `field-type` finding ends validation, reported alone. The
-    second, on a snapshot of the parser's types only, judges the id,
-    evidence, dependency and ownership invariants. Each block is a
-    set-algebra test over whole columns and, only when that test fails, a
-    listing of its offenders, one finding each. An owner with two evidence
-    records or more also has its selection judged, with the
-    `latest_evidence` and `conflict` that the resolver cascade uses. A
-    clean snapshot never formats a message.
+    `ownership` to a tuple or list of exactly their record class, then every
+    owner's `location_evidence` at once, as one column of containers, and
+    walks the owners only when that test fails. It then holds each typed
+    field, an evidence record's `source` and `recorded_at` included, to the
+    exact type the parser gives it; any `field-type` finding ends
+    validation, reported alone. The second, on a snapshot of the parser's
+    types only, judges the id, evidence, dependency and ownership
+    invariants. Each block is a set-algebra test over whole columns and,
+    only when that test fails, a listing of its offenders, one finding
+    each. Owners' evidence selections are judged, with the
+    `latest_evidence` and `conflict` that the resolver cascade uses, only
+    when one owner id holds two records of one resolver on one date, which
+    a conflict needs. A clean snapshot never formats a message.
     """
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
     findings = [
@@ -309,12 +345,17 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
         *_container_type("snapshot", snapshot.id, "owners", owners, Owner),
         *_container_type("snapshot", snapshot.id, "ownership", ownership, OwnershipAssignment),
     ]
-    if not findings:  # each owner is an Owner
-        findings = [
-            finding
-            for o in owners
-            for finding in _container_type("owner", o.id, "location_evidence", o.location_evidence, LocationEvidence)
-        ]
+    if not findings:  # each owner is an Owner: its evidence containers are one column, walked only when it fails
+        containers = [o.location_evidence for o in owners]
+        if not (
+            {tuple, list}.issuperset(map(type, containers))
+            and {LocationEvidence}.issuperset(map(type, chain.from_iterable(containers)))
+        ):
+            findings = [
+                finding
+                for o, container in zip(owners, containers)
+                for finding in _container_type("owner", o.id, "location_evidence", container, LocationEvidence)
+            ]
     if findings:
         findings.sort()
         return ValidationReport("failed", tuple(findings))
@@ -323,8 +364,10 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     cids, oids = [c.id for c in components], [o.id for o in owners]
     assigned, assignees = [a.component for a in ownership], [a.owner for a in ownership]
     # Each evidence record is named by its owner's id and its index among that owner's records.
-    evidence = [(o.id, j, ev) for o in owners for j, ev in enumerate(o.location_evidence)]
-    holders, places, records = zip(*evidence) if evidence else ((), (), ())
+    records = list(chain.from_iterable(containers))
+    counts = list(map(len, containers))
+    holders = list(chain.from_iterable(map(repeat, oids, counts)))
+    places = list(chain.from_iterable(map(range, counts)))
     findings = _field_types(
         "snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)
     )
@@ -343,12 +386,9 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
         ("name", [o.name for o in owners], str),
         ("kind", [o.kind for o in owners], OwnerKind),
     )
-    sources = [ev.source for ev in records]
+    sources, dates = [ev.source for ev in records], [ev.recorded_at for ev in records]
     findings += _field_types(
-        "evidence",
-        (holders, places),
-        ("source", sources, EvidenceSource),
-        ("recorded_at", [ev.recorded_at for ev in records], date),
+        "evidence", (holders, places), ("source", sources, EvidenceSource), ("recorded_at", dates, date)
     )
     findings += _field_types(
         "dependency",
@@ -375,7 +415,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                 for _ in range(count - 1)
             ]
 
-    findings += _evidence_findings(owners, holders, sources, [ev.payload for ev in records])
+    findings += _evidence_findings(owners, holders, sources, dates, [ev.payload for ev in records])
     findings += _dependency_findings(users, used, kinds, edges.multiplicities, component_ids)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
@@ -417,13 +457,18 @@ def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Seq
 
 
 def _evidence_findings(
-    owners: tuple[Owner, ...], holders: Sequence[str], sources: list[EvidenceSource], payloads: list
+    owners: tuple[Owner, ...],
+    holders: Sequence[str],
+    sources: list[EvidenceSource],
+    dates: list[date],
+    payloads: list,
 ) -> list[Finding]:
     """The evidence invariants over the evidence columns, row i of each being record i, held by owner `holders[i]`.
 
-    One whole-column test: member_locations payloads are tuples of strings, any other payload is a string, and
-    each distinct code is valid. Only when it fails are the records walked to list the offenders. Each owner with
-    two records or more then has its latest records judged by `conflict`.
+    Two whole-column tests. The first: member_locations payloads are tuples of strings, any other payload is a
+    string, and each distinct code is valid; only when it fails are the records walked to list the offenders. The
+    second: no owner id holds two records of one resolver on one date, which a conflict needs; only when it fails
+    does each owner with two records or more have its latest records judged by `conflict`.
     """
     lists = [source is _MEMBER_LOCATIONS for source in sources]
     member_payloads = list(compress(payloads, lists))
@@ -450,12 +495,13 @@ def _evidence_findings(
                     for code in codes
                     if not is_valid_jurisdiction(code)
                 ]
-    for o in owners:
-        if len(o.location_evidence) > 1:
-            for records in latest_evidence(o).values():
-                message = conflict(o, records)
-                if message is not None:
-                    findings.append(_finding("conflicting-evidence", message, o.id))
+    if len(set(zip(holders, map(_RESOLVER_OF.__getitem__, sources), dates))) != len(holders):
+        for o in owners:
+            if len(o.location_evidence) > 1:
+                for records in latest_evidence(o).values():
+                    message = conflict(o, records)
+                    if message is not None:
+                        findings.append(_finding("conflicting-evidence", message, o.id))
     return findings
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain
+from operator import attrgetter
 
-from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence
+from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence, slot_setters
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
 
@@ -67,13 +69,22 @@ def parse_cascade(text: str) -> tuple[Resolver, ...]:
     return tuple(resolvers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JurisdictionAssignment:
     owner: str
     jurisdiction: str
     resolver: str | None  # resolver description, None when unresolved
     evidence: str = ""
     decided_at: date | None = None
+
+    def __init__(
+        self, owner: str, jurisdiction: str, resolver: str | None, evidence: str = "", decided_at: date | None = None
+    ):
+        _set_owner(self, owner)
+        _set_jurisdiction(self, jurisdiction)
+        _set_resolver(self, resolver)
+        _set_evidence(self, evidence)
+        _set_decided_at(self, decided_at)
 
     @property
     def resolved(self) -> bool:
@@ -82,6 +93,9 @@ class JurisdictionAssignment:
     @property
     def provenance(self) -> str:
         return self.resolver if self.resolver is not None else "unresolved"
+
+
+_set_owner, _set_jurisdiction, _set_resolver, _set_evidence, _set_decided_at = slot_setters(JurisdictionAssignment)
 
 
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:
@@ -99,7 +113,7 @@ def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = D
         raise CascadeConfigError("cascade must not be empty")
     described = [(resolver, resolver.describe()) for resolver in cascade]
     assignments = []
-    for owner in sorted(owners, key=lambda o: o.id):
+    for owner in sorted(owners, key=attrgetter("id")):
         latest = latest_evidence(owner)
         decided = None
         for resolver, description in described:
@@ -113,7 +127,7 @@ def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = D
             if resolver.name == "member_majority":
                 # A jurisdiction is decisive when its share of member locations
                 # reaches the threshold.
-                members = Counter(code for ev in records for code in ev.payload)
+                members = Counter(chain.from_iterable(ev.payload for ev in records))
                 total = sum(members.values())
                 for code, count in sorted(members.items()):
                     if code != UNKNOWN and count / total >= resolver.threshold:

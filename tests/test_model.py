@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import pickle
 import random
@@ -26,7 +27,7 @@ from taxarch.model import (
     OwnershipAssignment,
     validate_snapshot,
 )
-from taxarch.resolve import DEFAULT_CASCADE
+from taxarch.resolve import DEFAULT_CASCADE, JurisdictionAssignment
 
 from conftest import TODAY, make_component, make_owner, make_snapshot
 
@@ -312,42 +313,26 @@ def test_validation_is_permutation_invariant():
         assert sorted(report.findings) == sorted(baseline.findings)
 
 
+# Each record class's twin: a plain frozen, slotted dataclass of the same fields, with the generated `__init__`, whose
+# behaviour the record keeps whether its constructor is generated or hand-written.
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedComponent:
+    id: str
+    name: str
+    kind: ComponentKind
+    status: ComponentStatus
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class _GeneratedEdge:
-    """`DependencyEdge` as a plain frozen, slotted dataclass declares it, with the generated `__init__`."""
-
     user: str
     owner_component: str
     kind: DependencyKind = DependencyKind.USE
     multiplicity: int = 1
 
 
-def test_dependency_edge_behaves_as_a_frozen_slotted_dataclass():
-    edge, twin = DependencyEdge("a", "b", DependencyKind.OTHER, 3), _GeneratedEdge("a", "b", DependencyKind.OTHER, 3)
-    for field in ("user", "owner_component", "kind", "multiplicity"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(edge, field, "x")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(edge, field)
-    assert [f.name for f in dataclasses.fields(edge)] == [f.name for f in dataclasses.fields(twin)]
-    assert dataclasses.astuple(edge) == dataclasses.astuple(twin)
-    assert DependencyEdge.__slots__ == _GeneratedEdge.__slots__
-    assert not hasattr(edge, "__dict__")
-    assert edge == DependencyEdge(user="a", owner_component="b", kind=DependencyKind.OTHER, multiplicity=3)
-    assert edge != DependencyEdge("a", "b", DependencyKind.OTHER, 2) and edge != twin
-    assert hash(edge) == hash(twin)
-    assert repr(edge) == repr(twin).replace("_GeneratedEdge", "DependencyEdge")
-    assert dataclasses.replace(edge, multiplicity=5) == DependencyEdge("a", "b", DependencyKind.OTHER, 5)
-    copy = pickle.loads(pickle.dumps(edge))
-    assert type(copy) is DependencyEdge and copy == edge and hash(copy) == hash(edge)
-    assert dataclasses.astuple(DependencyEdge("a", "b")) == dataclasses.astuple(_GeneratedEdge("a", "b"))
-    assert DependencyEdge("a", "b") == DependencyEdge("a", "b", DependencyKind.USE, 1)
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class _GeneratedEvidence:
-    """`LocationEvidence` as a plain frozen, slotted dataclass declares it, with the generated `__init__`."""
-
     source: EvidenceSource
     payload: object
     recorded_at: date
@@ -359,26 +344,81 @@ class _GeneratedEvidence:
             object.__setattr__(self, "payload", tuple(sorted(payload) if all_str else payload))
 
 
-def test_location_evidence_behaves_as_a_frozen_slotted_dataclass():
-    members = EvidenceSource.MEMBER_LOCATIONS
-    ev, twin = LocationEvidence(members, ["SWE", "DEU"], TODAY), _GeneratedEvidence(members, ["SWE", "DEU"], TODAY)
-    for field in ("source", "payload", "recorded_at"):
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedOwner:
+    id: str
+    name: str
+    kind: OwnerKind
+    location_evidence: tuple = ()
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedOwnershipAssignment:
+    component: str
+    owner: str
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedJurisdictionAssignment:
+    owner: str
+    jurisdiction: str
+    resolver: object
+    evidence: str = ""
+    decided_at: object = None
+
+
+_EXPLICIT_SWE = LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE", TODAY)
+
+
+@pytest.mark.parametrize(
+    "record, twin, args, change",
+    [
+        (Component, _GeneratedComponent, ("a", "a", ComponentKind.LIBRARY, ComponentStatus.DEPRECATED), {"name": "b"}),
+        (DependencyEdge, _GeneratedEdge, ("a", "b", DependencyKind.OTHER, 3), {"multiplicity": 5}),
+        (
+            LocationEvidence,
+            _GeneratedEvidence,
+            (EvidenceSource.MEMBER_LOCATIONS, ["SWE", "DEU"], TODAY),
+            {"payload": ["NOR", "AUT"]},
+        ),
+        (Owner, _GeneratedOwner, ("t1", "team", OwnerKind.UNIT, (_EXPLICIT_SWE,)), {"kind": OwnerKind.TEAM}),
+        (OwnershipAssignment, _GeneratedOwnershipAssignment, ("a", "t1"), {"owner": "t2"}),
+        (
+            JurisdictionAssignment,
+            _GeneratedJurisdictionAssignment,
+            ("t1", "SWE", "manager_location", "manager_location", TODAY),
+            {"evidence": "questionnaire"},
+        ),
+    ],
+    ids=["Component", "DependencyEdge", "LocationEvidence", "Owner", "OwnershipAssignment", "JurisdictionAssignment"],
+)
+def test_record_constructors_behave_as_a_frozen_slotted_dataclass(record, twin, args, change):
+    value, generated = record(*args), twin(*args)
+    names = [f.name for f in dataclasses.fields(generated)]
+    for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(ev, field, "x")
+            setattr(value, name, "x")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(ev, field)
-    assert [f.name for f in dataclasses.fields(ev)] == [f.name for f in dataclasses.fields(twin)]
-    assert LocationEvidence.__slots__ == _GeneratedEvidence.__slots__
-    assert LocationEvidence.__match_args__ == _GeneratedEvidence.__match_args__
-    assert not hasattr(ev, "__dict__")
-    assert dataclasses.astuple(ev) == dataclasses.astuple(twin)
-    assert repr(ev) == repr(twin).replace("_GeneratedEvidence", "LocationEvidence")
-    assert hash(ev) == hash(twin)
-    assert ev == LocationEvidence(source=members, payload=("DEU", "SWE"), recorded_at=TODAY) and ev != twin
-    assert ev != LocationEvidence(members, ["SWE"], TODAY)
-    assert dataclasses.replace(ev, payload=["NOR", "AUT"]) == LocationEvidence(members, ("AUT", "NOR"), TODAY)
-    copy = pickle.loads(pickle.dumps(ev))
-    assert type(copy) is LocationEvidence and copy == ev and hash(copy) == hash(ev)
+            delattr(value, name)
+    assert [(f.name, f.default) for f in dataclasses.fields(value)] == [
+        (f.name, f.default) for f in dataclasses.fields(generated)
+    ]
+    assert record.__slots__ == twin.__slots__ and record.__match_args__ == twin.__match_args__
+    assert not hasattr(value, "__dict__")
+    parameters = [(p.name, p.kind, p.default) for p in inspect.signature(record).parameters.values()]
+    assert parameters == [(p.name, p.kind, p.default) for p in inspect.signature(twin).parameters.values()]
+    assert dataclasses.astuple(value) == dataclasses.astuple(generated)
+    assert repr(value) == repr(generated).replace(twin.__name__, record.__name__)
+    assert hash(value) == hash(generated) and value != generated
+    assert value == record(**dict(zip(names, args)))
+    assert value != dataclasses.replace(value, **change)
+    assert dataclasses.astuple(dataclasses.replace(value, **change)) == dataclasses.astuple(
+        dataclasses.replace(generated, **change)
+    )
+    required = [p for p in inspect.signature(twin).parameters.values() if p.default is inspect.Parameter.empty]
+    assert dataclasses.astuple(record(*args[: len(required)])) == dataclasses.astuple(twin(*args[: len(required)]))
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is record and copy == value and hash(copy) == hash(value)
 
 
 @pytest.mark.parametrize(

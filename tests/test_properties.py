@@ -834,7 +834,7 @@ def defective_snapshots(draw):
             st.sampled_from(
                 ["duplicate-id", "empty-component-id", "empty-owner-id", "dangling-user", "dangling-used"]
                 + ["self-dependency", "invalid-multiplicity", "duplicate-edge", "triplicate-edge", "missing-owner"]
-                + ["multiple-owners", "repeated-assignment", "unknown-owner", "unknown-component"]
+                + ["multiple-owners", "repeated-assignment", "unknown-owner", "unknown-component", "shared-owner-id"]
                 + list(EVIDENCE_DEFECTS)
             )
         )
@@ -870,6 +870,13 @@ def defective_snapshots(draw):
             ownership.append(OwnershipAssignment(draw(component_ids), "ghost"))
         elif defect == "unknown-component":
             ownership.append(OwnershipAssignment("ghost", draw(owner_ids)))
+        elif defect == "shared-owner-id":
+            # Two owners of one id, each with one explicit record of its own code on one date: the evidence columns
+            # hold a same-dated pair of one resolver under that id, yet neither owner holds a conflict.
+            i = draw(st.integers(min_value=0, max_value=len(owners) - 1))
+            o, explicit = owners[i], EvidenceSource.EXPLICIT_ASSIGNMENT
+            owners[i] = Owner(o.id, o.name, o.kind, (LocationEvidence(explicit, "SWE", snapshot.taken_at),))
+            owners.append(Owner(o.id, "twin", o.kind, (LocationEvidence(explicit, "DEU", snapshot.taken_at),)))
         elif defect in EVIDENCE_DEFECTS:
             i = draw(st.integers(min_value=0, max_value=len(owners) - 1))
             o = owners[i]
