@@ -78,29 +78,27 @@ def apply_scope_filter(
     """Drop out-of-scope components and their incident edges.
 
     `owner_of` is the snapshot's `owner_of()`, built once by the caller.
-    Every exclusion is recorded with its reason; nothing is silent.
+    Every exclusion is recorded with its reason; nothing is silent. When
+    nothing is excluded, the scoped snapshot holds the input's records.
     """
-    owner_index = snapshot.owner_index()
-
-    excluded: list[tuple[str, str]] = []
-    for c in snapshot.components:
-        if c.status not in policy.include_statuses:
-            excluded.append((c.id, "non_production"))
-            continue
-        if policy.exclude_individual_owners:
-            owner = owner_index.get(owner_of.get(c.id, ""))
-            if owner is not None and owner.kind is OwnerKind.INDIVIDUAL:
-                excluded.append((c.id, "individual_owner"))
-    excluded_ids = {cid for cid, _ in excluded}
-
-    kept_components = tuple(c for c in snapshot.components if c.id not in excluded_ids)
+    individuals = (
+        {o.id for o in snapshot.owners if o.kind is OwnerKind.INDIVIDUAL} if policy.exclude_individual_owners else ()
+    )
+    statuses = policy.include_statuses
+    excluded = [
+        (c.id, "non_production" if c.status not in statuses else "individual_owner")
+        for c in snapshot.components
+        if c.status not in statuses or owner_of.get(c.id) in individuals
+    ]
     edges = snapshot.dependencies
-    if excluded_ids:
+    if excluded:
+        excluded_ids = {cid for cid, _ in excluded}
+        kept_components = tuple(c for c in snapshot.components if c.id not in excluded_ids)
         keep = [u not in excluded_ids and v not in excluded_ids for u, v in zip(edges.users, edges.used)]
         kept_edges = edges.select(keep)
-    else:
-        kept_edges = edges  # the same table: nothing to drop
-    kept_ownership = tuple(a for a in snapshot.ownership if a.component not in excluded_ids)
+        kept_ownership = tuple(a for a in snapshot.ownership if a.component not in excluded_ids)
+    else:  # the same records: nothing to drop
+        kept_components, kept_edges, kept_ownership = tuple(snapshot.components), edges, tuple(snapshot.ownership)
 
     scoped = ArchitectureSnapshot(
         id=snapshot.id,

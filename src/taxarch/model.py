@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 
 UNKNOWN = "UNKNOWN"
 
@@ -155,6 +155,10 @@ class EdgeTable(Sequence):
     and compares to a tuple as the tuple of those rows would, and a slice is a
     table. The stages that walk every edge read the columns, so a parse of
     100k edges builds no edge object.
+
+    A table whose (user, used) pairs strictly increase from row to row, as
+    the serializer writes every bundle, holds no pair twice and so no edge
+    twice; `ordered()` proves that in one pass over neighbouring rows.
     """
 
     users: tuple = ()
@@ -174,6 +178,15 @@ class EdgeTable(Sequence):
         """The table of (user, owner_component, kind, multiplicity) rows."""
         columns = tuple(zip(*rows))
         return cls(*columns) if columns else cls()
+
+    def ordered(self) -> bool:
+        """Whether each row's (user, used) pair is greater than the pair of the row before.
+
+        One pass over neighbouring rows, read through `islice` views: no column is copied and no triple is built.
+        The values are compared as given, so the columns must hold values that order, as strings do.
+        """
+        users, used = self.users, self.used
+        return all(map(operator.lt, zip(users, used), zip(islice(users, 1, None), islice(used, 1, None))))
 
     def select(self, keep: list) -> EdgeTable:
         """The table of the rows whose entry in `keep` is true."""
@@ -280,9 +293,6 @@ class ArchitectureSnapshot:
         if type(self.dependencies) is not EdgeTable:
             object.__setattr__(self, "dependencies", EdgeTable.from_rows(map(_EDGE_ROW, self.dependencies)))
 
-    def owner_index(self) -> dict[str, Owner]:
-        return {o.id: o for o in self.owners}
-
     def owner_of(self) -> dict[str, str]:
         """Component id -> owner id (first assignment wins on duplicates)."""
         mapping: dict[str, str] = {}
@@ -334,7 +344,10 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     types only, judges the id, evidence, dependency and ownership
     invariants. Each block is a set-algebra test over whole columns and,
     only when that test fails, a listing of its offenders, one finding
-    each. Owners' evidence selections are judged, with the
+    each. The duplicate-edge block first asks `EdgeTable.ordered()`: rows
+    whose (user, used) pairs strictly increase, as every serialized bundle
+    lists them, repeat no edge, and only a table in another order has its
+    triples hashed. Owners' evidence selections are judged, with the
     `latest_evidence` and `conflict` that the resolver cascade uses, only
     when one owner id holds two records of one resolver on one date, which
     a conflict needs. A clean snapshot never formats a message.
@@ -416,7 +429,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
             ]
 
     findings += _evidence_findings(owners, holders, sources, dates, [ev.payload for ev in records])
-    findings += _dependency_findings(users, used, kinds, edges.multiplicities, component_ids)
+    findings += _dependency_findings(edges, component_ids)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
@@ -512,14 +525,9 @@ def _dangling(column: Sequence[str], known: set[str], message: str) -> list[Find
     return [_finding("dangling-reference", message.format(x), x) for x in column if x not in known]
 
 
-def _dependency_findings(
-    users: Sequence[str],
-    used: Sequence[str],
-    kinds: Sequence[DependencyKind],
-    multiplicities: Sequence[int],
-    component_ids: set[str],
-) -> list[Finding]:
-    """The dependency invariants over the edge columns, row i of each being edge i."""
+def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Finding]:
+    """The dependency invariants over the edge columns, row i of each being edge i; every endpoint is a string."""
+    users, used, kinds, multiplicities = _COLUMNS(edges)
     findings = []
     if any(map(operator.eq, users, used)):
         findings += [
@@ -534,10 +542,12 @@ def _dependency_findings(
             for u, v, m in zip(users, used, multiplicities)
             if type(m) is not int or m < 1
         ]
-    # Equal triples hash alike, so as many distinct triple hashes as edges
-    # means no duplicate edge; a hash collision only sends the check to the
-    # count below. A set of hashes is about half the cost of a set of triples.
-    if len(set(map(hash, zip(users, used, kinds)))) != len(users):
+    # Strictly increasing (user, used) pairs repeat no edge, and a neighbour
+    # pass costs about half a set of hashes. In any other order, equal triples
+    # hash alike, so as many distinct triple hashes as edges means no
+    # duplicate edge; a hash collision only sends the check to the count
+    # below. A set of hashes is about half the cost of a set of triples.
+    if not edges.ordered() and len(set(map(hash, zip(users, used, kinds)))) != len(users):
         findings += [
             _finding("duplicate-edge", f"duplicate dependency {u!r}->{v!r}; use multiplicity", u, v)
             for (u, v, kind), count in Counter(zip(users, used, kinds)).items()

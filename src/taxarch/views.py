@@ -7,8 +7,9 @@ All emitters are deterministic: equal inputs yield byte-identical output.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .classify import EdgeClass, JurisdictionFlowMatrix, classify_cell
 from .diff import PipelineRun
@@ -126,8 +127,11 @@ def _csv_field(value: str) -> str:
     return value
 
 
-def _render_csv(rows: Iterable[Sequence[str]]) -> str:
-    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+def _render_csv(rows: Sequence[Sequence[str]]) -> str:
+    """The CSV document of `rows`; one quoting test over all its fields, each field tested only when one needs it."""
+    if _NEEDS_QUOTES("".join(chain.from_iterable(rows))):
+        return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+    return "\n".join(map(",".join, rows)) + "\n" if rows else ""
 
 
 def _render_markdown(rows: list[list[str]]) -> str:

@@ -257,7 +257,7 @@ def test_assemble_from_csv_basic():
     assert len(snapshot.dependencies) == 3
     assert {c.id for c in snapshot.components} == {"auth", "billing", "catalog"}
     assert {c.status.value for c in snapshot.components} == {"production"}
-    team_b = snapshot.owner_index()["team-b"]
+    (team_b,) = [o for o in snapshot.owners if o.id == "team-b"]
     assert team_b.location_evidence[0].payload == "UNKNOWN"
 
 

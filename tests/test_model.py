@@ -651,6 +651,31 @@ def test_edge_table_reads_as_the_tuple_of_its_rows():
         EdgeTable(("a",), ("b",), (), (1,))
 
 
+USE, OTHER = DependencyKind.USE, DependencyKind.OTHER
+
+
+@pytest.mark.parametrize(
+    "rows, ordered",
+    [
+        ((), True),
+        ((("a", "b", USE),), True),
+        ((("a", "b", USE), ("a", "c", OTHER), ("b", "a", USE), ("b", "c", USE)), True),
+        ((("a", "b", USE), ("a", "b", USE)), False),
+        ((("a", "b", OTHER), ("a", "b", USE)), False),
+        ((("a", "c", USE), ("a", "b", USE), ("b", "a", USE)), False),
+        ((("a", "b", USE), ("b", "a", USE), ("a", "c", USE)), False),
+    ],
+    ids=["empty", "one-row", "increasing", "equal-neighbours", "one-pair-under-both-kinds", "used-falls", "user-falls"],
+)
+def test_edge_table_is_ordered_when_its_pairs_strictly_increase(rows, ordered):
+    assert EdgeTable.from_rows((u, v, kind, 1) for u, v, kind in rows).ordered() is ordered
+
+
+def test_a_serialized_bundle_lists_its_edges_in_order():
+    devnullsoft = fixture("devnullsoft")
+    assert parse_bundle(serialize_bundle(devnullsoft)).dependencies.ordered()
+
+
 def test_a_snapshot_built_from_edge_objects_equals_its_parsed_bundle():
     devnullsoft = fixture("devnullsoft")
     edges = tuple(sorted(devnullsoft.dependencies, key=lambda e: (e.user, e.owner_component, e.kind)))

@@ -57,6 +57,7 @@ from reference_parse import (
     _checked_ownership,
 )
 from reference_diff import reference_diff_snapshots
+from reference_scope import reference_apply_scope_filter
 from reference_validate import reference_validate_snapshot
 
 
@@ -83,6 +84,31 @@ def pipeline(snapshot):
 @given(snapshots())
 def test_generated_snapshots_validate(snapshot):
     assert validate_snapshot(snapshot).status == "ok"
+
+
+@st.composite
+def scope_cases(draw):
+    """A generated snapshot whose owners are drawn teams, units and individuals and whose components hold drawn
+    statuses, which keeps it valid, and a drawn scope policy."""
+    snapshot = draw(snapshots())
+    statuses = st.sampled_from(ComponentStatus)
+    components = tuple(Component(c.id, c.name, c.kind, draw(statuses)) for c in snapshot.components)
+    kinds = st.sampled_from(OwnerKind)
+    owners = tuple(Owner(o.id, o.name, draw(kinds), o.location_evidence) for o in snapshot.owners)
+    snapshot = dataclasses.replace(snapshot, components=components, owners=owners)
+    policy = ScopePolicy(frozenset(draw(st.sets(statuses, min_size=1))), draw(st.booleans()))
+    return snapshot, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(scope_cases())
+def test_scope_filter_equals_the_record_by_record_reference(case):
+    snapshot, policy = case
+    assert validate_snapshot(snapshot).ok
+    scoped, report = apply_scope_filter(snapshot, snapshot.owner_of(), policy)
+    assert (scoped, report) == reference_apply_scope_filter(snapshot, snapshot.owner_of(), policy)
+    if not report.excluded_components:
+        assert scoped.components is snapshot.components and scoped.ownership is snapshot.ownership
 
 
 @given(snapshots())
@@ -819,7 +845,10 @@ def defective_evidence(draw, defect, taken_at):
 @st.composite
 def defective_snapshots(draw):
     """A generated snapshot with up to five defects of the kinds each invariant block of validate looks for, some
-    defects repeated within one snapshot, so that each block's listing is compared with the reference's count."""
+    defects repeated within one snapshot, so that each block's listing is compared with the reference's count.
+
+    The dependency rows are then drawn sorted by (user, used, kind), as a serialized bundle lists them, or left in
+    the order the defects gave them, so that the duplicate-edge block is compared through both of its gates."""
     snapshot = draw(snapshots())
     components, dependencies, owners, ownership = (
         list(snapshot.components),
@@ -835,6 +864,7 @@ def defective_snapshots(draw):
                 ["duplicate-id", "empty-component-id", "empty-owner-id", "dangling-user", "dangling-used"]
                 + ["self-dependency", "invalid-multiplicity", "duplicate-edge", "triplicate-edge", "missing-owner"]
                 + ["multiple-owners", "repeated-assignment", "unknown-owner", "unknown-component", "shared-owner-id"]
+                + ["kind-twin"]
                 + list(EVIDENCE_DEFECTS)
             )
         )
@@ -860,6 +890,11 @@ def defective_snapshots(draw):
             dependencies.append(draw(st.sampled_from(dependencies)))
         elif defect == "triplicate-edge" and dependencies:
             dependencies += [draw(st.sampled_from(dependencies))] * 2
+        elif defect == "kind-twin" and dependencies:
+            # The same (user, used) pair under the other kind: not a duplicate edge, yet a pair the order test meets.
+            e = draw(st.sampled_from(dependencies))
+            other = DependencyKind.OTHER if e.kind is DependencyKind.USE else DependencyKind.USE
+            dependencies.append(DependencyEdge(e.user, e.owner_component, other, e.multiplicity))
         elif defect == "missing-owner" and ownership:
             ownership.pop(draw(st.integers(min_value=0, max_value=len(ownership) - 1)))
         elif defect == "multiple-owners":
@@ -883,6 +918,8 @@ def defective_snapshots(draw):
             owners[i] = Owner(
                 o.id, o.name, o.kind, o.location_evidence + draw(defective_evidence(defect, snapshot.taken_at))
             )
+    if draw(st.booleans()):
+        dependencies.sort(key=lambda e: (e.user, e.owner_component, e.kind))
     return ArchitectureSnapshot(
         snapshot.id, snapshot.taken_at, tuple(components), tuple(dependencies), tuple(owners), tuple(ownership)
     )
