@@ -14,8 +14,8 @@ from .classify import (
     compute_stats,
 )
 from .diff import PipelineRun, SnapshotDelta, diff_snapshots, run_pipeline
-from .generate import GeneratorParams, fixture, generate
-from .ingest import assemble_from_csv, parse_bundle, serialize_bundle
+from .generate import GeneratorParams, fixture
+from .ingest import parse_bundle, serialize_bundle
 from .model import (
     UNKNOWN,
     ArchitectureSnapshot,
@@ -70,7 +70,6 @@ __all__ = [
     "ValidationReport",
     "aggregate",
     "apply_scope_filter",
-    "assemble_from_csv",
     "bucketize",
     "build_registers",
     "classify_edge",
@@ -81,7 +80,6 @@ __all__ = [
     "emit_report",
     "emit_table",
     "fixture",
-    "generate",
     "parse_bundle",
     "parse_cascade",
     "resolution_summary",

@@ -1,4 +1,4 @@
-"""Parsing and canonical serialization of snapshot bundles and CSV inputs.
+"""Parsing and canonical serialization of snapshot bundles, taxarch's one input format.
 
 The bundle is a UTF-8 JSON document (schema_version 1). Serialization is
 canonical: fixed key order, sorted arrays, 2-space indent, trailing
@@ -37,7 +37,6 @@ columns (users, used components, kinds, multiplicities) that iterate as
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import operator
@@ -49,7 +48,6 @@ from .jsontext import array as _array
 from .jsontext import quote as _quote
 from .jsontext import strings as _strings_array
 from .model import (
-    UNKNOWN,
     ArchitectureSnapshot,
     Component,
     ComponentKind,
@@ -67,7 +65,7 @@ SCHEMA_VERSION = 1
 
 
 class IngestError(ValueError):
-    """Base class for bundle/CSV ingestion failures."""
+    """Base class for bundle ingestion failures."""
 
 
 class BundleParseError(IngestError):
@@ -428,95 +426,3 @@ def _bundle_text(snapshot: ArchitectureSnapshot):
         for a in sorted(snapshot.ownership, key=lambda a: (a.component, a.owner))
     ]
     yield f',\n  "owners": {_array(owners, "  ")},\n  "ownership": {_array(ownership, "  ")}\n}}\n'
-
-
-class CsvError(IngestError):
-    pass
-
-
-def _read_csv(text: str, expected_header: list[str], optional: int, what: str) -> list[list[str]]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [row for row in reader if row]
-    except csv.Error as exc:
-        raise CsvError(f"{what}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise CsvError(f"{what}: missing header row")
-    header = rows[0]
-    mandatory = expected_header[: len(expected_header) - optional]
-    if header[: len(mandatory)] != mandatory or header != expected_header[: len(header)]:
-        raise CsvError(f"{what}: expected header {','.join(expected_header)!r}, got {_listed(header)}")
-    width = len(header)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise CsvError(f"{what}: row {i} has {len(row)} fields, expected {width}")
-    return rows[1:]
-
-
-# An integer as a CSV edge row writes it; `int` alone also reads "1_000", " 7 ", "+3" and other scripts' digits.
-_INTEGER = re.compile(r"-?[0-9]+").fullmatch
-
-
-def assemble_from_csv(
-    edges_csv: str,
-    ownership_csv: str,
-    jurisdictions_csv: str,
-    taken_at: date,
-    snapshot_id: str = "assembled",
-) -> ArchitectureSnapshot:
-    """Build a snapshot from the three tabular inputs.
-
-    Components and owners are synthesized from the ids seen in the
-    files; kind defaults to `other`, status to `production`. A literal
-    `N/A` jurisdiction becomes explicit UNKNOWN evidence dated `taken_at`.
-
-    CsvError is raised only for the text: a bad header, field count,
-    oversized field, kind or multiplicity, or a jurisdiction row whose
-    owner no ownership row names. Identical repeated rows collapse; all
-    else is kept as the rows say it, for `validate_snapshot` to judge as
-    it judges a bundle. A component with two owners gets two assignments
-    (`multiple-owners`), an owner with two codes two same-dated records
-    (`conflicting-evidence`), and a malformed code a record holding it
-    (`malformed-jurisdiction`).
-    """
-    edge_rows = _read_csv(edges_csv, ["user", "owner_component", "kind", "multiplicity"], 2, "edges")
-    ownership_rows = _read_csv(ownership_csv, ["component", "owner"], 0, "ownership")
-    jurisdiction_rows = _read_csv(jurisdictions_csv, ["owner", "jurisdiction"], 0, "jurisdictions")
-
-    dependencies = []
-    component_ids: set[str] = set()
-    for i, row in enumerate(edge_rows, start=2):
-        user, owner_component = row[0], row[1]
-        try:
-            kind = DependencyKind(row[2]) if len(row) > 2 and row[2] else DependencyKind.USE
-        except ValueError:
-            raise CsvError(f"edges: row {i}: kind {_shown(row[2])} is not a valid DependencyKind") from None
-        multiplicity = row[3] if len(row) > 3 and row[3] else "1"
-        if not _INTEGER(multiplicity):
-            raise CsvError(f"edges: row {i}: multiplicity {_shown(multiplicity)} is not an integer written in digits")
-        dependencies.append((user, owner_component, kind, int(multiplicity)))
-        component_ids.update((user, owner_component))
-
-    ownership = tuple(OwnershipAssignment(*row) for row in dict.fromkeys(map(tuple, ownership_rows)))
-    owner_ids = {a.owner for a in ownership}
-    component_ids.update(a.component for a in ownership)
-
-    evidence: dict[str, list[LocationEvidence]] = {}
-    for owner, code in dict.fromkeys((owner, UNKNOWN if code == "N/A" else code) for owner, code in jurisdiction_rows):
-        if owner not in owner_ids:
-            raise CsvError(f"dangling-reference: jurisdiction row for unknown owner {_shown(owner)}")
-        evidence.setdefault(owner, []).append(LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, code, taken_at))
-
-    components = tuple(
-        Component(cid, cid, ComponentKind.OTHER, ComponentStatus.PRODUCTION)
-        for cid in sorted(component_ids)
-    )
-    owners = tuple(Owner(oid, oid, OwnerKind.TEAM, tuple(evidence.get(oid, ()))) for oid in sorted(owner_ids))
-    return ArchitectureSnapshot(
-        id=snapshot_id,
-        taken_at=taken_at,
-        components=components,
-        dependencies=EdgeTable.from_rows(dependencies),
-        owners=owners,
-        ownership=ownership,
-    )

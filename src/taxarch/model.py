@@ -344,10 +344,10 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     types only, judges the id, evidence, dependency and ownership
     invariants. Each block is a set-algebra test over whole columns and,
     only when that test fails, a listing of its offenders, one finding
-    each. The duplicate-edge block first asks `EdgeTable.ordered()`: rows
-    whose (user, used) pairs strictly increase, as every serialized bundle
-    lists them, repeat no edge, and only a table in another order has its
-    triples hashed. Owners' evidence selections are judged, with the
+    each. The duplicate-edge block asks `EdgeTable.ordered()`: rows whose
+    (user, used) pairs strictly increase, as every serialized bundle lists
+    them, repeat no edge, and only a table in another order has its triples
+    counted. Owners' evidence selections are judged, with the
     `latest_evidence` and `conflict` that the resolver cascade uses, only
     when one owner id holds two records of one resolver on one date, which
     a conflict needs. A clean snapshot never formats a message.
@@ -542,12 +542,8 @@ def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Find
             for u, v, m in zip(users, used, multiplicities)
             if type(m) is not int or m < 1
         ]
-    # Strictly increasing (user, used) pairs repeat no edge, and a neighbour
-    # pass costs about half a set of hashes. In any other order, equal triples
-    # hash alike, so as many distinct triple hashes as edges means no
-    # duplicate edge; a hash collision only sends the check to the count
-    # below. A set of hashes is about half the cost of a set of triples.
-    if not edges.ordered() and len(set(map(hash, zip(users, used, kinds)))) != len(users):
+    # Strictly increasing (user, used) pairs, as every serialized bundle lists them, repeat no edge.
+    if not edges.ordered():
         findings += [
             _finding("duplicate-edge", f"duplicate dependency {u!r}->{v!r}; use multiplicity", u, v)
             for (u, v, kind), count in Counter(zip(users, used, kinds)).items()

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 from unittest import mock
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taxarch.generate as generate_module
 from taxarch.classify import aggregate, compute_stats
 from taxarch.generate import MAX_COUNT, GenerationError, GeneratorParams, _below, _pairs, fixture, generate
 from taxarch.ingest import serialize_bundle
@@ -14,9 +14,6 @@ from taxarch.model import validate_snapshot
 from taxarch.resolve import resolution_summary, resolve_jurisdictions
 
 from reference_generate import reference_below, reference_pairs
-
-# `taxarch.generate` the attribute is the function; the module is where `_ROUND_WORDS` lives.
-GENERATE_MODULE = importlib.import_module("taxarch.generate")
 
 
 def test_same_seed_gives_byte_identical_bundles():
@@ -115,7 +112,7 @@ def count_and_target(draw):
 def test_bulk_draws_give_what_the_randrange_loops_give(seed, drawn, count, round_words):
     # A small round cap makes every draw span many rounds, each carrying its odd value into the next.
     n, target = drawn
-    with mock.patch.object(GENERATE_MODULE, "_ROUND_WORDS", round_words):
+    with mock.patch.object(generate_module, "_ROUND_WORDS", round_words):
         for helper, reference, wanted in ((_below, reference_below, count), (_pairs, reference_pairs, target)):
             bulk, single = random.Random(seed), random.Random(seed)
             assert helper(bulk, n, wanted) == reference(single, n, wanted)
@@ -142,7 +139,7 @@ def test_bulk_draws_keep_exactly_the_words_below_the_limit(n):
     limit = n << (32 - n.bit_length())
     words = [limit, limit - 1, 2**32 - 1, 0, limit, 0, limit - 1, 0x12345678, 0x9ABCDEF0]
     target = min(n * (n - 1), 2)
-    with mock.patch.object(GENERATE_MODULE, "_ROUND_WORDS", 2):
+    with mock.patch.object(generate_module, "_ROUND_WORDS", 2):
         for helper, reference, wanted in ((_below, reference_below, 4), (_pairs, reference_pairs, target)):
             bulk, single = _GivenWords(words), _GivenWords(words)
             assert helper(bulk, n, wanted) == reference(single, n, wanted)

@@ -6,23 +6,18 @@ from datetime import date
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from taxarch import ingest
 from taxarch.generate import GeneratorParams, fixture, generate
 from taxarch.ingest import (
     BundleParseError,
-    CsvError,
     SchemaError,
     UnencodableStringError,
     UnsupportedVersionError,
-    assemble_from_csv,
     parse_bundle,
     serialize_bundle,
 )
 from taxarch.model import (
-    UNKNOWN,
     ArchitectureSnapshot,
     Component,
     DependencyEdge,
@@ -30,7 +25,6 @@ from taxarch.model import (
     LocationEvidence,
     Owner,
     OwnershipAssignment,
-    validate_snapshot,
 )
 
 from conftest import TODAY
@@ -246,61 +240,6 @@ def test_unencodable_string_is_a_typed_error_naming_its_field(collection, pick, 
     assert str(exc.value) == f"{field} holds an unpaired surrogate, which UTF-8 cannot encode"
 
 
-EDGES = "user,owner_component\nbilling,auth\ncatalog,auth\ncatalog,billing\n"
-OWNERSHIP = "component,owner\nauth,team-a\nbilling,team-b\ncatalog,team-b\n"
-JURISDICTIONS = "owner,jurisdiction\nteam-a,SWE\nteam-b,N/A\n"
-
-
-def test_assemble_from_csv_basic():
-    snapshot = assemble_from_csv(EDGES, OWNERSHIP, JURISDICTIONS, TODAY)
-    assert validate_snapshot(snapshot).status == "ok"
-    assert len(snapshot.dependencies) == 3
-    assert {c.id for c in snapshot.components} == {"auth", "billing", "catalog"}
-    assert {c.status.value for c in snapshot.components} == {"production"}
-    (team_b,) = [o for o in snapshot.owners if o.id == "team-b"]
-    assert team_b.location_evidence[0].payload == "UNKNOWN"
-
-
-def _findings(snapshot):
-    return [(f.code, f.offending_ids) for f in validate_snapshot(snapshot).findings]
-
-
-def test_assemble_duplicate_ownership_is_a_multiple_owners_finding():
-    dup = OWNERSHIP + "auth,team-b\n"
-    assert _findings(assemble_from_csv(EDGES, dup, JURISDICTIONS, TODAY)) == [
-        ("multiple-owners", ("auth", "team-a", "team-b"))
-    ]
-
-
-def test_assemble_conflicting_jurisdiction_rows_are_a_conflicting_evidence_finding():
-    conflicting = JURISDICTIONS + "team-a,DEU\n"
-    assert _findings(assemble_from_csv(EDGES, OWNERSHIP, conflicting, TODAY)) == [
-        ("conflicting-evidence", ("team-a",))
-    ]
-
-
-def test_assemble_repeated_identical_jurisdiction_rows_accepted():
-    repeated = JURISDICTIONS + "team-a,SWE\nteam-b,N/A\n"
-    snapshot = assemble_from_csv(EDGES, OWNERSHIP, repeated, TODAY)
-    assert snapshot == assemble_from_csv(EDGES, OWNERSHIP, JURISDICTIONS, TODAY)
-
-
-def test_assemble_dangling_jurisdiction_owner_rejected():
-    extra = JURISDICTIONS + "team-ghost,DEU\n"
-    with pytest.raises(CsvError, match="dangling-reference"):
-        assemble_from_csv(EDGES, OWNERSHIP, extra, TODAY)
-
-
-def test_assemble_non_alpha3_code_is_a_malformed_jurisdiction_finding():
-    bad = "owner,jurisdiction\nteam-a,SWEDEN\nteam-b,DEU\n"
-    assert _findings(assemble_from_csv(EDGES, OWNERSHIP, bad, TODAY)) == [("malformed-jurisdiction", ("team-a",))]
-
-
-def test_assemble_rejects_wrong_header():
-    with pytest.raises(CsvError):
-        assemble_from_csv("from,to\nx,y\n", OWNERSHIP, JURISDICTIONS, TODAY)
-
-
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -351,107 +290,3 @@ def test_the_fault_walk_reads_a_fault_in_the_last_record_a_block_at_a_time():
         with pytest.raises(SchemaError, match=r"^dependencies\[19999\]\.multiplicity must be a positive integer$"):
             ingest._dependencies(records)
     assert 0 < require_keys.call_count <= ingest._WALK_RECORDS
-
-
-@pytest.mark.parametrize(
-    "row",
-    [
-        "billing,auth,use,x",
-        "billing,auth,zzz,1",
-        "billing,auth,use,1_000",
-        "billing,auth,use, 7 ",
-        "billing,auth,use,+3",
-        "billing,auth,use,\u0663",
-    ],
-)
-def test_assemble_rejects_bad_edge_field(row):
-    edges = "user,owner_component,kind,multiplicity\n" + row + "\n"
-    with pytest.raises(CsvError, match="row 2"):
-        assemble_from_csv(edges, OWNERSHIP, JURISDICTIONS, TODAY)
-
-
-@pytest.mark.parametrize("multiplicity", ["0", "-2"])
-def test_assemble_keeps_a_multiplicity_below_one_for_validate(multiplicity):
-    edges = f"user,owner_component,kind,multiplicity\nbilling,auth,use,{multiplicity}\n"
-    snapshot = assemble_from_csv(edges, OWNERSHIP, JURISDICTIONS, TODAY)
-    assert snapshot.dependencies.multiplicities == (int(multiplicity),)
-    assert _findings(snapshot) == [("invalid-multiplicity", ("billing", "auth"))]
-
-
-_OVERSIZED = {
-    "field-over-csv-limit": "x" * 1_000_000 + "\n",
-    "long-wrong-header": ",".join(["y" * 100_000] * 20) + "\n",
-}
-_LONG = "z" * 300
-
-
-@pytest.mark.parametrize(
-    ("what", "text", "prefix"),
-    [
-        *(
-            pytest.param(what, text, f"{what}: ", id=f"{name}-{what}")
-            for name, text in _OVERSIZED.items()
-            for what in ("edges", "ownership", "jurisdictions")
-        ),
-        pytest.param("edges", f"user,owner_component,kind\nbilling,auth,{_LONG}\n", "edges: ", id="long-kind-edges"),
-        pytest.param(
-            "jurisdictions",
-            f"owner,jurisdiction\n{_LONG},SWE\n",
-            "dangling-reference: ",
-            id="long-unknown-owner-jurisdictions",
-        ),
-    ],
-)
-def test_csv_errors_are_typed_and_bounded(what, text, prefix):
-    inputs = {"edges": EDGES, "ownership": OWNERSHIP, "jurisdictions": JURISDICTIONS, what: text}
-    with pytest.raises(CsvError) as excinfo:
-        assemble_from_csv(inputs["edges"], inputs["ownership"], inputs["jurisdictions"], TODAY)
-    message = str(excinfo.value)
-    assert message.startswith(prefix) and len(message) < 200
-
-
-CSV_COMPONENTS = st.sampled_from(["auth", "billing", "catalog"])
-CSV_OWNERS = st.sampled_from(["team-a", "team-b", "team-c"])
-VALID_CODES = ["SWE", "DEU", "N/A", UNKNOWN]
-MALFORMED_CODES = ["swe", "SWEDEN", "", "n/a"]
-
-
-def _csv(header, rows):
-    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    edges=st.lists(st.tuples(CSV_COMPONENTS, CSV_COMPONENTS), max_size=4),
-    ownership=st.lists(st.tuples(CSV_COMPONENTS, CSV_OWNERS), max_size=6),
-    jurisdictions=st.lists(st.tuples(CSV_OWNERS, st.sampled_from(VALID_CODES + MALFORMED_CODES)), max_size=6),
-)
-def test_assembled_rows_are_judged_by_validate_alone(edges, ownership, jurisdictions):
-    """Repeated and conflicting rows and malformed codes assemble; validate_snapshot reports each fault."""
-    try:
-        snapshot = assemble_from_csv(
-            _csv("user,owner_component", edges),
-            _csv("component,owner", ownership),
-            _csv("owner,jurisdiction", jurisdictions),
-            TODAY,
-        )
-    except CsvError as exc:
-        assert str(exc).startswith("dangling-reference: jurisdiction row for unknown owner")
-        assert {o for o, _ in jurisdictions} - {o for _, o in ownership}
-        return
-    assert {o for o, _ in jurisdictions} <= {o for _, o in ownership}
-    owners_of, codes_of = {}, {}
-    for component, owner in ownership:
-        owners_of.setdefault(component, set()).add(owner)
-    for owner, code in jurisdictions:
-        codes_of.setdefault(owner, set()).add(UNKNOWN if code == "N/A" else code)
-    found = _findings(snapshot)
-
-    def ids(code):
-        return sorted(offending for c, offending in found if c == code)
-
-    assert ids("multiple-owners") == sorted((c, *sorted(o)) for c, o in owners_of.items() if len(o) > 1)
-    assert ids("conflicting-evidence") == sorted((o,) for o, codes in codes_of.items() if len(codes) > 1)
-    assert ids("malformed-jurisdiction") == sorted(
-        (o,) for o, codes in codes_of.items() for code in codes if code in MALFORMED_CODES
-    )

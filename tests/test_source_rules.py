@@ -17,9 +17,14 @@
 - No `except` clause in `model.py` names `TypeError`: `validate_snapshot`
   judges its invariants only on fields of the parser's types, so no code
   there survives a value of another type.
+- Every submodule is the package attribute of its name, and every name
+  in `__all__` resolves: an exported function named as a submodule
+  would hide the module from `import taxarch.<name> as m`.
 """
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -29,6 +34,7 @@ import taxarch
 
 PACKAGE = Path(taxarch.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(taxarch.__path__))
 
 
 def _tree(path: Path) -> ast.AST:
@@ -95,6 +101,15 @@ def test_records_are_built_only_through_their_constructors(path):
     ]
     assert calls == [], f"{path.relative_to(PACKAGE)}: object.__new__ on line(s) {calls}"
 
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_is_the_package_attribute_of_its_name(name):
+    module = importlib.import_module(f"taxarch.{name}")
+    assert getattr(taxarch, name) is module
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in taxarch.__all__ if not hasattr(taxarch, name)] == []
 
 
 def test_the_model_has_no_except_clause_naming_type_error():
