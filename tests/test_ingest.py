@@ -25,6 +25,7 @@ from taxarch.model import (
     LocationEvidence,
     Owner,
     OwnershipAssignment,
+    validate_snapshot,
 )
 
 from conftest import TODAY
@@ -107,8 +108,10 @@ def test_unknown_enum_string_names_field_and_value():
         (("taken_at",), "x" * 1_000_000, SchemaError, "taken_at"),
         (("schema_version",), list(range(100_000)), UnsupportedVersionError, "schema_version"),
         (("components", 0, "k" * 1_000_000), 1, SchemaError, "components[0]"),
+        (("dependencies", 0, "kind"), "z" * 300, SchemaError, "dependencies[0].kind"),
+        (("owners", 0, "location_evidence", 0, "source"), "s" * 1_000_000, SchemaError, "owners[0].location_evidence"),
     ],
-    ids=["enum-array", "date-1mb", "version-array", "field-name-1mb"],
+    ids=["enum-array", "date-1mb", "version-array", "field-name-1mb", "edge-kind-300", "evidence-source-1mb"],
 )
 def test_error_message_names_field_without_echoing_input(path, value, error, field):
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))
@@ -143,6 +146,79 @@ def test_only_the_serialized_date_form_is_read(path, field, text):
     node[last] = text
     with pytest.raises(SchemaError, match=re.escape(f"field {field!r} is not a valid ISO-8601 date: ")):
         parse_bundle(json.dumps(doc, ensure_ascii=False))
+
+
+def test_many_unknown_field_names_are_listed_three_and_counted():
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    doc["components"][0].update({f"extra-{i:04}": i for i in range(1000)})
+    with pytest.raises(SchemaError) as exc:
+        parse_bundle(json.dumps(doc))
+    assert str(exc.value) == "unknown field(s) 'extra-0000', 'extra-0001', 'extra-0002' and 997 more in components[0]"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("kind", "zzz", "unknown value 'zzz' for field 'dependencies[3].kind'", id="unknown-kind"),
+        *(
+            pytest.param("multiplicity", value, "dependencies[3].multiplicity must be a positive integer", id=name)
+            for name, value in [
+                ("letters", "x"),
+                ("underscored-digits", "1_000"),
+                ("padded-digits", " 7 "),
+                ("signed-digits", "+3"),
+                ("arabic-indic-digit", "\u0663"),
+                ("bool", True),
+                ("float", 2.0),
+                ("zero", 0),
+                ("negative", -2),
+            ]
+        ),
+    ],
+)
+def test_a_bad_edge_field_is_a_schema_error_naming_it(field, value, message):
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    doc["dependencies"][3][field] = value
+    with pytest.raises(SchemaError) as exc:
+        parse_bundle(json.dumps(doc, ensure_ascii=False))
+    assert str(exc.value) == message
+
+
+def _add_ownership(doc, component, owner):
+    doc["ownership"].append({"component": component, "owner": owner})
+
+
+def _add_evidence(doc, owner_index, payload):
+    evidence = doc["owners"][owner_index]["location_evidence"]
+    evidence.append(dict(evidence[0], payload=payload))
+
+
+@pytest.mark.parametrize(
+    "mutate, finding",
+    [
+        (lambda doc: _add_ownership(doc, "svc-00", "team-ab-apps"), "multiple-owners"),
+        (lambda doc: doc["ownership"][0].update(owner="team-ghost"), "dangling-reference"),
+        (lambda doc: doc["ownership"].pop(0), "missing-owner"),
+        (lambda doc: _add_evidence(doc, 0, "DEU"), "conflicting-evidence"),
+        (lambda doc: doc["owners"][0]["location_evidence"][0].update(payload="SWEDEN"), "malformed-jurisdiction"),
+        (lambda doc: doc["dependencies"].append(dict(doc["dependencies"][0])), "duplicate-edge"),
+        (lambda doc: doc["dependencies"][0].update(owner_component="svc-02"), "self-dependency"),
+    ],
+    ids=[
+        "two-owners",
+        "unknown-owner",
+        "no-owner",
+        "conflicting-codes",
+        "malformed-code",
+        "repeated-edge",
+        "edge-to-itself",
+    ],
+)
+def test_parse_leaves_each_invariant_fault_to_validate(mutate, finding):
+    """The parser enforces the document schema alone; a well-typed bundle whose records break an invariant parses."""
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    mutate(doc)
+    assert validate_snapshot(parse_bundle(json.dumps(doc))).codes() == [finding]
 
 
 def test_parse_never_panics_on_arbitrary_bytes():
