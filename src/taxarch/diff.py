@@ -9,9 +9,10 @@ matrix.
 The comparison works in proportion to the churn where it can. It builds
 one set of edge rows, A's: B's rows are tested against it and then
 removed from it, so only the rows that differ are keyed, whatever order
-either table lists its rows in. B re-resolves only its owners whose
-`Owner` record is new or differs from A's under the same id; every other
-owner of B keeps A's assignment.
+either table lists its rows in. Each snapshot is resolved as of its own
+date, from its owners without the evidence dated after it. B re-resolves
+only its owners whose record in that view is new or differs from A's under
+the same id; every other owner of B keeps A's assignment.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import attrgetter
 
 from .classify import ComplianceStats, JurisdictionFlowMatrix, ScopePolicy, aggregate, apply_scope_filter, compute_stats
 from .jsontext import array, quote, strings
-from .model import ArchitectureSnapshot, Component, Owner
+from .model import ArchitectureSnapshot, Component, Owner, owners_as_of
 from .resolve import DEFAULT_CASCADE, JurisdictionAssignment, Resolver, resolution_summary, resolve_jurisdictions
 
 
@@ -54,14 +55,16 @@ def run_pipeline(
 ) -> PipelineRun:
     """Build `owner_of` once, then scope, resolve every owner (scoping keeps them all) and aggregate.
 
-    `earlier` is an earlier snapshot's resolution under the same cascade: owner id -> (its `Owner` record, its
-    assignment). An owner whose record equals the one held there under its id takes that assignment; only the
-    rest, the owners whose records changed or are new, go to `resolve_jurisdictions`, in one call.
+    Owners are resolved as of the snapshot's `taken_at`, from `owners_as_of(snapshot)`: evidence dated later
+    decides nothing here, as `validate_snapshot` judges conflicts in the same view. `earlier` is an earlier
+    snapshot's resolution under the same cascade: owner id -> (its `Owner` record in that snapshot's view, its
+    assignment). An owner whose record in this view equals the one held there under its id takes that assignment;
+    only the rest, the owners whose records changed or are new, go to `resolve_jurisdictions`, in one call.
     Expects a snapshot that `validate_snapshot` accepts; any other may raise or be miscounted.
     """
     owner_of = snapshot.owner_of()
     scoped, exclusions = apply_scope_filter(snapshot, owner_of, policy)
-    owners = sorted(snapshot.owners, key=_ID)
+    owners = sorted(owners_as_of(snapshot), key=_ID)
     earlier = earlier or {}
     kept = [prior[1] if (prior := earlier.get(o.id)) is not None and prior[0] == o else None for o in owners]
     fresh = iter(resolve_jurisdictions([o for o, x in zip(owners, kept) if x is None], cascade))
@@ -196,7 +199,9 @@ def diff_snapshots(
 ) -> SnapshotDelta:
     """Compare two snapshots under one cascade and scope policy.
 
-    A's owners are all resolved; B's owners are resolved only where their records are new or changed.
+    Each snapshot is resolved as of its own `taken_at`. A's owners are all resolved; B's owners are resolved only
+    where their records as of B's date are new or differ from A's as of A's date. So an owner whose record is
+    unchanged but holds evidence dated after A's date and not after B's is resolved again.
     Expects two snapshots that `validate_snapshot` accepts; any other may raise or be miscounted.
     """
     components_added, components_removed, _ = _delta(*(dict.fromkeys(c.id for c in s.components) for s in (a, b)))
@@ -210,7 +215,7 @@ def diff_snapshots(
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)
 
     run_a = run_pipeline(a, cascade, policy)
-    owners_a = {o.id: o for o in a.owners}
+    owners_a = {o.id: o for o in owners_as_of(a)}
     run_b = run_pipeline(b, cascade, policy, {x.owner: (owners_a[x.owner], x) for x in run_a.assignments})
     ownership_changes = _delta(run_a.owner_of, run_b.owner_of)[2]
     jurisdiction_changes = _delta(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))[2]

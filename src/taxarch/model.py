@@ -12,7 +12,7 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
 from itertools import chain, compress, islice, repeat
@@ -82,6 +82,7 @@ def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
 
     The one selection of evidence, made in one pass. `resolve_jurisdictions` reads it for every owner, and
     `validate_snapshot` only when the evidence columns show an owner id with a same-dated pair of one resolver.
+    Both read a snapshot's `owners_as_of` view (the resolver through `run_pipeline`), so no later record is selected.
     A resolver with no records has no key. It reads records of the parser's types, as `validate_snapshot` holds
     them: each `source` an EvidenceSource, which some resolver reads, and each `recorded_at` a date.
     """
@@ -112,29 +113,40 @@ def slot_setters(cls: type) -> tuple:
     """The setters of a slotted record class's slots, in field order.
 
     Each is a slot's member descriptor's `__set__`, which stores into a frozen instance as `object.__setattr__`
-    does, at a fraction of its cost; a hand-written `__init__` binds them once after its class.
+    does, at a fraction of its cost. `record`'s generated constructors, and the hand-written one of
+    `LocationEvidence`, bind them once after their class.
     """
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def record(cls: type) -> type:
+    """Declare a record: the frozen slotted dataclass of `cls`, with an `__init__` generated from its fields.
+
+    The constructor takes the parameters and defaults that the dataclass constructor would, and stores each argument
+    with its slot's setter, in field order. So each field is written once, as its annotation; this is the package's
+    one code generator.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = cls.__slots__
+    namespace = {f"_set_{name}": setter for name, setter in zip(names, slot_setters(cls))}
+    namespace.update({f"_default_{f.name}": f.default for f in fields(cls) if f.default is not MISSING})
+    params = "".join(f", {name}=_default_{name}" if f"_default_{name}" in namespace else f", {name}" for name in names)
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self{params}):{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@record
 class Component:
     id: str
     name: str
     kind: ComponentKind
     status: ComponentStatus
 
-    def __init__(self, id: str, name: str, kind: ComponentKind, status: ComponentStatus):
-        _set_component_id(self, id)
-        _set_component_name(self, name)
-        _set_component_kind(self, kind)
-        _set_component_status(self, status)
 
-
-_set_component_id, _set_component_name, _set_component_kind, _set_component_status = slot_setters(Component)
-
-
-@dataclass(frozen=True, slots=True)
+@record
 class DependencyEdge:
     """One row of a snapshot's `EdgeTable`."""
 
@@ -250,34 +262,18 @@ _MEMBER_LOCATIONS = EvidenceSource.MEMBER_LOCATIONS  # a global: the enum class 
 _set_source, _set_payload, _set_recorded_at = slot_setters(LocationEvidence)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class Owner:
     id: str
     name: str
     kind: OwnerKind
     location_evidence: tuple[LocationEvidence, ...] = ()
 
-    def __init__(self, id: str, name: str, kind: OwnerKind, location_evidence: tuple[LocationEvidence, ...] = ()):
-        _set_owner_id(self, id)
-        _set_owner_name(self, name)
-        _set_owner_kind(self, kind)
-        _set_location_evidence(self, location_evidence)
 
-
-_set_owner_id, _set_owner_name, _set_owner_kind, _set_location_evidence = slot_setters(Owner)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class OwnershipAssignment:
     component: str
     owner: str
-
-    def __init__(self, component: str, owner: str):
-        _set_assigned_component(self, component)
-        _set_assigned_owner(self, owner)
-
-
-_set_assigned_component, _set_assigned_owner = slot_setters(OwnershipAssignment)
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,6 +295,28 @@ class ArchitectureSnapshot:
         for a in self.ownership:
             mapping.setdefault(a.component, a.owner)
         return mapping
+
+
+_RECORDED_AT, _LOCATION_EVIDENCE = operator.attrgetter("recorded_at"), operator.attrgetter("location_evidence")
+
+
+def owners_as_of(snapshot: ArchitectureSnapshot) -> Sequence[Owner]:
+    """The snapshot's owners as of its `taken_at`: each without its evidence records dated after that day.
+
+    One evidence history may serve many snapshots, so a later record is valid input that decides no earlier one.
+    `run_pipeline` resolves this view and `validate_snapshot` judges conflicts in it. An owner with no later record
+    is itself here; when one pass over every date finds no later record, the view is `snapshot.owners`. It reads
+    dates of the parser's type, as `validate_snapshot` holds them.
+    """
+    owners, taken_at = snapshot.owners, snapshot.taken_at
+    if max(map(_RECORDED_AT, chain.from_iterable(map(_LOCATION_EVIDENCE, owners))), default=taken_at) <= taken_at:
+        return owners
+    return tuple(
+        o
+        if max(map(_RECORDED_AT, o.location_evidence), default=taken_at) <= taken_at
+        else Owner(o.id, o.name, o.kind, tuple(ev for ev in o.location_evidence if ev.recorded_at <= taken_at))
+        for o in owners
+    )
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -350,7 +368,10 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     counted. Owners' evidence selections are judged, with the
     `latest_evidence` and `conflict` that the resolver cascade uses, only
     when one owner id holds two records of one resolver on one date, which
-    a conflict needs. A clean snapshot never formats a message.
+    a conflict needs. They are judged as of `taken_at`, in the
+    `owners_as_of` view that `run_pipeline` resolves: a record dated later
+    is held to its shape and codes, but takes no part in a conflict. A
+    clean snapshot never formats a message.
     """
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
     findings = [
@@ -428,7 +449,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                 for _ in range(count - 1)
             ]
 
-    findings += _evidence_findings(owners, holders, sources, dates, [ev.payload for ev in records])
+    findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records])
     findings += _dependency_findings(edges, component_ids)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
@@ -470,7 +491,7 @@ def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Seq
 
 
 def _evidence_findings(
-    owners: tuple[Owner, ...],
+    snapshot: ArchitectureSnapshot,
     holders: Sequence[str],
     sources: list[EvidenceSource],
     dates: list[date],
@@ -481,7 +502,8 @@ def _evidence_findings(
     Two whole-column tests. The first: member_locations payloads are tuples of strings, any other payload is a
     string, and each distinct code is valid; only when it fails are the records walked to list the offenders. The
     second: no owner id holds two records of one resolver on one date, which a conflict needs; only when it fails
-    does each owner with two records or more have its latest records judged by `conflict`.
+    does each owner with two records or more in `owners_as_of(snapshot)` have its latest records judged by
+    `conflict`. So records dated after `taken_at` are judged for their shape and codes, never for a conflict.
     """
     lists = [source is _MEMBER_LOCATIONS for source in sources]
     member_payloads = list(compress(payloads, lists))
@@ -509,7 +531,7 @@ def _evidence_findings(
                     if not is_valid_jurisdiction(code)
                 ]
     if len(set(zip(holders, map(_RESOLVER_OF.__getitem__, sources), dates))) != len(holders):
-        for o in owners:
+        for o in owners_as_of(snapshot):
             if len(o.location_evidence) > 1:
                 for records in latest_evidence(o).values():
                     message = conflict(o, records)

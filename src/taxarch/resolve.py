@@ -13,7 +13,7 @@ from datetime import date
 from itertools import chain
 from operator import attrgetter
 
-from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence, slot_setters
+from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence, record
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
 
@@ -69,22 +69,13 @@ def parse_cascade(text: str) -> tuple[Resolver, ...]:
     return tuple(resolvers)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class JurisdictionAssignment:
     owner: str
     jurisdiction: str
     resolver: str | None  # resolver description, None when unresolved
     evidence: str = ""
     decided_at: date | None = None
-
-    def __init__(
-        self, owner: str, jurisdiction: str, resolver: str | None, evidence: str = "", decided_at: date | None = None
-    ):
-        _set_owner(self, owner)
-        _set_jurisdiction(self, jurisdiction)
-        _set_resolver(self, resolver)
-        _set_evidence(self, evidence)
-        _set_decided_at(self, decided_at)
 
     @property
     def resolved(self) -> bool:
@@ -95,13 +86,11 @@ class JurisdictionAssignment:
         return self.resolver if self.resolver is not None else "unresolved"
 
 
-_set_owner, _set_jurisdiction, _set_resolver, _set_evidence, _set_decided_at = slot_setters(JurisdictionAssignment)
-
-
 def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = DEFAULT_CASCADE) -> list[JurisdictionAssignment]:
     """Assign one jurisdiction per owner; first decisive resolver wins.
 
     Each resolver decides from its records of the latest date or declines; one with no records declines at once.
+    Every record given counts, whatever its date: `run_pipeline` gives a snapshot's owners as of its `taken_at`.
     A resolver the cascade reaches raises ConflictingEvidenceError when those records conflict.
 
     Expects the owners of a snapshot that `validate_snapshot` accepts. An owner it refuses may raise TypeError or

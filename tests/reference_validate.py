@@ -2,7 +2,11 @@
 one-block-per-invariant `validate_snapshot` is compared against: it walks
 every record, one check at a time, and so finds each offender without a
 set-algebra test first. It selects evidence with a `latest_evidence` that
-filters an owner's records once per resolver group."""
+filters an owner's records once per resolver group, as of the snapshot's
+date: a record dated after `taken_at` is judged for its shape and codes
+but is never part of a conflict."""
+
+from datetime import date
 
 from taxarch.model import (
     RESOLVER_SOURCES,
@@ -17,9 +21,14 @@ from taxarch.model import (
 )
 
 
-def latest_evidence(owner: Owner, sources: tuple[EvidenceSource, ...]) -> list[LocationEvidence]:
-    """The owner's latest-dated records from `sources`; single codes among them must agree, else ConflictingEvidenceError."""
-    candidates = [ev for ev in owner.location_evidence if ev.source in sources]
+def latest_evidence(
+    owner: Owner, sources: tuple[EvidenceSource, ...], as_of: date | None = None
+) -> list[LocationEvidence]:
+    """The owner's latest-dated records from `sources`, none dated after `as_of` when it is given; single codes among
+    them must agree, else ConflictingEvidenceError."""
+    candidates = [
+        ev for ev in owner.location_evidence if ev.source in sources and (as_of is None or ev.recorded_at <= as_of)
+    ]
     if len(candidates) < 2:
         return candidates
     decided_at = max(ev.recorded_at for ev in candidates)
@@ -76,7 +85,7 @@ def reference_validate_snapshot(snapshot) -> ValidationReport:
                     )
         for sources in RESOLVER_SOURCES.values():
             try:
-                latest_evidence(o, sources)
+                latest_evidence(o, sources, snapshot.taken_at)
             except ConflictingEvidenceError as exc:
                 findings.append(_finding("conflicting-evidence", str(exc), o.id))
 

@@ -1,6 +1,6 @@
 import dataclasses
 import json
-from datetime import timedelta
+from datetime import date, timedelta
 
 import taxarch.diff
 from taxarch.classify import aggregate, apply_scope_filter
@@ -16,7 +16,7 @@ from taxarch.model import (
 )
 from taxarch.resolve import DEFAULT_CASCADE, resolve_jurisdictions
 
-from conftest import make_component, make_owner, make_snapshot
+from conftest import TODAY, make_component, make_owner, make_snapshot
 from reference_diff import reference_diff_snapshots
 
 
@@ -31,9 +31,10 @@ def test_diff_identity_is_empty():
 def test_diff_added_component_and_edge():
     a = fixture("devnullsoft")
     new_component = make_component("svc-new")
+    # B is taken on TODAY, the date of the new owner's evidence, after A's date.
     b = ArchitectureSnapshot(
         id="devnullsoft-next",
-        taken_at=a.taken_at,
+        taken_at=TODAY,
         components=a.components + (new_component,),
         dependencies=a.dependencies + (DependencyEdge("svc-70", "svc-new"),),
         owners=a.owners + (make_owner("team-gmbh-new", "DEU"),),
@@ -200,7 +201,7 @@ def test_diff_resolves_exactly_the_owners_whose_evidence_changed(monkeypatch):
     owners = tuple(
         dataclasses.replace(o, location_evidence=changed[o.id](o)) if o.id in changed else o for o in a.owners
     )
-    b = ArchitectureSnapshot("b", a.taken_at, a.components, a.dependencies, owners, a.ownership)
+    b = ArchitectureSnapshot("b", later, a.components, a.dependencies, owners, a.ownership)
     calls = _recorded_resolve_calls(monkeypatch)
     delta = diff_snapshots(a, b)
     assert calls == [sorted(o.id for o in a.owners), sorted(changed)]
@@ -220,3 +221,24 @@ def test_diff_reports_jurisdiction_change_of_out_of_scope_owner():
     delta = diff_snapshots(a, b)
     assert delta.jurisdiction_changes == (("t2", "DEU", "FRA"),)
     assert delta.matrix_delta == ()
+
+
+def test_diff_resolves_again_an_unchanged_owner_whose_record_is_dated_between_the_snapshots(monkeypatch):
+    explicit = EvidenceSource.EXPLICIT_ASSIGNMENT
+    evidence = (
+        LocationEvidence(explicit, "SWE", date(2023, 1, 1)),
+        LocationEvidence(explicit, "DEU", date(2024, 1, 1)),
+    )
+    a = make_snapshot(
+        components=[make_component("a"), make_component("b")],
+        edges=[("a", "b")],
+        owners=[make_owner("t", evidence=evidence), make_owner("u", "SWE")],
+        ownership=[("a", "t"), ("b", "u")],
+    )
+    b = dataclasses.replace(a, id="b", taken_at=date(2024, 6, 30))
+    calls = _recorded_resolve_calls(monkeypatch)
+    delta = diff_snapshots(a, b)
+    assert calls == [["t", "u"], ["t"]]
+    assert delta.jurisdiction_changes == (("t", "SWE", "DEU"),)
+    assert dict(delta.matrix_delta) == {("SWE", "SWE"): -1, ("DEU", "SWE"): 1}
+    assert delta == reference_diff_snapshots(a, b)

@@ -25,6 +25,7 @@ from taxarch.model import (
     Owner,
     OwnerKind,
     OwnershipAssignment,
+    owners_as_of,
     validate_snapshot,
 )
 from taxarch.resolve import DEFAULT_CASCADE, JurisdictionAssignment
@@ -282,6 +283,51 @@ def test_odd_sources_and_dates_are_findings_not_errors(small_snapshot, evidence,
 )
 def test_agreeing_or_combinable_evidence_is_no_finding(small_snapshot, evidence):
     assert validate_snapshot(_with_evidence(small_snapshot, *evidence)).findings == ()
+
+
+EXPLICIT = EvidenceSource.EXPLICIT_ASSIGNMENT
+
+
+def _owner_t_dated(*later):
+    """Owner `t` with SWE evidence of 2023-01-01 and the `later` records, whose one edge goes to an SWE owner; the
+    snapshot is taken on TODAY, 2023-06-30."""
+    return make_snapshot(
+        components=[make_component("a"), make_component("b")],
+        edges=[("a", "b")],
+        owners=[
+            make_owner("t", evidence=(LocationEvidence(EXPLICIT, "SWE", date(2023, 1, 1)), *later)),
+            make_owner("u", "SWE"),
+        ],
+        ownership=[("a", "t"), ("b", "u")],
+    )
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        [LocationEvidence(EXPLICIT, "DEU", date(2024, 1, 1))],
+        [LocationEvidence(EXPLICIT, "DEU", date(2024, 1, 1)), LocationEvidence(EXPLICIT, "FRA", date(2024, 1, 1))],
+    ],
+    ids=["later-record", "later-conflict"],
+)
+def test_evidence_dated_after_the_snapshot_decides_nothing(later):
+    snapshot = _owner_t_dated(*later)
+    assert validate_snapshot(snapshot).ok
+    run = run_pipeline(snapshot, DEFAULT_CASCADE, ScopePolicy())
+    assert run.matrix.cells == ((("SWE", "SWE"), 1),)
+    assert run.assignments[0] == JurisdictionAssignment(
+        "t", "SWE", "explicit_assignment", "explicit_assignment", date(2023, 1, 1)
+    )
+
+
+def test_the_view_as_of_the_snapshot_keeps_each_owner_without_a_later_record():
+    plain = _owner_t_dated()
+    assert owners_as_of(plain) is plain.owners
+    late = LocationEvidence(EXPLICIT, "DEU", date(2024, 1, 1))
+    snapshot = _owner_t_dated(LocationEvidence(EXPLICIT, "NOR", TODAY), late)
+    t, u = owners_as_of(snapshot)
+    assert u is snapshot.owners[1]
+    assert t == dataclasses.replace(snapshot.owners[0], location_evidence=snapshot.owners[0].location_evidence[:2])
 
 
 def test_validation_is_deterministic(small_snapshot):

@@ -57,6 +57,7 @@ from reference_parse import (
     _checked_ownership,
 )
 from reference_diff import reference_diff_snapshots
+from reference_resolve import reference_resolve_jurisdictions
 from reference_scope import reference_apply_scope_filter
 from reference_validate import reference_validate_snapshot
 
@@ -250,10 +251,11 @@ def any_evidence(draw, days=TWO_DAYS, sources=SOURCES):
 
 
 def library_snapshots_dated(days, sources=SOURCES):
+    """Snapshots whose records are dated among `days`, taken on any date or on one before, among or after them."""
     return st.builds(
         ArchitectureSnapshot,
         id=texts,
-        taken_at=st.dates(),
+        taken_at=st.dates() | st.sampled_from((date(2022, 12, 1), *TWO_DAYS, date(2023, 1, 15), date(2023, 3, 1))),
         components=st.lists(
             st.builds(Component, few_ids, texts, st.sampled_from(ComponentKind), st.sampled_from(ComponentStatus)),
             max_size=4,
@@ -552,7 +554,8 @@ SINGLE_CODE_SOURCES = ("explicit_assignment", "questionnaire", "manager_location
 
 @st.composite
 def bundles_with_added_evidence(draw):
-    """The devnullsoft bundle with 1-3 single-code records added, on the existing date or another."""
+    """The devnullsoft bundle with 1-3 single-code records added, dated before, on or after its `taken_at`,
+    2023-04-01, which is the date of its own records."""
     doc = copy.deepcopy(DEVNULLSOFT_DOC)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         owner = draw(st.sampled_from(doc["owners"]))
@@ -814,20 +817,34 @@ SINGLE_CODE_GROUPS = (
     (EvidenceSource.EXPLICIT_ASSIGNMENT, EvidenceSource.QUESTIONNAIRE),
     (EvidenceSource.MANAGER_LOCATION,),
 )
-EVIDENCE_DEFECTS = ("conflict-at-latest", "conflict-at-older-date", "malformed-code", "wrong-shape", "unhashable-member")
+CONFLICT_DEFECTS = (
+    "conflict-at-latest",
+    "conflict-at-older-date",
+    "conflict-after-snapshot",
+    "conflict-under-later-record",
+)
+EVIDENCE_DEFECTS = CONFLICT_DEFECTS + ("malformed-code", "wrong-shape", "unhashable-member")
 
 
 @st.composite
 def defective_evidence(draw, defect, taken_at):
-    """Records that give an owner one evidence defect; a generated owner's own records are dated `taken_at`."""
+    """Records that give an owner one evidence defect, dated before, on or after the snapshot's `taken_at`; a
+    generated owner's own records are dated `taken_at`.
+
+    A conflict dated after `taken_at` is no finding, and a record dated after it hides no earlier conflict."""
     group = draw(st.sampled_from(SINGLE_CODE_GROUPS))
     source = st.sampled_from(group)
     day = taken_at + timedelta(days=draw(st.integers(min_value=-1, max_value=1)))
-    if defect in ("conflict-at-latest", "conflict-at-older-date"):
-        at = taken_at + timedelta(days=2) if defect == "conflict-at-latest" else taken_at - timedelta(days=365)
+    if defect in CONFLICT_DEFECTS:
+        at = {"conflict-at-latest": taken_at, "conflict-after-snapshot": taken_at + timedelta(days=2)}.get(
+            defect, taken_at - timedelta(days=365)
+        )
         records = [LocationEvidence(draw(source), code, at) for code in ("SWE", "DEU")]
         if defect == "conflict-at-older-date":
-            # a newer record of the same group, so the conflict is not at the latest date
+            # a newer record of the same group by the snapshot's date, so the conflict is not at the latest date
+            records.append(LocationEvidence(draw(source), "GBR", taken_at - timedelta(days=1)))
+        elif defect == "conflict-under-later-record":
+            # a newer record of the same group dated after the snapshot, so as of its date the conflict is the latest
             records.append(LocationEvidence(draw(source), "GBR", taken_at + timedelta(days=1)))
         return tuple(records)
     if defect == "malformed-code":
@@ -1042,7 +1059,9 @@ def _drawn_evidence(draw, after: date, days: int) -> LocationEvidence:
 def churned_pairs(draw):
     """A generated snapshot, a later copy, and the cascade and scope policy to compare them under.
 
-    The copy has edges added, removed and re-weighted, components added (of drawn statuses) and moved to
+    Some owners of the first hold a record dated after its date, up to nine days after the copy's: so both
+    snapshots hold records dated between their two dates, which decide the copy and not the first. The copy
+    has edges added, removed and re-weighted, components added (of drawn statuses) and moved to
     other owners, owners added and removed, newer evidence of every source for some owners, replaced
     evidence for others (two records of one resolver on one day may conflict), and owners of a new kind or
     name whose evidence stays. The cascade is the default, reordered, or with a drawn `member_majority`
@@ -1051,10 +1070,14 @@ def churned_pairs(draw):
     Both snapshots list their records in drawn orders: the generator's are sorted, and a
     diff that forgot to sort its rows would pass on them."""
     g = draw(snapshots())
+    dated = list(g.owners)
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(dated) - 1), max_size=3)):
+        o = dated[i]
+        dated[i] = Owner(o.id, o.name, o.kind, o.location_evidence + (_drawn_evidence(draw, g.taken_at, 40),))
     a = ArchitectureSnapshot(
         g.id,
         g.taken_at,
-        *(tuple(draw(st.permutations(records))) for records in (g.components, g.dependencies, g.owners, g.ownership)),
+        *(tuple(draw(st.permutations(records))) for records in (g.components, g.dependencies, dated, g.ownership)),
     )
     ids = [c.id for c in a.components]
     index = st.integers(min_value=0, max_value=10**6)
@@ -1134,6 +1157,43 @@ def test_diff_equals_the_reference_diff_both_ways(pair):
         assert _delta_or_conflict(diff_snapshots, x, y, cascade, policy) == _delta_or_conflict(
             reference_diff_snapshots, x, y, cascade, policy
         )
+
+
+@st.composite
+def snapshots_with_dated_evidence(draw):
+    """A generated snapshot whose owners hold added records of any source, dated from two days before its
+    `taken_at` to two days after, and the cascade to resolve it under: two records of one resolver on one day,
+    before, on or after that date, may conflict."""
+    g = draw(snapshots())
+    owners = list(g.owners)
+    for i in draw(st.sets(st.integers(min_value=0, max_value=len(owners) - 1), min_size=1, max_size=4)):
+        o = owners[i]
+        added = [_drawn_evidence(draw, g.taken_at - timedelta(days=3), 5) for _ in range(draw(st.integers(1, 3)))]
+        owners[i] = Owner(o.id, o.name, o.kind, o.location_evidence + tuple(added))
+    return dataclasses.replace(g, owners=tuple(owners)), tuple(draw(st.permutations(DEFAULT_CASCADE)))
+
+
+def _without_later_records(snapshot):
+    """The snapshot with every evidence record dated after its `taken_at` deleted, record by record."""
+    owners = tuple(
+        Owner(o.id, o.name, o.kind, tuple(ev for ev in o.location_evidence if not ev.recorded_at > snapshot.taken_at))
+        for o in snapshot.owners
+    )
+    return dataclasses.replace(snapshot, owners=owners)
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshots_with_dated_evidence())
+def test_resolving_a_snapshot_equals_resolving_it_without_its_later_records(case):
+    snapshot, cascade = case
+    deleted = _without_later_records(snapshot)
+    run = _delta_or_conflict(run_pipeline, snapshot, cascade, ScopePolicy())
+    assert run == _delta_or_conflict(run_pipeline, deleted, cascade, ScopePolicy())
+    expected = _delta_or_conflict(reference_resolve_jurisdictions, list(snapshot.owners), cascade, snapshot.taken_at)
+    assert (run if isinstance(run, str) else list(run.assignments)) == expected
+    report = validate_snapshot(snapshot)
+    assert report == validate_snapshot(deleted)
+    assert not (report.ok and isinstance(run, str))
 
 
 @st.composite

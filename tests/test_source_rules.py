@@ -20,6 +20,9 @@
 - Every submodule is the package attribute of its name, and every name
   in `__all__` resolves: an exported function named as a submodule
   would hide the module from `import taxarch.<name> as m`.
+- `exec` is named only inside `model.record`, which generates the record
+  constructors: the package keeps one code generator, so generated code
+  has one place to read.
 """
 
 import ast
@@ -110,6 +113,25 @@ def test_each_submodule_is_the_package_attribute_of_its_name(name):
 
 def test_every_exported_name_resolves():
     assert [name for name in taxarch.__all__ if not hasattr(taxarch, name)] == []
+
+
+def test_only_model_record_names_exec():
+    uses = []
+    for path in SOURCES:
+        tree = _tree(path)
+        scopes = {
+            id(node): scope.name
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for node in ast.walk(scope)
+        }  # an outer scope's entries are overwritten by its inner scopes', as ast.walk visits outer scopes first
+        uses += [
+            (path.name, scopes.get(id(node)))
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "exec")
+            or (isinstance(node, ast.Attribute) and node.attr == "exec")
+        ]
+    assert uses == [("model.py", "record")]
 
 
 def test_the_model_has_no_except_clause_naming_type_error():
