@@ -31,6 +31,8 @@ class EdgeClass(str, Enum):
 
 @dataclass(frozen=True)
 class ScopePolicy:
+    """The scope filter's rule: components of the included statuses, less those of individual owners if asked."""
+
     include_statuses: frozenset[ComponentStatus] = frozenset({ComponentStatus.PRODUCTION})
     exclude_individual_owners: bool = True
 
@@ -47,6 +49,8 @@ class ScopePolicy:
 
 @dataclass(frozen=True)
 class ExclusionReport:
+    """What the scope filter dropped: each excluded component with its reason, the edge count, and both totals."""
+
     excluded_components: tuple[tuple[str, str], ...]  # (component id, reason)
     excluded_edges: int
     component_total: int
@@ -213,6 +217,8 @@ def aggregate(
 
 @dataclass(frozen=True)
 class ComplianceStats:
+    """A matrix's uses split into domestic, cross-border and unresolved, with the totals per jurisdiction."""
+
     total_uses: int
     domestic_count: int
     cross_border_count: int

@@ -376,5 +376,18 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The process entry: `python -m taxarch.cli` and the `taxarch` script. Runs `main`, then freezes what survives.
+
+    The values a command built are freed by reference counting as `main` returns. What is left, mostly import's
+    modules, classes and functions, lives until the process ends, and shutdown's collections would walk it all and
+    reclaim nothing; frozen, they skip it. Shutdown still flushes stdio and runs atexit handlers. A library caller of
+    `main` never freezes.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -36,7 +36,8 @@ _ID = attrgetter("id")
 class PipelineRun:
     """One input through scope -> resolve -> aggregate -> stats: in-scope components, the input's owner map.
 
-    A matrix-only input is a run with no components or assignments, so its registers are empty.
+    `owners` is the owner view the run resolved, `owners_as_of` of the snapshot, in the order of `assignments`.
+    A matrix-only input is a run with no components, owners or assignments, so its registers are empty.
     """
 
     matrix: JurisdictionFlowMatrix
@@ -45,6 +46,7 @@ class PipelineRun:
     components: tuple[Component, ...] = ()
     owner_of: dict[str, str] = field(default_factory=dict)
     assignments: tuple[JurisdictionAssignment, ...] = ()
+    owners: tuple[Owner, ...] = ()
 
 
 def run_pipeline(
@@ -64,18 +66,20 @@ def run_pipeline(
     """
     owner_of = snapshot.owner_of()
     scoped, exclusions = apply_scope_filter(snapshot, owner_of, policy)
-    owners = sorted(owners_as_of(snapshot), key=_ID)
+    owners = tuple(sorted(owners_as_of(snapshot), key=_ID))
     earlier = earlier or {}
     kept = [prior[1] if (prior := earlier.get(o.id)) is not None and prior[0] == o else None for o in owners]
     fresh = iter(resolve_jurisdictions([o for o, x in zip(owners, kept) if x is None], cascade))
     assignments = [x if x is not None else next(fresh) for x in kept]
     matrix = aggregate(scoped, owner_of, assignments)
     stats = compute_stats(matrix, exclusions, resolution_summary(assignments))
-    return PipelineRun(matrix, stats, snapshot.taken_at, scoped.components, owner_of, tuple(assignments))
+    return PipelineRun(matrix, stats, snapshot.taken_at, scoped.components, owner_of, tuple(assignments), owners)
 
 
 @dataclass(frozen=True)
 class SnapshotDelta:
+    """What changed between two snapshots: components, edges, ownership, owner jurisdictions and matrix cells."""
+
     snapshot_a: str
     snapshot_b: str
     components_added: tuple[str, ...]
@@ -215,8 +219,7 @@ def diff_snapshots(
     multiplicity_changes = tuple((edge, new - old) for edge, old, new in reweighted)
 
     run_a = run_pipeline(a, cascade, policy)
-    owners_a = {o.id: o for o in owners_as_of(a)}
-    run_b = run_pipeline(b, cascade, policy, {x.owner: (owners_a[x.owner], x) for x in run_a.assignments})
+    run_b = run_pipeline(b, cascade, policy, {o.id: (o, x) for o, x in zip(run_a.owners, run_a.assignments)})
     ownership_changes = _delta(run_a.owner_of, run_b.owner_of)[2]
     jurisdiction_changes = _delta(*({x.owner: x.jurisdiction for x in r.assignments} for r in (run_a, run_b)))[2]
     cell_deltas = run_b.matrix.as_dict()

@@ -59,6 +59,8 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorParams:
+    """The checked parameters of one synthetic snapshot; the same parameters and seed give the same snapshot."""
+
     component_count: int
     team_count: int
     jurisdiction_weights: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_WEIGHTS.items()))
@@ -158,8 +160,9 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         Component(cid, f"service-{i}", ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION)
         for i, cid in enumerate(ids)
     )
+    team_ids = [f"t{i:04d}" for i in range(params.team_count)]  # formatted once, for the owners and the ownership
     owners = []
-    for i in range(params.team_count):
+    for i, tid in enumerate(team_ids):
         if rng.random() < params.unresolved_rate:
             evidence = ()
         else:
@@ -167,12 +170,9 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
             evidence = (
                 LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, code, params.taken_at),
             )
-        owners.append(Owner(f"t{i:04d}", f"team-{i}", OwnerKind.TEAM, evidence))
+        owners.append(Owner(tid, f"team-{i}", OwnerKind.TEAM, evidence))
 
-    ownership = tuple(
-        OwnershipAssignment(c.id, f"t{team:04d}")
-        for c, team in zip(components, _below(rng, params.team_count, n))
-    )
+    ownership = tuple(map(OwnershipAssignment, ids, map(team_ids.__getitem__, _below(rng, params.team_count, n))))
 
     # Each pair (user, used) is stored as user * n + used: since used < n,
     # the ints sort in the same order as the pairs.

@@ -140,6 +140,8 @@ def record(cls: type) -> type:
 
 @record
 class Component:
+    """A unit of the system that an owner owns and other components use: a service, library, module or application."""
+
     id: str
     name: str
     kind: ComponentKind
@@ -264,6 +266,8 @@ _set_source, _set_payload, _set_recorded_at = slot_setters(LocationEvidence)
 
 @record
 class Owner:
+    """A team, individual or unit that owns components, with the dated evidence of where it sits."""
+
     id: str
     name: str
     kind: OwnerKind
@@ -272,12 +276,16 @@ class Owner:
 
 @record
 class OwnershipAssignment:
+    """One row of the component -> owner assignment."""
+
     component: str
     owner: str
 
 
 @dataclass(frozen=True, slots=True)
 class ArchitectureSnapshot:
+    """The dated state of a system: its components, dependency edges, owners and ownership."""
+
     id: str
     taken_at: date
     components: tuple[Component, ...]
@@ -330,6 +338,8 @@ class Finding:
 
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
+    """The outcome of `validate_snapshot`: "ok" with no findings, or "failed" with every finding."""
+
     status: str  # "ok" | "failed"
     findings: tuple[Finding, ...]
 

@@ -24,6 +24,8 @@ class CascadeConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Resolver:
+    """One step of the cascade: a RESOLVER_SOURCES name, with the share that `member_majority` needs."""
+
     name: str  # a key of RESOLVER_SOURCES
     threshold: float | None = None
 
@@ -71,6 +73,8 @@ def parse_cascade(text: str) -> tuple[Resolver, ...]:
 
 @record
 class JurisdictionAssignment:
+    """One owner's jurisdiction, with the resolver, evidence and date that decided it, or UNKNOWN and no resolver."""
+
     owner: str
     jurisdiction: str
     resolver: str | None  # resolver description, None when unresolved
@@ -136,6 +140,8 @@ def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = D
 
 @dataclass(frozen=True)
 class ResolutionSummary:
+    """How many owners the cascade resolved, in total and per resolver."""
+
     total: int
     resolved_count: int
     unresolved_count: int

@@ -145,6 +145,8 @@ def _render_markdown(rows: list[list[str]]) -> str:
 
 @dataclass(frozen=True)
 class RegisterTables:
+    """The component register's and owner register's rows of one run, as `build_registers` reads them."""
+
     components: tuple[tuple[str, str], ...]  # (component, owner)
     owners: tuple[tuple[str, str, str], ...]  # (owner, jurisdiction, provenance)
 

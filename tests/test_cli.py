@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import os
@@ -303,6 +304,7 @@ def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monk
 
     monkeypatch.setattr(cli, "cmd_report", report_noting_the_collector)
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     try:
         if outcome is SystemExit:
             with pytest.raises(SystemExit):
@@ -313,6 +315,48 @@ def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monk
     finally:
         gc.enable()
     assert during == ([] if outcome is SystemExit else [False])
+    assert gc.get_freeze_count() == frozen  # only the process entry, `run`, freezes
+
+
+# In a child: the exit code, and on exit whether the collector had frozen objects, after `cli.run()`.
+_RUN_CHILD = """
+import atexit, gc, sys
+from taxarch import cli
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+sys.argv = ["taxarch", *sys.argv[1:]]
+sys.exit(cli.run())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--components", "10", "--teams", "2", "--seed", "3"], 0),
+        (["stats", "--fixture", "devnullsoft", "--resolvers", "nonsense"], 2),
+    ],
+    ids=["success", "exit-2"],
+)
+def test_the_process_entry_runs_main_then_freezes_and_still_flushes_and_runs_atexit(capsysbinary, argv, code):
+    assert main(argv) == code
+    expected = capsysbinary.readouterr()
+    child = subprocess.run([sys.executable, "-c", _RUN_CHILD, *argv], capture_output=True, env=_child_env(), timeout=60)
+    assert child.returncode == code
+    assert child.stdout == expected.out  # the buffered artifact is flushed at exit
+    assert child.stderr == expected.err + b"frozen at exit: True\n"
+
+
+def test_the_taxarch_script_and_the_main_block_call_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    script = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["taxarch"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [
+        node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    calls = [node.func for node in ast.walk(block) if isinstance(node, ast.Call)]
+    (called,) = [func.id for func in calls if isinstance(func, ast.Name)]
+    assert script == f"taxarch.cli:{called}"
+    assert called != "main"  # `main` never freezes; the entry does
 
 
 @pytest.mark.parametrize(
@@ -360,11 +404,17 @@ def test_stdout_pipe_closed_exit_2_with_one_error_line(devnullsoft_bundle, argv)
     assert run.stderr.startswith(b"error: cannot write standard output: ")
 
 
-def _run_child(argv, stdout):
+def _child_env():
     # Standard output buffered, as it is by default: unbuffered, it keeps no bytes that could fail again on exit.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(taxarch.__file__).parents[1])
-    return subprocess.run([sys.executable, "-m", "taxarch.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return env
+
+
+def _run_child(argv, stdout):
+    return subprocess.run(
+        [sys.executable, "-m", "taxarch.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=_child_env()
+    )
 
 
 def _assert_one_write_error(run):

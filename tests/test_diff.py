@@ -3,7 +3,7 @@ import json
 from datetime import date, timedelta
 
 import taxarch.diff
-from taxarch.classify import aggregate, apply_scope_filter
+from taxarch.classify import ScopePolicy, aggregate, apply_scope_filter
 from taxarch.diff import diff_snapshots
 from taxarch.generate import fixture
 from taxarch.model import (
@@ -13,6 +13,7 @@ from taxarch.model import (
     EvidenceSource,
     LocationEvidence,
     OwnershipAssignment,
+    owners_as_of,
 )
 from taxarch.resolve import DEFAULT_CASCADE, resolve_jurisdictions
 
@@ -242,3 +243,32 @@ def test_diff_resolves_again_an_unchanged_owner_whose_record_is_dated_between_th
     assert delta.jurisdiction_changes == (("t", "SWE", "DEU"),)
     assert dict(delta.matrix_delta) == {("SWE", "SWE"): -1, ("DEU", "SWE"): 1}
     assert delta == reference_diff_snapshots(a, b)
+
+
+def test_diff_takes_each_snapshots_owner_view_once_and_a_run_keeps_it_in_assignment_order(monkeypatch):
+    explicit = EvidenceSource.EXPLICIT_ASSIGNMENT
+    evidence = (
+        LocationEvidence(explicit, "SWE", date(2023, 1, 1)),
+        LocationEvidence(explicit, "DEU", date(2024, 1, 1)),
+    )
+    a = make_snapshot(
+        components=[make_component("a"), make_component("b")],
+        edges=[("a", "b")],
+        owners=[make_owner("u", "SWE"), make_owner("t", evidence=evidence)],
+        ownership=[("a", "t"), ("b", "u")],
+    )
+    b = dataclasses.replace(a, id="b", taken_at=date(2024, 6, 30))
+    expected = reference_diff_snapshots(a, b)
+    views = []
+
+    def recording(snapshot):
+        views.append(snapshot.id)
+        return owners_as_of(snapshot)
+
+    monkeypatch.setattr(taxarch.diff, "owners_as_of", recording)
+    assert diff_snapshots(a, b) == expected
+    assert views == [a.id, b.id]
+    run = taxarch.diff.run_pipeline(a, DEFAULT_CASCADE, ScopePolicy())
+    assert run.owners == tuple(sorted(owners_as_of(a), key=lambda o: o.id))
+    assert [o.id for o in run.owners] == [x.owner for x in run.assignments] == ["t", "u"]
+    assert run.owners[0].location_evidence == evidence[:1]

@@ -6,7 +6,9 @@
   package has no runtime dependencies.
 - No use of `gc` outside `cli.py`: the collector's state is global to
   the process, so only the command line, which owns the process, may
-  pause it; a library caller of `parse_bundle` never has it changed.
+  pause it, and only its process entry, `run`, freezes what survives a
+  command before shutdown; a library caller of `parse_bundle` or of
+  `main` never has it changed.
 - `is_valid_jurisdiction` is used only by `model.py`, where
   `validate_snapshot` judges the codes of every snapshot however it was
   read, and by `generate.py`, which checks the generator's own
@@ -23,6 +25,10 @@
 - `exec` is named only inside `model.record`, which generates the record
   constructors: the package keeps one code generator, so generated code
   has one place to read.
+- Every class declared with `dataclass(...)` or `record` has its own
+  docstring: `dataclasses` builds the missing one from
+  `inspect.signature` of the class, a cost every import of the package
+  pays.
 """
 
 import ast
@@ -138,3 +144,17 @@ def test_the_model_has_no_except_clause_naming_type_error():
     clauses = [node for node in ast.walk(_tree(PACKAGE / "model.py")) if isinstance(node, ast.ExceptHandler)]
     lines = [node.lineno for node in clauses if node.type and "TypeError" in ast.unparse(node.type)]
     assert lines == [], f"model.py: except TypeError on line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_dataclass_and_record_has_its_own_docstring(path):
+    def declared_as_dataclass(node: ast.ClassDef) -> bool:
+        names = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        return any(isinstance(n, ast.Name) and n.id in ("dataclass", "record") for n in names)
+
+    bare = [
+        node.name
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef) and declared_as_dataclass(node) and ast.get_docstring(node) is None
+    ]
+    assert bare == [], f"{path.relative_to(PACKAGE)}: no docstring on {bare}"
