@@ -82,27 +82,30 @@ def apply_scope_filter(
     """Drop out-of-scope components and their incident edges.
 
     `owner_of` is the snapshot's `owner_of()`, built once by the caller.
-    Every exclusion is recorded with its reason; nothing is silent. When
-    nothing is excluded, the scoped snapshot holds the input's records.
+    Every exclusion is recorded with its reason; nothing is silent. It reads
+    the component, edge and ownership columns, and `select`s the kept rows
+    of each table. When nothing is excluded, the scoped snapshot holds the
+    input's tables.
     """
     individuals = (
         {o.id for o in snapshot.owners if o.kind is OwnerKind.INDIVIDUAL} if policy.exclude_individual_owners else ()
     )
     statuses = policy.include_statuses
+    components, edges, ownership = snapshot.components, snapshot.dependencies, snapshot.ownership
     excluded = [
-        (c.id, "non_production" if c.status not in statuses else "individual_owner")
-        for c in snapshot.components
-        if c.status not in statuses or owner_of.get(c.id) in individuals
+        (cid, "non_production" if status not in statuses else "individual_owner")
+        for cid, status in zip(components.ids, components.statuses)
+        if status not in statuses or owner_of.get(cid) in individuals
     ]
-    edges = snapshot.dependencies
     if excluded:
         excluded_ids = {cid for cid, _ in excluded}
-        kept_components = tuple(c for c in snapshot.components if c.id not in excluded_ids)
-        keep = [u not in excluded_ids and v not in excluded_ids for u, v in zip(edges.users, edges.used)]
-        kept_edges = edges.select(keep)
-        kept_ownership = tuple(a for a in snapshot.ownership if a.component not in excluded_ids)
-    else:  # the same records: nothing to drop
-        kept_components, kept_edges, kept_ownership = tuple(snapshot.components), edges, tuple(snapshot.ownership)
+        kept_components = components.select([cid not in excluded_ids for cid in components.ids])
+        kept_edges = edges.select(
+            [u not in excluded_ids and v not in excluded_ids for u, v in zip(edges.users, edges.used)]
+        )
+        kept_ownership = ownership.select([cid not in excluded_ids for cid in ownership.components])
+    else:  # the same tables: nothing to drop
+        kept_components, kept_edges, kept_ownership = components, edges, ownership
 
     scoped = ArchitectureSnapshot(
         id=snapshot.id,
@@ -115,7 +118,7 @@ def apply_scope_filter(
     report = ExclusionReport(
         excluded_components=tuple(sorted(excluded)),
         excluded_edges=len(edges) - len(kept_edges),
-        component_total=len(snapshot.components),
+        component_total=len(components),
         edge_total=len(edges),
     )
     return scoped, report

@@ -25,7 +25,7 @@ from operator import attrgetter
 
 from .classify import ComplianceStats, JurisdictionFlowMatrix, ScopePolicy, aggregate, apply_scope_filter, compute_stats
 from .jsontext import array, quote, strings
-from .model import ArchitectureSnapshot, Component, Owner, owners_as_of
+from .model import ArchitectureSnapshot, Component, ComponentTable, Owner, as_table, owners_as_of
 from .resolve import DEFAULT_CASCADE, JurisdictionAssignment, Resolver, resolution_summary, resolve_jurisdictions
 
 
@@ -37,7 +37,8 @@ class PipelineRun:
     """One input through scope -> resolve -> aggregate -> stats: in-scope components, the input's owner map.
 
     `owners` is the owner view the run resolved, `owners_as_of` of the snapshot, in the order of `assignments`.
-    A matrix-only input is a run with no components, owners or assignments, so its registers are empty.
+    A matrix-only input is a run with no components, owners or assignments, so its registers are empty. A tuple
+    or list of exactly `Component`s is stored as its `ComponentTable`, whose columns `build_registers` reads.
     """
 
     matrix: JurisdictionFlowMatrix
@@ -47,6 +48,9 @@ class PipelineRun:
     owner_of: dict[str, str] = field(default_factory=dict)
     assignments: tuple[JurisdictionAssignment, ...] = ()
     owners: tuple[Owner, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", as_table(self.components, ComponentTable))
 
 
 def run_pipeline(
@@ -208,7 +212,7 @@ def diff_snapshots(
     unchanged but holds evidence dated after A's date and not after B's is resolved again.
     Expects two snapshots that `validate_snapshot` accepts; any other may raise or be miscounted.
     """
-    components_added, components_removed, _ = _delta(*(dict.fromkeys(c.id for c in s.components) for s in (a, b)))
+    components_added, components_removed, _ = _delta(*(dict.fromkeys(s.components.ids) for s in (a, b)))
     # One row set, A's: B's rows not in it are B's only-rows, and removing B's rows from it leaves A's only-rows.
     # Only those rows are keyed: a snapshot holds each (user, used, kind) once, so a key among both sides'
     # only-rows is a re-weighted edge, and a key on one side alone an added or removed one.

@@ -26,6 +26,7 @@ from .model import (
     Component,
     ComponentKind,
     ComponentStatus,
+    ComponentTable,
     DependencyEdge,
     DependencyKind,
     EdgeTable,
@@ -34,6 +35,7 @@ from .model import (
     Owner,
     OwnerKind,
     OwnershipAssignment,
+    OwnershipTable,
     is_valid_jurisdiction,
 )
 
@@ -141,8 +143,9 @@ def _pairs(rng: random.Random, n: int, target: int) -> set[int]:
 def generate(params: GeneratorParams) -> ArchitectureSnapshot:
     """Generate a valid snapshot; identical params and seed give identical output.
 
-    Components' owners and dependency pairs are drawn in bulk, from the same Mersenne Twister words that one
-    rng.randrange call per value would read, so the snapshot and the generator's final state equal those of the loop.
+    The components, ownership and edges are built as the columns of their tables. Components' owners and dependency
+    pairs are drawn in bulk, from the same Mersenne Twister words that one rng.randrange call per value would read,
+    so the snapshot and the generator's final state equal those of the loop.
     """
     n = params.component_count
     wanted = params.dependency_density * n  # a finite density may still overflow to inf here
@@ -155,11 +158,9 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
         )
 
     rng = random.Random(params.seed)
-    ids = [f"c{i:05d}" for i in range(n)]
-    components = tuple(
-        Component(cid, f"service-{i}", ComponentKind.MICROSERVICE, ComponentStatus.PRODUCTION)
-        for i, cid in enumerate(ids)
-    )
+    ids = tuple(f"c{i:05d}" for i in range(n))
+    names = tuple(f"service-{i}" for i in range(n))
+    components = ComponentTable(ids, names, (ComponentKind.MICROSERVICE,) * n, (ComponentStatus.PRODUCTION,) * n)
     team_ids = [f"t{i:04d}" for i in range(params.team_count)]  # formatted once, for the owners and the ownership
     owners = []
     for i, tid in enumerate(team_ids):
@@ -172,7 +173,7 @@ def generate(params: GeneratorParams) -> ArchitectureSnapshot:
             )
         owners.append(Owner(tid, f"team-{i}", OwnerKind.TEAM, evidence))
 
-    ownership = tuple(map(OwnershipAssignment, ids, map(team_ids.__getitem__, _below(rng, params.team_count, n))))
+    ownership = OwnershipTable(ids, tuple(map(team_ids.__getitem__, _below(rng, params.team_count, n))))
 
     # Each pair (user, used) is stored as user * n + used: since used < n,
     # the ints sort in the same order as the pairs.

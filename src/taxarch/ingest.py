@@ -30,9 +30,14 @@ surrogate, which UTF-8 cannot encode, is refused too; the strings are
 searched for one only when the text holds a backslash and a surrogate
 escape matches (or, in a str, holds a surrogate itself).
 
-A snapshot's `dependencies` is a `model.EdgeTable`: four parallel
-columns (users, used components, kinds, multiplicities) that iterate as
-`DependencyEdge` rows; the parser builds it from the edge columns it reads.
+A parsed snapshot's three large record lists are the tables of the
+columns the parser reads, with no record object per row: `components` a
+`model.ComponentTable`, `dependencies` a `model.EdgeTable` and
+`ownership` a `model.OwnershipTable`. Each is built by
+`Table._from_parser`, so it carries the parser's proof of its column
+types, and `validate_snapshot` does not test them again. The proof also
+covers the strings: `parse_bundle` returns a snapshot only after its
+surrogate search found none.
 """
 
 from __future__ import annotations
@@ -48,17 +53,18 @@ from .jsontext import array as _array
 from .jsontext import quote as _quote
 from .jsontext import strings as _strings_array
 from .model import (
+    _SURROGATE,
     ArchitectureSnapshot,
-    Component,
     ComponentKind,
     ComponentStatus,
+    ComponentTable,
     DependencyKind,
     EdgeTable,
     EvidenceSource,
     LocationEvidence,
     Owner,
     OwnerKind,
-    OwnershipAssignment,
+    OwnershipTable,
 )
 
 SCHEMA_VERSION = 1
@@ -163,9 +169,8 @@ def _parse_date(text: str, field: str) -> date:
     raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(text)}")
 
 
-# A JSON escape of a UTF-16 surrogate, paired or not, and a surrogate itself.
+# A JSON escape of a UTF-16 surrogate, paired or not; `_SURROGATE` matches a surrogate itself.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
@@ -173,7 +178,8 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
 
     The caller is expected to run validate_snapshot on the result;
     parsing only enforces the document schema, and that every string
-    can be written as UTF-8.
+    can be written as UTF-8. The components, dependencies and ownership
+    are proved tables, whose column checks validate skips.
     """
     if isinstance(document, bytes):
         try:
@@ -233,13 +239,13 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     return ArchitectureSnapshot(data["snapshot_id"], taken_at, components, dependencies, owners, ownership)
 
 
-def _components(records: list) -> tuple[Component, ...]:
-    return tuple(map(Component, *_records(_COMPONENT, records, "components").values()))
+def _components(records: list) -> ComponentTable:
+    return ComponentTable._from_parser(*_records(_COMPONENT, records, "components").values())
 
 
 def _dependencies(records: list) -> EdgeTable:
     users, used, multiplicities, kinds = _records(_EDGE, records, "dependencies").values()
-    return EdgeTable(users, used, kinds, multiplicities)
+    return EdgeTable._from_parser(users, used, kinds, multiplicities)
 
 
 def _owners(records: list) -> tuple[Owner, ...]:
@@ -247,8 +253,8 @@ def _owners(records: list) -> tuple[Owner, ...]:
     return tuple(map(Owner, ids, names, kinds, evidence))
 
 
-def _ownership(records: list) -> tuple[OwnershipAssignment, ...]:
-    return tuple(map(OwnershipAssignment, *_records(_ASSIGNMENT, records, "ownership").values()))
+def _ownership(records: list) -> OwnershipTable:
+    return OwnershipTable._from_parser(*_records(_ASSIGNMENT, records, "ownership").values())
 
 
 # Records a fault walk reads at once: the largest run it walks record by record.
@@ -361,6 +367,8 @@ class UnencodableStringError(IngestError):
     """A snapshot string holds an unpaired surrogate, so its bundle cannot be written as UTF-8."""
 
 
+_FIRST = operator.itemgetter(0)
+
 # Dependency records formatted, joined and encoded at once: the largest text held beside the buffer.
 _BLOCK_RECORDS = 4096
 
@@ -388,10 +396,11 @@ def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
 
 def _bundle_text(snapshot: ArchitectureSnapshot):
     """The canonical bundle's text in pieces whose concatenation is the document."""
+    c = snapshot.components
     components = [
-        f'    {{\n      "id": {_quote(c.id)},\n      "name": {_quote(c.name)},\n'
-        f'      "kind": {_JSON_VALUE[c.kind]},\n      "status": {_JSON_VALUE[c.status]}\n    }}'
-        for c in sorted(snapshot.components, key=lambda c: c.id)
+        f'    {{\n      "id": {_quote(cid)},\n      "name": {_quote(name)},\n'
+        f'      "kind": {_JSON_VALUE[kind]},\n      "status": {_JSON_VALUE[status]}\n    }}'
+        for cid, name, kind, status in sorted(zip(c.ids, c.names, c.kinds, c.statuses), key=_FIRST)
     ]
     yield (
         f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "snapshot_id": {_quote(snapshot.id)},\n'
@@ -421,8 +430,9 @@ def _bundle_text(snapshot: ArchitectureSnapshot):
         f'      "location_evidence": {_array([_evidence_record(ev) for ev in o.location_evidence], "      ")}\n    }}'
         for o in sorted(snapshot.owners, key=lambda o: o.id)
     ]
+    a = snapshot.ownership
     ownership = [
-        f'    {{\n      "component": {_quote(a.component)},\n      "owner": {_quote(a.owner)}\n    }}'
-        for a in sorted(snapshot.ownership, key=lambda a: (a.component, a.owner))
+        f'    {{\n      "component": {_quote(component)},\n      "owner": {_quote(owner)}\n    }}'
+        for component, owner in sorted(zip(a.components, a.owners))
     ]
     yield f',\n  "owners": {_array(owners, "  ")},\n  "ownership": {_array(ownership, "  ")}\n}}\n'

@@ -20,6 +20,8 @@ from itertools import chain, compress, islice, repeat
 UNKNOWN = "UNKNOWN"
 
 _ALPHA3_RE = re.compile(r"[A-Z]{3}")
+# A UTF-16 surrogate: a str may hold one unpaired, and UTF-8 cannot encode it. `ingest` reads it from here.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def is_valid_jurisdiction(code: str) -> bool:
@@ -158,40 +160,130 @@ class DependencyEdge:
     multiplicity: int = 1
 
 
-_EDGE_ROW = operator.attrgetter(*DependencyEdge.__slots__)
+@record
+class OwnershipAssignment:
+    """One row of the component -> owner assignment."""
+
+    component: str
+    owner: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class EdgeTable(Sequence):
-    """A snapshot's dependency edges as four parallel columns; row i of each is edge i.
+class Table(Sequence):
+    """Parallel columns whose row i is record i: the one table mechanism of the snapshot's large record lists.
 
-    As a sequence it reads as its `DependencyEdge` rows: it iterates, indexes
-    and compares to a tuple as the tuple of those rows would, and a slice is a
-    table. The stages that walk every edge read the columns, so a parse of
-    100k edges builds no edge object.
+    As a sequence a table reads as the tuple of its rows, each an instance of
+    the class's `row` record: it iterates, indexes, compares to a tuple and
+    hashes as that tuple would, a slice is a table, and `+` appends rows. The
+    stages that walk every row read the columns, so a parse builds no row.
+
+    A table the parser built carries its proof (`proved`): `ingest` held each
+    column to its field's type, every multiplicity to a positive int, and
+    every string to one that UTF-8 can encode, so `validate_snapshot` need
+    not test them again. The proof is a slot of the table, not a field: the
+    constructor, `from_rows`, `of`, `+`, slicing, `select`,
+    `dataclasses.replace`, `copy` and `pickle` all give an unproved table,
+    whose columns may hold anything and are tested by validate.
+    """
+
+    __slots__ = ("_proved",)
+
+    def __post_init__(self):
+        columns = tuple(map(tuple, self._columns(self)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length: {list(map(len, columns))}")
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows) -> Table:
+        """The table of rows that each hold one value per column, in column order."""
+        columns = tuple(zip(*rows))
+        return cls(*columns) if columns else cls()
+
+    @classmethod
+    def of(cls, records) -> Table:
+        """The table of `records`, each an instance of `cls.row`."""
+        return cls.from_rows(map(cls._row_values, records))
+
+    @classmethod
+    def _from_parser(cls, *columns) -> Table:
+        """The proved table of columns that `ingest` read from a bundle and held to their fields' types.
+
+        The one constructor that grants the proof; only the parser names it (a source rule keeps it so).
+        """
+        table = cls(*columns)
+        _set_proved(table, True)
+        return table
+
+    @property
+    def proved(self) -> bool:
+        """Whether the parser built this table and so proved its columns' types and strings."""
+        return getattr(self, "_proved", False)
+
+    def select(self, keep: list) -> Table:
+        """The table of the rows whose entry in `keep` is true."""
+        return type(self)(*(tuple(compress(column, keep)) for column in self._columns(self)))
+
+    def __len__(self) -> int:
+        return len(self._columns(self)[0])
+
+    def __iter__(self):
+        return iter(tuple(map(self.row, *self._columns(self))))  # the iterator of the tuple of its rows
+
+    def __getitem__(self, index):
+        picked = (column[index] for column in self._columns(self))
+        return type(self)(*picked) if isinstance(index, slice) else self.row(*picked)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._columns(self) == other._columns(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the tuple of its rows, which it equals
+
+    def __repr__(self) -> str:  # the dataclass repr, written once for every table class
+        columns = ", ".join(f"{name}={column!r}" for name, column in zip(self.__slots__, self._columns(self)))
+        return f"{type(self).__qualname__}({columns})"
+
+    def __add__(self, other) -> Table:
+        if not isinstance(other, (type(self), tuple)):
+            return NotImplemented
+        return type(self).of((*self, *other))
+
+
+_set_proved = Table.__dict__["_proved"].__set__
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ComponentTable(Table):
+    """A snapshot's components as four parallel columns; row i of each is component i, read as a `Component`."""
+
+    row = Component
+
+    ids: tuple = ()
+    names: tuple = ()
+    kinds: tuple = ()
+    statuses: tuple = ()
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class EdgeTable(Table):
+    """A snapshot's dependency edges as four parallel columns; row i of each is edge i, read as a `DependencyEdge`.
 
     A table whose (user, used) pairs strictly increase from row to row, as
     the serializer writes every bundle, holds no pair twice and so no edge
     twice; `ordered()` proves that in one pass over neighbouring rows.
     """
 
+    row = DependencyEdge
+
     users: tuple = ()
     used: tuple = ()
     kinds: tuple = ()
     multiplicities: tuple = ()
-
-    def __post_init__(self):
-        columns = tuple(map(tuple, _COLUMNS(self)))
-        if len(set(map(len, columns))) > 1:
-            raise ValueError(f"edge table columns differ in length: {list(map(len, columns))}")
-        for name, column in zip(self.__slots__, columns):
-            object.__setattr__(self, name, column)
-
-    @classmethod
-    def from_rows(cls, rows) -> EdgeTable:
-        """The table of (user, owner_component, kind, multiplicity) rows."""
-        columns = tuple(zip(*rows))
-        return cls(*columns) if columns else cls()
 
     def ordered(self) -> bool:
         """Whether each row's (user, used) pair is greater than the pair of the row before.
@@ -202,37 +294,28 @@ class EdgeTable(Sequence):
         users, used = self.users, self.used
         return all(map(operator.lt, zip(users, used), zip(islice(users, 1, None), islice(used, 1, None))))
 
-    def select(self, keep: list) -> EdgeTable:
-        """The table of the rows whose entry in `keep` is true."""
-        return EdgeTable(*(tuple(compress(column, keep)) for column in _COLUMNS(self)))
 
-    def __len__(self) -> int:
-        return len(self.users)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class OwnershipTable(Table):
+    """A snapshot's component -> owner assignment as two parallel columns; row i is an `OwnershipAssignment`."""
 
-    def __iter__(self):
-        return map(DependencyEdge, *_COLUMNS(self))
+    row = OwnershipAssignment
 
-    def __getitem__(self, index):
-        picked = (column[index] for column in _COLUMNS(self))
-        return EdgeTable(*picked) if isinstance(index, slice) else DependencyEdge(*picked)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EdgeTable):
-            return _COLUMNS(self) == _COLUMNS(other)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))  # as the tuple of its rows, which it equals
-
-    def __add__(self, other) -> EdgeTable:
-        if not isinstance(other, (EdgeTable, tuple)):
-            return NotImplemented
-        return EdgeTable.from_rows(map(_EDGE_ROW, (*self, *other)))
+    components: tuple = ()
+    owners: tuple = ()
 
 
-_COLUMNS = operator.attrgetter(*EdgeTable.__slots__)
+for _table in (ComponentTable, EdgeTable, OwnershipTable):
+    _table._columns = operator.attrgetter(*_table.__slots__)
+    _table._row_values = operator.attrgetter(*_table.row.__slots__)
+del _table
+
+
+def as_table(records, table: type[Table]):
+    """`records` as a `table` when they are a tuple or list of exactly its row class; anything else as given."""
+    if type(records) in (tuple, list) and {table.row}.issuperset(map(type, records)):
+        return table.of(records)
+    return records
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -274,34 +357,37 @@ class Owner:
     location_evidence: tuple[LocationEvidence, ...] = ()
 
 
-@record
-class OwnershipAssignment:
-    """One row of the component -> owner assignment."""
-
-    component: str
-    owner: str
-
-
 @dataclass(frozen=True, slots=True)
 class ArchitectureSnapshot:
-    """The dated state of a system: its components, dependency edges, owners and ownership."""
+    """The dated state of a system: its components, dependency edges, owners and ownership.
+
+    A tuple or list of exactly `Component`s is stored as its `ComponentTable`, and one of exactly
+    `OwnershipAssignment`s as its `OwnershipTable`; any other `components` or `ownership` is stored as given, for
+    `validate_snapshot` to report. Any sequence of `DependencyEdge`s is stored as its `EdgeTable`.
+    """
 
     id: str
     taken_at: date
     components: tuple[Component, ...]
-    dependencies: EdgeTable  # any sequence of DependencyEdge is stored as its table
+    dependencies: EdgeTable
     owners: tuple[Owner, ...]
     ownership: tuple[OwnershipAssignment, ...]
 
     def __post_init__(self):
         if type(self.dependencies) is not EdgeTable:
-            object.__setattr__(self, "dependencies", EdgeTable.from_rows(map(_EDGE_ROW, self.dependencies)))
+            object.__setattr__(self, "dependencies", EdgeTable.of(self.dependencies))
+        object.__setattr__(self, "components", as_table(self.components, ComponentTable))
+        object.__setattr__(self, "ownership", as_table(self.ownership, OwnershipTable))
 
     def owner_of(self) -> dict[str, str]:
-        """Component id -> owner id (first assignment wins on duplicates)."""
-        mapping: dict[str, str] = {}
-        for a in self.ownership:
-            mapping.setdefault(a.component, a.owner)
+        """Component id -> owner id (first assignment wins on duplicates), read from the ownership columns."""
+        ownership = self.ownership
+        components, owners = ownership.components, ownership.owners
+        mapping = dict(zip(components, owners))
+        if len(mapping) != len(components):  # a component assigned twice: its first assignment wins
+            mapping = {}
+            for component, owner in zip(components, owners):
+                mapping.setdefault(component, owner)
         return mapping
 
 
@@ -362,20 +448,26 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     field or a record container holds. Findings are sorted so the report is
     independent of collection order.
 
-    Two phases. The first holds the snapshot's `components`, `owners` and
-    `ownership` to a tuple or list of exactly their record class, then every
-    owner's `location_evidence` at once, as one column of containers, and
-    walks the owners only when that test fails. It then holds each typed
+    Two phases. The first holds the snapshot's `components` and `ownership`
+    to their tables, as which the snapshot stores a tuple or list of exactly
+    their record class, and `owners` to a tuple or list of exactly `Owner`s, then
+    every owner's `location_evidence` at once, as one column of containers,
+    and walks the owners only when that test fails. It then holds each typed
     field, an evidence record's `source` and `recorded_at` included, to the
     exact type the parser gives it; any `field-type` finding ends
-    validation, reported alone. The second, on a snapshot of the parser's
-    types only, judges the id, evidence, dependency and ownership
-    invariants. Each block is a set-algebra test over whole columns and,
-    only when that test fails, a listing of its offenders, one finding
-    each. The duplicate-edge block asks `EdgeTable.ordered()`: rows whose
-    (user, used) pairs strictly increase, as every serialized bundle lists
-    them, repeat no edge, and only a table in another order has its triples
-    counted. Owners' evidence selections are judged, with the
+    validation, reported alone. A table the parser built carries its proof
+    (`Table.proved`): its columns were held to these types as they were
+    read, so they are not tested again, nor its multiplicities for being
+    positive ints, nor its strings for an unpaired surrogate. The second
+    phase, on a snapshot of the parser's types only, judges the id,
+    encoding, evidence, dependency and ownership invariants. Each block is a
+    set-algebra test over whole columns and, only when that test fails, a
+    listing of its offenders, one finding each. A string holding an unpaired
+    surrogate is an `unencodable-string` finding: `serialize_bundle` could
+    not write it. The duplicate-edge block asks `EdgeTable.ordered()`: rows
+    whose (user, used) pairs strictly increase, as every serialized bundle
+    lists them, repeat no edge, and only a table in another order has its
+    triples counted. Owners' evidence selections are judged, with the
     `latest_evidence` and `conflict` that the resolver cascade uses, only
     when one owner id holds two records of one resolver on one date, which
     a conflict needs. They are judged as of `taken_at`, in the
@@ -384,10 +476,11 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     clean snapshot never formats a message.
     """
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
+    edges = snapshot.dependencies
     findings = [
-        *_container_type("snapshot", snapshot.id, "components", components, Component),
+        *_container_type("snapshot", snapshot.id, "components", components, Component, ComponentTable),
         *_container_type("snapshot", snapshot.id, "owners", owners, Owner),
-        *_container_type("snapshot", snapshot.id, "ownership", ownership, OwnershipAssignment),
+        *_container_type("snapshot", snapshot.id, "ownership", ownership, OwnershipAssignment, OwnershipTable),
     ]
     if not findings:  # each owner is an Owner: its evidence containers are one column, walked only when it fails
         containers = [o.location_evidence for o in owners]
@@ -403,62 +496,65 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     if findings:
         findings.sort()
         return ValidationReport("failed", tuple(findings))
-    edges = snapshot.dependencies
-    users, used, kinds = edges.users, edges.used, edges.kinds
-    cids, oids = [c.id for c in components], [o.id for o in owners]
-    assigned, assignees = [a.component for a in ownership], [a.owner for a in ownership]
+    cids, oids, onames = components.ids, [o.id for o in owners], [o.name for o in owners]
+    users, used, assigned, assignees = edges.users, edges.used, ownership.components, ownership.owners
     # Each evidence record is named by its owner's id and its index among that owner's records.
     records = list(chain.from_iterable(containers))
     counts = list(map(len, containers))
     holders = list(chain.from_iterable(map(repeat, oids, counts)))
     places = list(chain.from_iterable(map(range, counts)))
-    findings = _field_types(
-        "snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)
-    )
-    findings += _field_types(
-        "component",
-        (cids,),
-        ("id", cids, str),
-        ("name", [c.name for c in components], str),
-        ("kind", [c.kind for c in components], ComponentKind),
-        ("status", [c.status for c in components], ComponentStatus),
-    )
-    findings += _field_types(
-        "owner",
-        (oids,),
-        ("id", oids, str),
-        ("name", [o.name for o in owners], str),
-        ("kind", [o.kind for o in owners], OwnerKind),
-    )
     sources, dates = [ev.source for ev in records], [ev.recorded_at for ev in records]
-    findings += _field_types(
-        "evidence", (holders, places), ("source", sources, EvidenceSource), ("recorded_at", dates, date)
-    )
-    findings += _field_types(
-        "dependency",
-        (users, used),
-        ("user", users, str),
-        ("owner_component", used, str),
-        ("kind", kinds, DependencyKind),
-    )
-    findings += _field_types(
-        "assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)
-    )
+    # Each record kind's (field, column, type) columns, its records named by its key columns. A proved table's
+    # columns hold the parser's types and strings that UTF-8 can encode, so only an unproved table's are tested.
+    typed = [
+        ("snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)),
+        ("owner", (oids,), ("id", oids, str), ("name", onames, str), ("kind", [o.kind for o in owners], OwnerKind)),
+        ("evidence", (holders, places), ("source", sources, EvidenceSource), ("recorded_at", dates, date)),
+    ]
+    if not components.proved:
+        typed.append(
+            (
+                "component",
+                (cids,),
+                ("id", cids, str),
+                ("name", components.names, str),
+                ("kind", components.kinds, ComponentKind),
+                ("status", components.statuses, ComponentStatus),
+            )
+        )
+    if not edges.proved:
+        typed.append(
+            (
+                "dependency",
+                (users, used),
+                ("user", users, str),
+                ("owner_component", used, str),
+                ("kind", edges.kinds, DependencyKind),
+            )
+        )
+    if not ownership.proved:
+        typed.append(("assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)))
+    findings = [finding for what, keys, *columns in typed for finding in _field_types(what, keys, *columns)]
     if findings:
         findings.sort()
         return ValidationReport("failed", tuple(findings))
     component_ids, owner_ids = set(cids), set(oids)
 
-    for what, nodes, ids in (("component", components, component_ids), ("owner", owners, owner_ids)):
-        if not all(ids):
-            findings += [_finding("empty-id", f"{what} with empty id", node.name) for node in nodes if not node.id]
-        if len(ids) != len(nodes):
+    for what, ids, names, known in (
+        ("component", cids, components.names, component_ids),
+        ("owner", oids, onames, owner_ids),
+    ):
+        if not all(known):
+            findings += [_finding("empty-id", f"{what} with empty id", name) for i, name in zip(ids, names) if not i]
+        if len(known) != len(ids):
             findings += [
                 _finding("duplicate-id", f"duplicate {what} id {i!r}", i)
-                for i, count in Counter(node.id for node in nodes if node.id).items()
+                for i, count in Counter(filter(None, ids)).items()
                 for _ in range(count - 1)
             ]
 
+    for what, keys, *columns in typed:
+        findings += _unencodable(what, keys, *((field, column) for field, column, kind in columns if kind is str))
     findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records])
     findings += _dependency_findings(edges, component_ids)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
@@ -466,8 +562,11 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     return ValidationReport("failed" if findings else "ok", tuple(findings))
 
 
-def _container_type(what: str, key, field: str, container, record: type) -> list[Finding]:
-    """A field-type finding naming the first fault when `container` is not a tuple or list of exactly `record`s."""
+def _container_type(what: str, key, field: str, container, record: type, table: type | None = None) -> list[Finding]:
+    """A field-type finding naming the first fault when `container` is neither a `table`, whose rows are `record`s,
+    nor a tuple or list of exactly `record`s."""
+    if type(container) is table:
+        return []
     if type(container) not in (tuple, list):
         found = f"{field} of type {type(container).__name__}, not tuple or list"
     elif {record}.issuperset(map(type, container)):
@@ -496,6 +595,31 @@ def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Seq
                 )
                 for value, key in zip(column, zip(*keys))
                 if type(value) is not expected
+            ]
+    return findings
+
+
+def _unencodable(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Sequence[str]]) -> list[Finding]:
+    """The one encoding rule: a finding for each string of a (field, column) column that holds an unpaired surrogate.
+
+    `serialize_bundle` refuses such a string, and the parser never reads one. Each column is one join and one ASCII
+    test, and only a column that is not ASCII is searched; only when the search finds a surrogate are its offenders
+    listed, each named by row i of the `keys` columns. An evidence code needs no test here: no code that holds a
+    surrogate is a valid one.
+    """
+    findings = []
+    for field, column in columns:
+        text = "".join(column)
+        if not text.isascii() and _SURROGATE.search(text):
+            findings += [
+                _finding(
+                    "unencodable-string",
+                    f"{what} {'->'.join(map(repr, key))} has {field} holding an unpaired surrogate, "
+                    "which UTF-8 cannot encode",
+                    *key,
+                )
+                for value, key in zip(column, zip(*keys))
+                if _SURROGATE.search(value)
             ]
     return findings
 
@@ -558,8 +682,11 @@ def _dangling(column: Sequence[str], known: set[str], message: str) -> list[Find
 
 
 def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Finding]:
-    """The dependency invariants over the edge columns, row i of each being edge i; every endpoint is a string."""
-    users, used, kinds, multiplicities = _COLUMNS(edges)
+    """The dependency invariants over the edge columns, row i of each being edge i; every endpoint is a string.
+
+    A proved table's multiplicities are positive ints, as the parser read them, so only an unproved one's are tested.
+    """
+    users, used, kinds, multiplicities = edges._columns(edges)
     findings = []
     if any(map(operator.eq, users, used)):
         findings += [
@@ -568,7 +695,7 @@ def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Find
     for endpoints in (users, used):
         findings += _dangling(endpoints, component_ids, "dependency endpoint {!r} is not a component")
     # A multiplicity is an int of at least 1, as the parser gives it: a bool, float or string never counts uses.
-    if not {int}.issuperset(map(type, multiplicities)) or min(multiplicities, default=1) < 1:
+    if not edges.proved and (not {int}.issuperset(map(type, multiplicities)) or min(multiplicities, default=1) < 1):
         findings += [
             _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m!r}", u, v)
             for u, v, m in zip(users, used, multiplicities)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .classify import EdgeClass, JurisdictionFlowMatrix, classify_cell
 from .diff import PipelineRun
@@ -152,7 +152,9 @@ class RegisterTables:
 
 
 def build_registers(run: PipelineRun) -> RegisterTables:
-    component_rows = tuple((c.id, run.owner_of.get(c.id, "")) for c in sorted(run.components, key=lambda c: c.id))
+    """The run's registers: its components by id, read from the component ids column, and its owners by id."""
+    ids = sorted(run.components.ids)
+    component_rows = tuple(zip(ids, map(run.owner_of.get, ids, repeat(""))))
     owner_rows = tuple(
         (a.owner, NA_LABEL if a.jurisdiction == UNKNOWN else a.jurisdiction, a.provenance)
         for a in sorted(run.assignments, key=lambda a: a.owner)

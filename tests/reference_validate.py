@@ -4,7 +4,8 @@ every record, one check at a time, and so finds each offender without a
 set-algebra test first. It selects evidence with a `latest_evidence` that
 filters an owner's records once per resolver group, as of the snapshot's
 date: a record dated after `taken_at` is judged for its shape and codes
-but is never part of a conflict."""
+but is never part of a conflict. A string that UTF-8 cannot encode is
+found by trying to encode it, one string at a time."""
 
 from datetime import date
 
@@ -88,6 +89,30 @@ def reference_validate_snapshot(snapshot) -> ValidationReport:
                 latest_evidence(o, sources, snapshot.taken_at)
             except ConflictingEvidenceError as exc:
                 findings.append(_finding("conflicting-evidence", str(exc), o.id))
+
+    strings = [("snapshot", (snapshot.id,), "id", snapshot.id)]
+    for c in snapshot.components:
+        strings += [("component", (c.id,), "id", c.id), ("component", (c.id,), "name", c.name)]
+    for e in snapshot.dependencies:
+        key = (e.user, e.owner_component)
+        strings += [("dependency", key, "user", e.user), ("dependency", key, "owner_component", e.owner_component)]
+    for o in snapshot.owners:
+        strings += [("owner", (o.id,), "id", o.id), ("owner", (o.id,), "name", o.name)]
+    for a in snapshot.ownership:
+        key = (a.component, a.owner)
+        strings += [("assignment", key, "component", a.component), ("assignment", key, "owner", a.owner)]
+    for what, key, field, text in strings:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            findings.append(
+                _finding(
+                    "unencodable-string",
+                    f"{what} {'->'.join(map(repr, key))} has {field} holding an unpaired surrogate, "
+                    "which UTF-8 cannot encode",
+                    *key,
+                )
+            )
 
     component_ids = {c.id for c in snapshot.components}
     owner_ids = {o.id for o in snapshot.owners}

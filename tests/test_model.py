@@ -1,9 +1,13 @@
+import copy
 import dataclasses
 import inspect
 import json
 import pickle
 import random
+import subprocess
+import sys
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from taxarch.model import (
     Component,
     ComponentKind,
     ComponentStatus,
+    ComponentTable,
     DependencyEdge,
     DependencyKind,
     EdgeTable,
@@ -25,6 +30,7 @@ from taxarch.model import (
     Owner,
     OwnerKind,
     OwnershipAssignment,
+    OwnershipTable,
     owners_as_of,
     validate_snapshot,
 )
@@ -695,6 +701,151 @@ def test_edge_table_reads_as_the_tuple_of_its_rows():
     assert ArchitectureSnapshot("s", TODAY, (), EDGES, (), ()).dependencies == table
     with pytest.raises(ValueError, match="differ in length"):
         EdgeTable(("a",), ("b",), (), (1,))
+
+
+# Each table class with three rows of its row class; a table's columns are its rows' fields, in field order.
+TABLE_ROWS = {
+    ComponentTable: (
+        Component("a", "alpha", ComponentKind.LIBRARY, ComponentStatus.PRODUCTION),
+        Component("b", "beta", ComponentKind.MODULE, ComponentStatus.DEPRECATED),
+        Component("c", "gamma", ComponentKind.OTHER, ComponentStatus.EXPERIMENTAL),
+    ),
+    EdgeTable: EDGES,
+    OwnershipTable: (OwnershipAssignment("a", "t1"), OwnershipAssignment("b", "t1"), OwnershipAssignment("c", "t2")),
+}
+
+
+@pytest.mark.parametrize("table", TABLE_ROWS, ids=lambda t: t.__name__)
+def test_each_table_reads_as_the_tuple_of_its_rows(table):
+    rows = TABLE_ROWS[table]
+    record = table.row
+    built = table.from_rows(dataclasses.astuple(r) for r in rows)
+    columns = [tuple(getattr(r, f.name) for r in rows) for f in dataclasses.fields(record)]
+    assert [getattr(built, f.name) for f in dataclasses.fields(table)] == columns
+    assert len(built) == 3 and list(built) == list(rows) and built == rows and hash(built) == hash(rows)
+    assert (built[0], built[-1]) == (rows[0], rows[-1]) and type(built[1]) is record
+    with pytest.raises(IndexError):
+        built[3]
+    assert type(built[1:]) is table and built[1:] == rows[1:] and built[::-1] == rows[::-1]
+    assert built[:0] == () and not built[:0] and table() == table.from_rows([])
+    assert random.Random(7).sample(built, 2) == random.Random(7).sample(rows, 2)
+    assert built + rows[:1] == rows + rows[:1] and type(built + built) is table and built + built == rows + rows
+    assert rows[1] in built and table.of(rows) == built and table.of(list(rows)) == built
+    assert built.select([True, False, True]) == (rows[0], rows[2])
+    assert built != list(rows) and built != rows[:2]
+    with pytest.raises(ValueError, match="differ in length"):
+        table(*(("a",) if i else () for i in range(len(columns))))
+
+
+def test_a_snapshot_stores_tuples_and_lists_of_exactly_its_rows_as_tables(small_snapshot):
+    for records in (tuple(small_snapshot.components), list(small_snapshot.components)):
+        snapshot = dataclasses.replace(small_snapshot, components=records, ownership=list(small_snapshot.ownership))
+        assert type(snapshot.components) is ComponentTable and type(snapshot.ownership) is OwnershipTable
+        assert snapshot == small_snapshot
+    mixed = (small_snapshot.components[0], "b")
+    assert dataclasses.replace(small_snapshot, components=mixed).components is mixed
+
+
+def _parsed_devnullsoft():
+    return parse_bundle(serialize_bundle(fixture("devnullsoft")))
+
+
+PROVED_TABLES = ("components", "dependencies", "ownership")
+
+
+@pytest.mark.parametrize("field", PROVED_TABLES)
+def test_only_the_parser_builds_a_proved_table(field):
+    proved = getattr(_parsed_devnullsoft(), field)
+    table, rows = type(proved), tuple(proved)
+    assert proved.proved and not getattr(fixture("devnullsoft"), field).proved
+    built = [
+        table(*table._columns(proved)),
+        table.from_rows(map(dataclasses.astuple, rows)),
+        table.of(rows),
+        proved + (),
+        proved + proved[:0],
+        proved[:],
+        proved[0:len(proved)],
+        proved.select([True] * len(proved)),
+        dataclasses.replace(proved),
+        copy.copy(proved),
+        copy.deepcopy(proved),
+        pickle.loads(pickle.dumps(proved)),
+        getattr(dataclasses.replace(_parsed_devnullsoft(), **{field: rows}), field),
+    ]
+    assert [type(t) for t in built] == [table] * len(built)
+    assert [t.proved for t in built] == [False] * len(built)
+    assert all(t == proved for t in built)
+
+
+def test_the_proof_is_no_field_and_cannot_be_assigned():
+    for table in TABLE_ROWS:
+        assert {f.name for f in dataclasses.fields(table)} == set(table.__slots__)
+    components = _parsed_devnullsoft().components
+    # A frozen dataclass refuses the assignment. For a name that is no field, a `slots=True` class raises TypeError
+    # on Python 3.10 to 3.13, from its `__setattr__`'s `super()` of the class that `slots=True` replaced.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        components._proved = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        components.ids = ()
+    assert components.proved
+
+
+def test_the_proof_holds_under_dash_o():
+    # Nothing about the proof may rest on an assert statement, which `python -O` strips.
+    script = (
+        "import dataclasses\n"
+        "from taxarch.generate import fixture\n"
+        "from taxarch.ingest import parse_bundle, serialize_bundle\n"
+        "s = parse_bundle(serialize_bundle(fixture('devnullsoft')))\n"
+        "tables = (s.components, s.dependencies, s.ownership)\n"
+        "print([t.proved for t in tables], [dataclasses.replace(t).proved or t[:].proved for t in tables])\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "[True, True, True] [False, False, False]\n"
+
+
+def test_a_parsed_bundle_skips_only_what_the_parser_proved():
+    parsed = _parsed_devnullsoft()
+    rebuilt = ArchitectureSnapshot(
+        parsed.id,
+        parsed.taken_at,
+        tuple(parsed.components),
+        tuple(parsed.dependencies),
+        parsed.owners,
+        tuple(parsed.ownership),
+    )
+    assert not (rebuilt.components.proved or rebuilt.dependencies.proved or rebuilt.ownership.proved)
+    assert validate_snapshot(parsed) == validate_snapshot(rebuilt) == validate_snapshot(fixture("devnullsoft"))
+    # The invariants still run on proved tables: a dangling edge and a missing owner are found in a parsed bundle.
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    doc["dependencies"].append({"user": "svc-00", "owner_component": "ghost", "kind": "use", "multiplicity": 2})
+    doc["ownership"].pop()
+    report = validate_snapshot(parse_bundle(json.dumps(doc)))
+    assert report.codes() == ["dangling-reference", "missing-owner"]
+
+
+def test_an_unpaired_surrogate_is_an_unencodable_string_finding():
+    devnullsoft = fixture("devnullsoft")
+    components = tuple(
+        dataclasses.replace(c, name="svc \ud800") if c.id == "svc-31" else c for c in devnullsoft.components
+    )
+    report = validate_snapshot(dataclasses.replace(devnullsoft, components=components))
+    assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [
+        (
+            "unencodable-string",
+            "component 'svc-31' has name holding an unpaired surrogate, which UTF-8 cannot encode",
+            ("svc-31",),
+        )
+    ]
 
 
 USE, OTHER = DependencyKind.USE, DependencyKind.OTHER

@@ -29,6 +29,10 @@
   docstring: `dataclasses` builds the missing one from
   `inspect.signature` of the class, a cost every import of the package
   pays.
+- Only `model.py`, which defines it, and `ingest.py`, the parser, name
+  `Table._from_parser`, the one constructor of a table that carries the
+  parser's proof of its column types: `validate_snapshot` skips its
+  column checks on such a table, so no other code may claim that proof.
 """
 
 import ast
@@ -158,3 +162,22 @@ def test_every_dataclass_and_record_has_its_own_docstring(path):
         if isinstance(node, ast.ClassDef) and declared_as_dataclass(node) and ast.get_docstring(node) is None
     ]
     assert bare == [], f"{path.relative_to(PACKAGE)}: no docstring on {bare}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("model.py", "ingest.py")], ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_only_the_model_and_the_parser_name_the_proving_constructor(path):
+    tree = _tree(path)
+    names = [(node.lineno, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    names += [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    names += [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, (ast.alias, ast.FunctionDef))]
+    uses = [line for line, name in names if name == "_from_parser"]
+    assert uses == [], f"{path.relative_to(PACKAGE)}: names _from_parser on line(s) {uses}"
+
+
+def test_the_proving_constructor_is_defined_by_the_model_and_called_by_the_parser():
+    # The rule above would pass vacuously if the constructor were renamed.
+    defined = {node.name for node in ast.walk(_tree(PACKAGE / "model.py")) if isinstance(node, ast.FunctionDef)}
+    called = {node.attr for node in ast.walk(_tree(PACKAGE / "ingest.py")) if isinstance(node, ast.Attribute)}
+    assert "_from_parser" in defined and "_from_parser" in called
