@@ -33,11 +33,11 @@ escape matches (or, in a str, holds a surrogate itself).
 A parsed snapshot's three large record lists are the tables of the
 columns the parser reads, with no record object per row: `components` a
 `model.ComponentTable`, `dependencies` a `model.EdgeTable` and
-`ownership` a `model.OwnershipTable`. Each is built by
-`Table._from_parser`, so it carries the parser's proof of its column
-types, and `validate_snapshot` does not test them again. The proof also
-covers the strings: `parse_bundle` returns a snapshot only after its
-surrogate search found none.
+`ownership` a `model.OwnershipTable`. The snapshot's own proving
+constructor builds it, so it carries the parser's proof that every field,
+owners and evidence included, holds the parser's type, which
+`validate_snapshot` does not test again; `parse_bundle` returns it only
+after its surrogate search found none.
 """
 
 from __future__ import annotations
@@ -128,12 +128,6 @@ def _require_keys(
             raise SchemaError(f"{where}.{k} must be a string")
 
 
-def _require_array(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where} must be a JSON array")
-    return value
-
-
 _SHOWN_CHARS = 40
 
 
@@ -178,8 +172,8 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
 
     The caller is expected to run validate_snapshot on the result;
     parsing only enforces the document schema, and that every string
-    can be written as UTF-8. The components, dependencies and ownership
-    are proved tables, whose column checks validate skips.
+    can be written as UTF-8. The snapshot carries the parser's proof of
+    its types, so validate skips the type checks the parser made.
     """
     if isinstance(document, bytes):
         try:
@@ -193,11 +187,13 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         )
     try:
         data = json.loads(document)
-        snapshot = _snapshot_from(data)
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON: {exc.msg}", exc.pos) from None
+    except ValueError:  # json.loads's one other: an integer of more digits than int() takes (4300 by default)
+        raise BundleParseError("JSON number has more digits than an integer may have") from None
     except RecursionError:
         raise BundleParseError("JSON nested too deeply") from None
+    snapshot = _snapshot_from(data)
     # json.loads turns an unpaired surrogate escape into a lone surrogate,
     # which no artifact could hold: UTF-8 cannot encode it. The strings are
     # walked only when the text holds a backslash, which every escape
@@ -229,45 +225,36 @@ def _snapshot_from(data) -> ArchitectureSnapshot:
     version = data["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported schema_version {_shown(version)} (supported: {SCHEMA_VERSION})")
-    # The collections are read in this order, so a document with several
-    # faults always names the same one.
-    components = _components(_require_array(data["components"], "components"))
-    dependencies = _dependencies(_require_array(data["dependencies"], "dependencies"))
-    owners = _owners(_require_array(data["owners"], "owners"))
-    ownership = _ownership(_require_array(data["ownership"], "ownership"))
-    taken_at = _read(date, (data["taken_at"],), "taken_at", {})[0]
-    return ArchitectureSnapshot(data["snapshot_id"], taken_at, components, dependencies, owners, ownership)
-
-
-def _components(records: list) -> ComponentTable:
-    return ComponentTable._from_parser(*_records(_COMPONENT, records, "components").values())
-
-
-def _dependencies(records: list) -> EdgeTable:
-    users, used, multiplicities, kinds = _records(_EDGE, records, "dependencies").values()
-    return EdgeTable._from_parser(users, used, kinds, multiplicities)
-
-
-def _owners(records: list) -> tuple[Owner, ...]:
-    ids, names, evidence, kinds = _records(_OWNER, records, "owners").values()
-    return tuple(map(Owner, ids, names, kinds, evidence))
-
-
-def _ownership(records: list) -> OwnershipTable:
-    return OwnershipTable._from_parser(*_records(_ASSIGNMENT, records, "ownership").values())
+    # The collections are read in this order, then `taken_at`, so a
+    # document with several faults always names the same one.
+    components = _records(_COMPONENT, data["components"], "components").values()
+    users, used, multiplicities, edge_kinds = _records(_EDGE, data["dependencies"], "dependencies").values()
+    ids, names, evidence, owner_kinds = _records(_OWNER, data["owners"], "owners").values()
+    ownership = _records(_ASSIGNMENT, data["ownership"], "ownership").values()
+    return ArchitectureSnapshot._from_parser(
+        data["snapshot_id"],
+        _read(date, (data["taken_at"],), "taken_at", {})[0],
+        ComponentTable(*components),
+        EdgeTable(users, used, edge_kinds, multiplicities),
+        tuple(map(Owner, ids, names, owner_kinds, evidence)),
+        OwnershipTable(*ownership),
+    )
 
 
 # Records a fault walk reads at once: the largest run it walks record by record.
 _WALK_RECORDS = 1024
 
 
-def _records(schema: tuple, records: list, where: str) -> dict[str, tuple]:
-    """The columns of `records` by field name, read whole by `_columns`; a fault raises the SchemaError naming it.
+def _records(schema: tuple, records, where: str) -> dict[str, tuple]:
+    """The columns of the JSON array `records` by field name, read whole by `_columns`; a fault raises the
+    SchemaError naming it.
 
     The fault walk reads the list again a block of `_WALK_RECORDS` at a time and walks the first block that fails
     record by record: `_require_keys`, then `_columns` on a list of the one record. A list fails exactly when one of
     its records fails alone, so the walk names the first faulty record and, in it, the first faulty field.
     """
+    if type(records) is not list:
+        raise SchemaError(f"{where} must be a JSON array")
     try:
         return _columns(schema, records, where)
     except (KeyError, TypeError, SchemaError):

@@ -175,17 +175,11 @@ class Table(Sequence):
     the class's `row` record: it iterates, indexes, compares to a tuple and
     hashes as that tuple would, a slice is a table, and `+` appends rows. The
     stages that walk every row read the columns, so a parse builds no row.
-
-    A table the parser built carries its proof (`proved`): `ingest` held each
-    column to its field's type, every multiplicity to a positive int, and
-    every string to one that UTF-8 can encode, so `validate_snapshot` need
-    not test them again. The proof is a slot of the table, not a field: the
-    constructor, `from_rows`, `of`, `+`, slicing, `select`,
-    `dataclasses.replace`, `copy` and `pickle` all give an unproved table,
-    whose columns may hold anything and are tested by validate.
+    A table's columns may hold anything; `validate_snapshot` tests them
+    unless the parser proved the snapshot that holds the table.
     """
 
-    __slots__ = ("_proved",)
+    __slots__ = ()
 
     def __post_init__(self):
         columns = tuple(map(tuple, self._columns(self)))
@@ -204,21 +198,6 @@ class Table(Sequence):
     def of(cls, records) -> Table:
         """The table of `records`, each an instance of `cls.row`."""
         return cls.from_rows(map(cls._row_values, records))
-
-    @classmethod
-    def _from_parser(cls, *columns) -> Table:
-        """The proved table of columns that `ingest` read from a bundle and held to their fields' types.
-
-        The one constructor that grants the proof; only the parser names it (a source rule keeps it so).
-        """
-        table = cls(*columns)
-        _set_proved(table, True)
-        return table
-
-    @property
-    def proved(self) -> bool:
-        """Whether the parser built this table and so proved its columns' types and strings."""
-        return getattr(self, "_proved", False)
 
     def select(self, keep: list) -> Table:
         """The table of the rows whose entry in `keep` is true."""
@@ -252,9 +231,6 @@ class Table(Sequence):
         if not isinstance(other, (type(self), tuple)):
             return NotImplemented
         return type(self).of((*self, *other))
-
-
-_set_proved = Table.__dict__["_proved"].__set__
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -357,27 +333,45 @@ class Owner:
     location_evidence: tuple[LocationEvidence, ...] = ()
 
 
+class _Proof:
+    """The base of `ArchitectureSnapshot` that holds the parser's proof: a slot, not a field, so no copy keeps it."""
+
+    __slots__ = ("_proved",)
+
+
 @dataclass(frozen=True, slots=True)
-class ArchitectureSnapshot:
+class ArchitectureSnapshot(_Proof):
     """The dated state of a system: its components, dependency edges, owners and ownership.
 
-    A tuple or list of exactly `Component`s is stored as its `ComponentTable`, and one of exactly
-    `OwnershipAssignment`s as its `OwnershipTable`; any other `components` or `ownership` is stored as given, for
-    `validate_snapshot` to report. Any sequence of `DependencyEdge`s is stored as its `EdgeTable`.
+    `components`, `dependencies` and `ownership` are stored by one rule, `as_table`, for `validate_snapshot` to
+    report what is not a table. A snapshot that `parse_bundle` read carries its proof (`proved`) that every field,
+    owners and evidence included, holds the parser's type and every string can be encoded; any other, made by the
+    constructor, `dataclasses.replace`, `copy` or `pickle`, is unproved, and validate tests its fields in full.
     """
 
     id: str
     taken_at: date
     components: tuple[Component, ...]
-    dependencies: EdgeTable
+    dependencies: tuple[DependencyEdge, ...]
     owners: tuple[Owner, ...]
     ownership: tuple[OwnershipAssignment, ...]
 
     def __post_init__(self):
-        if type(self.dependencies) is not EdgeTable:
-            object.__setattr__(self, "dependencies", EdgeTable.of(self.dependencies))
         object.__setattr__(self, "components", as_table(self.components, ComponentTable))
+        object.__setattr__(self, "dependencies", as_table(self.dependencies, EdgeTable))
         object.__setattr__(self, "ownership", as_table(self.ownership, OwnershipTable))
+
+    @classmethod
+    def _from_parser(cls, *values) -> ArchitectureSnapshot:
+        """The proved snapshot of fields that `ingest` read and held to its types: only the parser names it."""
+        snapshot = cls(*values)
+        object.__setattr__(snapshot, "_proved", True)
+        return snapshot
+
+    @property
+    def proved(self) -> bool:
+        """Whether the parser read this snapshot and so proved its fields' types and strings."""
+        return getattr(self, "_proved", False)
 
     def owner_of(self) -> dict[str, str]:
         """Component id -> owner id (first assignment wins on duplicates), read from the ownership columns."""
@@ -448,18 +442,19 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     field or a record container holds. Findings are sorted so the report is
     independent of collection order.
 
-    Two phases. The first holds the snapshot's `components` and `ownership`
-    to their tables, as which the snapshot stores a tuple or list of exactly
-    their record class, and `owners` to a tuple or list of exactly `Owner`s, then
-    every owner's `location_evidence` at once, as one column of containers,
-    and walks the owners only when that test fails. It then holds each typed
-    field, an evidence record's `source` and `recorded_at` included, to the
-    exact type the parser gives it; any `field-type` finding ends
-    validation, reported alone. A table the parser built carries its proof
-    (`Table.proved`): its columns were held to these types as they were
-    read, so they are not tested again, nor its multiplicities for being
-    positive ints, nor its strings for an unpaired surrogate. The second
-    phase, on a snapshot of the parser's types only, judges the id,
+    Two phases. The first holds the snapshot to the parser's types: its
+    `components`, `dependencies` and `ownership` to their tables, as which
+    the snapshot stores a tuple or list of exactly their row class, `owners`
+    to a tuple or list of exactly `Owner`s, and every owner's
+    `location_evidence` at once, as one column of containers, walking the
+    owners only when that test fails; then each typed field, an evidence
+    record's `source` and `recorded_at` included, to the exact type the
+    parser gives it. Any `field-type` finding ends validation, reported
+    alone. A snapshot the parser read carries its proof of these types,
+    so it skips this phase whole, and with it the type-and-minimum test
+    behind `invalid-multiplicity` and the `unencodable-string` search,
+    which the parser made as it read. The
+    second phase, on a snapshot of the parser's types only, judges the id,
     encoding, evidence, dependency and ownership invariants. Each block is a
     set-algebra test over whole columns and, only when that test fails, a
     listing of its offenders, one finding each. A string holding an unpaired
@@ -475,65 +470,49 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     is held to its shape and codes, but takes no part in a conflict. A
     clean snapshot never formats a message.
     """
-    components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
-    edges = snapshot.dependencies
-    findings = [
-        *_container_type("snapshot", snapshot.id, "components", components, Component, ComponentTable),
-        *_container_type("snapshot", snapshot.id, "owners", owners, Owner),
-        *_container_type("snapshot", snapshot.id, "ownership", ownership, OwnershipAssignment, OwnershipTable),
-    ]
-    if not findings:  # each owner is an Owner: its evidence containers are one column, walked only when it fails
-        containers = [o.location_evidence for o in owners]
-        if not (
-            {tuple, list}.issuperset(map(type, containers))
-            and {LocationEvidence}.issuperset(map(type, chain.from_iterable(containers)))
-        ):
-            findings = [
-                finding
-                for o, container in zip(owners, containers)
-                for finding in _container_type("owner", o.id, "location_evidence", container, LocationEvidence)
-            ]
+    proved = snapshot.proved
+    findings = [] if proved else _container_findings(snapshot)
     if findings:
         findings.sort()
         return ValidationReport("failed", tuple(findings))
+    components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
+    edges = snapshot.dependencies
+    containers = [o.location_evidence for o in owners]
     cids, oids, onames = components.ids, [o.id for o in owners], [o.name for o in owners]
     users, used, assigned, assignees = edges.users, edges.used, ownership.components, ownership.owners
     # Each evidence record is named by its owner's id and its index among that owner's records.
     records = list(chain.from_iterable(containers))
     counts = list(map(len, containers))
     holders = list(chain.from_iterable(map(repeat, oids, counts)))
-    places = list(chain.from_iterable(map(range, counts)))
     sources, dates = [ev.source for ev in records], [ev.recorded_at for ev in records]
-    # Each record kind's (field, column, type) columns, its records named by its key columns. A proved table's
-    # columns hold the parser's types and strings that UTF-8 can encode, so only an unproved table's are tested.
-    typed = [
+    # Each record kind's (field, column, type) columns, its records named by its key columns: none on a proved
+    # snapshot, whose fields hold the parser's types and strings that UTF-8 can encode.
+    typed = [] if proved else [
         ("snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)),
         ("owner", (oids,), ("id", oids, str), ("name", onames, str), ("kind", [o.kind for o in owners], OwnerKind)),
-        ("evidence", (holders, places), ("source", sources, EvidenceSource), ("recorded_at", dates, date)),
+        (
+            "evidence",
+            (holders, list(chain.from_iterable(map(range, counts)))),
+            ("source", sources, EvidenceSource),
+            ("recorded_at", dates, date),
+        ),
+        (
+            "component",
+            (cids,),
+            ("id", cids, str),
+            ("name", components.names, str),
+            ("kind", components.kinds, ComponentKind),
+            ("status", components.statuses, ComponentStatus),
+        ),
+        (
+            "dependency",
+            (users, used),
+            ("user", users, str),
+            ("owner_component", used, str),
+            ("kind", edges.kinds, DependencyKind),
+        ),
+        ("assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)),
     ]
-    if not components.proved:
-        typed.append(
-            (
-                "component",
-                (cids,),
-                ("id", cids, str),
-                ("name", components.names, str),
-                ("kind", components.kinds, ComponentKind),
-                ("status", components.statuses, ComponentStatus),
-            )
-        )
-    if not edges.proved:
-        typed.append(
-            (
-                "dependency",
-                (users, used),
-                ("user", users, str),
-                ("owner_component", used, str),
-                ("kind", edges.kinds, DependencyKind),
-            )
-        )
-    if not ownership.proved:
-        typed.append(("assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)))
     findings = [finding for what, keys, *columns in typed for finding in _field_types(what, keys, *columns)]
     if findings:
         findings.sort()
@@ -556,10 +535,33 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     for what, keys, *columns in typed:
         findings += _unencodable(what, keys, *((field, column) for field, column, kind in columns if kind is str))
     findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records])
-    findings += _dependency_findings(edges, component_ids)
+    findings += _dependency_findings(edges, component_ids, proved)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
+
+
+def _container_findings(snapshot: ArchitectureSnapshot) -> list[Finding]:
+    """The field-type findings of the snapshot's record containers; each owner's evidence container is tested only
+    when every owner is an `Owner`, as one column, and the owners are walked only when that test fails."""
+    key, owners = snapshot.id, snapshot.owners
+    findings = [
+        *_container_type("snapshot", key, "components", snapshot.components, Component, ComponentTable),
+        *_container_type("snapshot", key, "dependencies", snapshot.dependencies, DependencyEdge, EdgeTable),
+        *_container_type("snapshot", key, "owners", owners, Owner),
+        *_container_type("snapshot", key, "ownership", snapshot.ownership, OwnershipAssignment, OwnershipTable),
+    ]
+    if findings:
+        return findings
+    containers = [o.location_evidence for o in owners]
+    records = chain.from_iterable(containers)  # read only when every container is a tuple or list
+    if {tuple, list}.issuperset(map(type, containers)) and {LocationEvidence}.issuperset(map(type, records)):
+        return []
+    return [
+        finding
+        for o, container in zip(owners, containers)
+        for finding in _container_type("owner", o.id, "location_evidence", container, LocationEvidence)
+    ]
 
 
 def _container_type(what: str, key, field: str, container, record: type, table: type | None = None) -> list[Finding]:
@@ -681,10 +683,10 @@ def _dangling(column: Sequence[str], known: set[str], message: str) -> list[Find
     return [_finding("dangling-reference", message.format(x), x) for x in column if x not in known]
 
 
-def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Finding]:
+def _dependency_findings(edges: EdgeTable, component_ids: set[str], proved: bool) -> list[Finding]:
     """The dependency invariants over the edge columns, row i of each being edge i; every endpoint is a string.
 
-    A proved table's multiplicities are positive ints, as the parser read them, so only an unproved one's are tested.
+    A proved snapshot's multiplicities, positive ints as the parser read them, are not tested again.
     """
     users, used, kinds, multiplicities = edges._columns(edges)
     findings = []
@@ -695,7 +697,7 @@ def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Find
     for endpoints in (users, used):
         findings += _dangling(endpoints, component_ids, "dependency endpoint {!r} is not a component")
     # A multiplicity is an int of at least 1, as the parser gives it: a bool, float or string never counts uses.
-    if not edges.proved and (not {int}.issuperset(map(type, multiplicities)) or min(multiplicities, default=1) < 1):
+    if not proved and (not {int}.issuperset(map(type, multiplicities)) or min(multiplicities, default=1) < 1):
         findings += [
             _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m!r}", u, v)
             for u, v, m in zip(users, used, multiplicities)

@@ -381,6 +381,21 @@ def test_unwritable_output_exit_2_without_traceback(tmp_path, devnullsoft_bundle
     _assert_one_write_error(run)
 
 
+@pytest.mark.parametrize("command", ["validate", "report", "stats", "diff"])
+def test_over_long_json_number_exit_2_on_every_command(tmp_path, capsys, command):
+    text = serialize_bundle(fixture("devnullsoft")).decode()
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"schema_version": 1', '"schema_version": 1' + "0" * 5000, 1))
+    args = {
+        "validate": ["validate", str(path)],
+        "report": ["report", str(path), "--out-dir", str(tmp_path / "out")],
+        "stats": ["stats", str(path)],
+        "diff": ["diff", str(path), str(path)],
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON number has more digits than an integer may have\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

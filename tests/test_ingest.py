@@ -74,6 +74,22 @@ def test_malformed_json_reports_offset():
     assert exc.value.offset is not None
 
 
+@pytest.mark.parametrize("path", [("dependencies", 0, "multiplicity"), ("schema_version",)], ids=lambda p: p[-1])
+def test_an_over_long_json_number_is_a_parse_error(path):
+    # json.loads refuses an integer of more digits than the interpreter converts (4300 by default) with a plain
+    # ValueError, which reached the command line as a traceback.
+    doc = json.loads(serialize_bundle(fixture("devnullsoft")))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = "\0long"
+    text = json.dumps(doc).replace(json.dumps("\0long"), "7" * 5000)
+    for document in (text, text.encode()):
+        with pytest.raises(BundleParseError, match="^JSON number has more digits than an integer may have$"):
+            parse_bundle(document)
+
+
 def test_non_utf8_rejected():
     with pytest.raises(BundleParseError):
         parse_bundle(b"\xff\xfe{}")
@@ -364,5 +380,5 @@ def test_the_fault_walk_reads_a_fault_in_the_last_record_a_block_at_a_time():
     records[-1]["multiplicity"] = 0
     with mock.patch.object(ingest, "_require_keys", wraps=ingest._require_keys) as require_keys:
         with pytest.raises(SchemaError, match=r"^dependencies\[19999\]\.multiplicity must be a positive integer$"):
-            ingest._dependencies(records)
+            ingest._records(ingest._EDGE, records, "dependencies")
     assert 0 < require_keys.call_count <= ingest._WALK_RECORDS

@@ -5,12 +5,15 @@ directory, and compares the exit code, both output streams and every file writte
 gives in this process. `python -O` strips `assert` statements, and invariant checks must hold without
 them. The other interpreters are each `python3.N` (N >= 10) on `PATH` that starts, one per version other
 than the running one: the standard library differs between versions (`date.fromisoformat` accepts more
-forms from 3.11 on), and an artifact must not.
+forms from 3.11 on), and an artifact must not. A pyenv shim for a version that pyenv does not select
+exits 127; when `pyenv` is on `PATH`, such a shim is tried again with `PYENV_VERSION` set to each
+installed 3.N.x that `pyenv versions --bare` lists.
 """
 
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,12 +61,13 @@ CASES = {
 }
 
 
-def _outcome(python: list[str], args: list[str], inputs: dict[str, bytes], where: Path):
-    """(exit code, stdout, stderr, {path: bytes} of the files the command wrote) of one command run in `where`."""
+def _outcome(python: list[str], args: list[str], inputs: dict[str, bytes], where: Path, env: dict | None = None):
+    """(exit code, stdout, stderr, {path: bytes} of the files the command wrote) of one command run in `where`,
+    with `env` added to the environment."""
     where.mkdir()
     for name, data in inputs.items():
         (where / name).write_bytes(data)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     proc = subprocess.run(
         [*python, "-m", "taxarch.cli", *args], cwd=where, env=env, capture_output=True, timeout=60, check=False
     )
@@ -75,8 +79,14 @@ def _written(where: Path, inputs: dict[str, bytes]) -> dict[str, bytes]:
     return {str(p.relative_to(where)): p.read_bytes() for p in files}
 
 
-def _other_pythons() -> list[str]:
-    """The first `python3.N` (N >= 10) on PATH that starts, for each version other than the running one."""
+def _other_pythons() -> list[tuple[str, dict[str, str]]]:
+    """The first `python3.N` (N >= 10) on PATH that starts, for each version other than the running one, with the
+    environment it starts in: empty, or a `PYENV_VERSION` that makes a pyenv shim start."""
+    pyenv = shutil.which("pyenv")
+    installed = []
+    if pyenv:
+        listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True, timeout=30, check=False)
+        installed = listed.stdout.split()
     found = {}
     for directory in filter(None, os.environ.get("PATH", "").split(os.pathsep)):
         for exe in sorted(Path(directory).glob("python3.*")):
@@ -84,14 +94,18 @@ def _other_pythons() -> list[str]:
             if match is None or int(match[1]) < 10 or int(match[1]) == sys.version_info.minor or match[1] in found:
                 continue
             # a version manager's shim may be on PATH for a version it does not currently select
-            probe = subprocess.run(
-                [str(exe), "-c", "import sys; print(sys.version_info.minor)"],
-                capture_output=True,
-                timeout=30,
-                check=False,
-            )
-            if probe.returncode == 0 and probe.stdout.strip() == match[1].encode():
-                found[match[1]] = str(exe)
+            versions = [v for v in installed if re.fullmatch(rf"3\.{match[1]}\.\d+", v)]
+            for env in ({}, *({"PYENV_VERSION": v} for v in versions)):
+                probe = subprocess.run(
+                    [str(exe), "-c", "import sys; print(sys.version_info.minor)"],
+                    env=dict(os.environ, **env),
+                    capture_output=True,
+                    timeout=30,
+                    check=False,
+                )
+                if probe.returncode == 0 and probe.stdout.strip() == match[1].encode():
+                    found[match[1]] = (str(exe), env)
+                    break
     return list(found.values())
 
 
@@ -129,5 +143,5 @@ def test_other_interpreters_give_the_same_bytes_and_exit_codes(case, other_pytho
     assert expected[0] == code, expected[2]
     if not other_pythons:
         pytest.skip("no other python3.N (N >= 10) on PATH")
-    for python in other_pythons:
-        assert _outcome([python], args, inputs, tmp_path / Path(python).name) == expected, python
+    for python, env in other_pythons:
+        assert _outcome([python], args, inputs, tmp_path / Path(python).name, env) == expected, (python, env)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from taxarch.classify import ScopePolicy
+from taxarch.classify import ScopePolicy, apply_scope_filter
 from taxarch.cli import main
 from taxarch.diff import run_pipeline
 from taxarch.generate import fixture
@@ -31,6 +31,7 @@ from taxarch.model import (
     OwnerKind,
     OwnershipAssignment,
     OwnershipTable,
+    Table,
     owners_as_of,
     validate_snapshot,
 )
@@ -632,11 +633,36 @@ def _with_first_owner(small_snapshot, location_evidence):
             "snapshot 'test' has ownership of type tuple_iterator, not tuple or list",
             ("test",),
         ),
+        (
+            lambda s: dataclasses.replace(s, dependencies=7),
+            "snapshot 'test' has dependencies of type int, not tuple or list",
+            ("test",),
+        ),
+        (
+            lambda s: dataclasses.replace(s, dependencies=[s.dependencies[0], "b->c"]),
+            "snapshot 'test' has dependencies[1] of type str, not DependencyEdge",
+            ("test",),
+        ),
+        (
+            lambda s: dataclasses.replace(s, dependencies=(e for e in s.dependencies)),
+            "snapshot 'test' has dependencies of type generator, not tuple or list",
+            ("test",),
+        ),
     ],
-    ids=["evidence-none", "evidence-dict", "components-int", "owners-str", "ownership-iterator"],
+    ids=[
+        "evidence-none",
+        "evidence-dict",
+        "components-int",
+        "owners-str",
+        "ownership-iterator",
+        "dependencies-int",
+        "dependencies-str",
+        "dependencies-generator",
+    ],
 )
 def test_a_container_of_another_type_is_a_field_type_finding_alone(small_snapshot, change, message, ids):
-    # The first three raised TypeError, AttributeError and TypeError while validate built its columns.
+    # The first three raised TypeError, AttributeError and TypeError while validate built its columns, and the
+    # first two dependencies cases raised TypeError and AttributeError when the snapshot was built.
     report = validate_snapshot(change(small_snapshot))
     assert [(f.code, f.message, f.offending_ids) for f in report.findings] == [("field-type", message, ids)]
 
@@ -687,22 +713,6 @@ EDGES = (
 )
 
 
-def test_edge_table_reads_as_the_tuple_of_its_rows():
-    table = EdgeTable.from_rows((e.user, e.owner_component, e.kind, e.multiplicity) for e in EDGES)
-    assert (table.users, table.used, table.multiplicities) == (("a", "b", "c"), ("b", "c", "a"), (1, 2, 3))
-    assert len(table) == 3 and list(table) == list(EDGES) and table == EDGES and hash(table) == hash(EDGES)
-    assert (table[0], table[-1]) == (EDGES[0], EDGES[-1]) and type(table[1]) is DependencyEdge
-    with pytest.raises(IndexError):
-        table[3]
-    assert type(table[1:]) is EdgeTable and table[1:] == EDGES[1:] and table[::-1] == EDGES[::-1]
-    assert table[:0] == () and not table[:0] and EdgeTable() == EdgeTable.from_rows([])
-    assert random.Random(7).sample(table, 2) == random.Random(7).sample(EDGES, 2)
-    assert table + EDGES[:1] == EDGES + EDGES[:1] and EDGES[1] in table
-    assert ArchitectureSnapshot("s", TODAY, (), EDGES, (), ()).dependencies == table
-    with pytest.raises(ValueError, match="differ in length"):
-        EdgeTable(("a",), ("b",), (), (1,))
-
-
 # Each table class with three rows of its row class; a table's columns are its rows' fields, in field order.
 TABLE_ROWS = {
     ComponentTable: (
@@ -733,6 +743,12 @@ def test_each_table_reads_as_the_tuple_of_its_rows(table):
     assert rows[1] in built and table.of(rows) == built and table.of(list(rows)) == built
     assert built.select([True, False, True]) == (rows[0], rows[2])
     assert built != list(rows) and built != rows[:2]
+    copies = [dataclasses.replace(built), copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))]
+    assert [type(t) for t in copies] == [table] * 4 and copies == [built] * 4
+    # A snapshot built from the rows stores them by the one rule, as their table.
+    field = {ComponentTable: "components", EdgeTable: "dependencies", OwnershipTable: "ownership"}[table]
+    stored = getattr(dataclasses.replace(ArchitectureSnapshot("s", TODAY, (), (), (), ()), **{field: rows}), field)
+    assert type(stored) is table and stored == built
     with pytest.raises(ValueError, match="differ in length"):
         table(*(("a",) if i else () for i in range(len(columns))))
 
@@ -750,56 +766,59 @@ def _parsed_devnullsoft():
     return parse_bundle(serialize_bundle(fixture("devnullsoft")))
 
 
-PROVED_TABLES = ("components", "dependencies", "ownership")
+# Each other way to get a snapshot of the parsed one's fields: (id, the snapshot made from the parsed one).
+UNPROVED = {
+    "constructor": lambda s: ArchitectureSnapshot(*(getattr(s, f.name) for f in dataclasses.fields(s))),
+    "replace": dataclasses.replace,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "scope-filter": lambda s: apply_scope_filter(s, s.owner_of(), ScopePolicy(frozenset(ComponentStatus), False))[0],
+}
 
 
-@pytest.mark.parametrize("field", PROVED_TABLES)
-def test_only_the_parser_builds_a_proved_table(field):
-    proved = getattr(_parsed_devnullsoft(), field)
-    table, rows = type(proved), tuple(proved)
-    assert proved.proved and not getattr(fixture("devnullsoft"), field).proved
-    built = [
-        table(*table._columns(proved)),
-        table.from_rows(map(dataclasses.astuple, rows)),
-        table.of(rows),
-        proved + (),
-        proved + proved[:0],
-        proved[:],
-        proved[0:len(proved)],
-        proved.select([True] * len(proved)),
-        dataclasses.replace(proved),
-        copy.copy(proved),
-        copy.deepcopy(proved),
-        pickle.loads(pickle.dumps(proved)),
-        getattr(dataclasses.replace(_parsed_devnullsoft(), **{field: rows}), field),
-    ]
-    assert [type(t) for t in built] == [table] * len(built)
-    assert [t.proved for t in built] == [False] * len(built)
-    assert all(t == proved for t in built)
+@pytest.mark.parametrize("made", UNPROVED)
+def test_only_the_parser_builds_a_proved_snapshot(made):
+    parsed = _parsed_devnullsoft()
+    assert parsed.proved and not fixture("devnullsoft").proved
+    snapshot = UNPROVED[made](parsed)
+    assert type(snapshot) is ArchitectureSnapshot and snapshot == parsed
+    assert not snapshot.proved
 
 
 def test_the_proof_is_no_field_and_cannot_be_assigned():
-    for table in TABLE_ROWS:
-        assert {f.name for f in dataclasses.fields(table)} == set(table.__slots__)
-    components = _parsed_devnullsoft().components
+    assert [f.name for f in dataclasses.fields(ArchitectureSnapshot)] == [
+        "id",
+        "taken_at",
+        "components",
+        "dependencies",
+        "owners",
+        "ownership",
+    ]
+    # No table carries a proof of its own: the snapshot's is the one.
+    assert Table.__slots__ == () and not any(hasattr(table(), "proved") for table in TABLE_ROWS)
+    snapshot = _parsed_devnullsoft()
     # A frozen dataclass refuses the assignment. For a name that is no field, a `slots=True` class raises TypeError
     # on Python 3.10 to 3.13, from its `__setattr__`'s `super()` of the class that `slots=True` replaced.
     with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
-        components._proved = False
+        snapshot._proved = False
     with pytest.raises(dataclasses.FrozenInstanceError):
-        components.ids = ()
-    assert components.proved
+        snapshot.owners = ()
+    assert snapshot.proved
 
 
 def test_the_proof_holds_under_dash_o():
     # Nothing about the proof may rest on an assert statement, which `python -O` strips.
     script = (
-        "import dataclasses\n"
+        "import copy, dataclasses, pickle\n"
+        "from taxarch.classify import apply_scope_filter\n"
         "from taxarch.generate import fixture\n"
         "from taxarch.ingest import parse_bundle, serialize_bundle\n"
         "s = parse_bundle(serialize_bundle(fixture('devnullsoft')))\n"
-        "tables = (s.components, s.dependencies, s.ownership)\n"
-        "print([t.proved for t in tables], [dataclasses.replace(t).proved or t[:].proved for t in tables])\n"
+        "made = [type(s)(*(getattr(s, f.name) for f in dataclasses.fields(s))), dataclasses.replace(s)]\n"
+        "made += [copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))]\n"
+        "made.append(apply_scope_filter(s, s.owner_of())[0])\n"
+        "print(s.proved, [m.proved for m in made])\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
@@ -810,7 +829,7 @@ def test_the_proof_holds_under_dash_o():
         timeout=60,
         check=True,
     )
-    assert proc.stdout == "[True, True, True] [False, False, False]\n"
+    assert proc.stdout == "True [False, False, False, False, False, False]\n"
 
 
 def test_a_parsed_bundle_skips_only_what_the_parser_proved():
@@ -823,7 +842,7 @@ def test_a_parsed_bundle_skips_only_what_the_parser_proved():
         parsed.owners,
         tuple(parsed.ownership),
     )
-    assert not (rebuilt.components.proved or rebuilt.dependencies.proved or rebuilt.ownership.proved)
+    assert parsed.proved and not rebuilt.proved
     assert validate_snapshot(parsed) == validate_snapshot(rebuilt) == validate_snapshot(fixture("devnullsoft"))
     # The invariants still run on proved tables: a dangling edge and a missing owner are found in a parsed bundle.
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))

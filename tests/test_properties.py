@@ -21,15 +21,7 @@ from taxarch.classify import EdgeClass, ScopePolicy, aggregate, apply_scope_filt
 from taxarch.cli import main
 from taxarch.diff import diff_snapshots, run_pipeline
 from taxarch.generate import GeneratorParams, fixture, generate
-from taxarch.ingest import (
-    IngestError,
-    _components,
-    _dependencies,
-    _owners,
-    _ownership,
-    parse_bundle,
-    serialize_bundle,
-)
+from taxarch.ingest import IngestError, parse_bundle, serialize_bundle
 from taxarch.model import (
     UNKNOWN,
     ArchitectureSnapshot,
@@ -449,6 +441,9 @@ json_values = st.recursive(
 
 DEVNULLSOFT_DOC = json.loads(serialize_bundle(fixture("devnullsoft")))
 DEEP = "\x00deep"  # placeholder, replaced by deeply nested arrays in the document text
+# Placeholder, replaced by an integer of more digits than the interpreter converts (4300 by default), which
+# `json.dumps` cannot write either.
+LONG = "\x00long"
 
 
 def _nodes(node, path=()):
@@ -471,8 +466,9 @@ for _path, _node in _nodes(DEVNULLSOFT_DOC):
 
 @st.composite
 def mutated_bundles(draw):
-    """The devnullsoft bundle with nodes of wrong type or replaced by text, missing or extra keys, or deep
-    nesting; or, in about half the bundles, with only field values replaced by others of the same type."""
+    """The devnullsoft bundle with nodes of wrong type or replaced by text, missing or extra keys, deep nesting or
+    an over-long number; or, in about half the bundles, with only field values replaced by others of the same
+    type."""
     doc = copy.deepcopy(DEVNULLSOFT_DOC)
     same_type_only = draw(st.booleans())
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -488,7 +484,7 @@ def mutated_bundles(draw):
         if not isinstance(parent, (dict, list)):
             continue  # an earlier mutation replaced a container on the path by text, which indexes but holds no node
         mutation = "same-type" if same_type_only else draw(
-            st.sampled_from(["same-type", "wrong-type", "text", "missing", "extra", "deep"])
+            st.sampled_from(["same-type", "wrong-type", "text", "missing", "extra", "deep", "long"])
         )
         if mutation == "same-type":
             # a value the same field holds elsewhere in the bundle, or a drawn code, date or count
@@ -508,10 +504,14 @@ def mutated_bundles(draw):
             parent[draw(st.text(max_size=8))] = draw(json_values)
         elif mutation == "extra":
             parent.append(draw(json_values))
+        elif mutation == "long":
+            parent[last] = LONG
         else:
             parent[last] = DEEP
     depth = draw(st.integers(min_value=900, max_value=1100) | st.integers(min_value=1, max_value=100_000))
-    return json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+    digits = draw(st.integers(min_value=4301, max_value=20_000))
+    text = json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+    return text.replace(json.dumps(LONG), "-" * draw(st.booleans()) + "1" + "0" * (digits - 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -655,17 +655,28 @@ def _outcome(parse, records):
         return type(exc), str(exc)
 
 
+def _parsed(field):
+    """The parser's read of the record list `field`, in a bundle whose other record lists are empty."""
+
+    def parse(records):
+        doc = dict.fromkeys(("components", "dependencies", "owners", "ownership"), [])
+        doc.update(schema_version=1, snapshot_id="s", taken_at="2023-01-01", **{field: records})
+        return getattr(ingest._snapshot_from(doc), field)
+
+    return parse
+
+
 # Each record parser, beside the checked loop it replaced and the well-formed records both take.
 PARSERS = {
-    "components": (_components, _checked_components, component_records),
-    "dependencies": (_dependencies, _checked_dependencies, dependency_records),
-    "owners": (_owners, _checked_owners, owner_records),
+    "components": (_parsed("components"), _checked_components, component_records),
+    "dependencies": (_parsed("dependencies"), _checked_dependencies, dependency_records),
+    "owners": (_parsed("owners"), _checked_owners, owner_records),
     "evidence": (
         lambda records: ingest._read(LocationEvidence, (records,), "owners[0].location_evidence", {})[0],
         lambda records: _checked_evidence(records, "owners[0].location_evidence"),
         evidence_records,
     ),
-    "ownership": (_ownership, _checked_ownership, assignment_records),
+    "ownership": (_parsed("ownership"), _checked_ownership, assignment_records),
 }
 
 
@@ -1269,7 +1280,7 @@ def test_a_snapshot_validate_accepts_runs_through_every_stage(snapshot):
 
 
 def _rebuilt(snapshot):
-    """The snapshot rebuilt through the public constructors: each table from its rows, so no table is proved."""
+    """The snapshot rebuilt through the public constructors, each table from its rows, so it is not proved."""
     return ArchitectureSnapshot(
         snapshot.id,
         snapshot.taken_at,
@@ -1291,7 +1302,7 @@ def _rebuilt(snapshot):
     )
 )
 def test_the_parsers_proof_never_changes_a_verdict(snapshot):
-    # A parsed bundle's tables skip the column checks the parser proved; every finding must stay as it was.
+    # A parsed snapshot skips the type checks the parser proved; every finding must stay as it was.
     try:
         parsed = parse_bundle(serialize_bundle(snapshot))
     except (IngestError, KeyError, TypeError, AttributeError):
@@ -1299,8 +1310,7 @@ def test_the_parsers_proof_never_changes_a_verdict(snapshot):
         assert not validate_snapshot(snapshot).ok
         return
     rebuilt = _rebuilt(parsed)
-    assert (parsed.components.proved, parsed.dependencies.proved, parsed.ownership.proved) == (True, True, True)
-    assert not (rebuilt.components.proved or rebuilt.dependencies.proved or rebuilt.ownership.proved)
+    assert parsed.proved and not rebuilt.proved
     assert rebuilt == parsed
     assert validate_snapshot(parsed) == validate_snapshot(rebuilt)
 

@@ -30,9 +30,12 @@
   `inspect.signature` of the class, a cost every import of the package
   pays.
 - Only `model.py`, which defines it, and `ingest.py`, the parser, name
-  `Table._from_parser`, the one constructor of a table that carries the
-  parser's proof of its column types: `validate_snapshot` skips its
-  column checks on such a table, so no other code may claim that proof.
+  `ArchitectureSnapshot._from_parser`, the one constructor of a snapshot
+  that carries the parser's proof of its types: `validate_snapshot`
+  skips its type checks on such a snapshot, so no other code may claim
+  that proof. The proof is granted in one place and read in one: the
+  snapshot defines `_from_parser` and `proved`, `ingest._snapshot_from`
+  alone calls the one and `validate_snapshot` alone reads the other.
 """
 
 import ast
@@ -125,16 +128,21 @@ def test_every_exported_name_resolves():
     assert [name for name in taxarch.__all__ if not hasattr(taxarch, name)] == []
 
 
+def _scopes(tree: ast.AST) -> dict[int, str]:
+    """The name of the innermost function or class around each node, by the node's id()."""
+    return {
+        id(node): scope.name
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(scope)
+    }  # an outer scope's entries are overwritten by its inner scopes', as ast.walk visits outer scopes first
+
+
 def test_only_model_record_names_exec():
     uses = []
     for path in SOURCES:
         tree = _tree(path)
-        scopes = {
-            id(node): scope.name
-            for scope in ast.walk(tree)
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            for node in ast.walk(scope)
-        }  # an outer scope's entries are overwritten by its inner scopes', as ast.walk visits outer scopes first
+        scopes = _scopes(tree)
         uses += [
             (path.name, scopes.get(id(node)))
             for node in ast.walk(tree)
@@ -176,8 +184,22 @@ def test_only_the_model_and_the_parser_name_the_proving_constructor(path):
     assert uses == [], f"{path.relative_to(PACKAGE)}: names _from_parser on line(s) {uses}"
 
 
-def test_the_proving_constructor_is_defined_by_the_model_and_called_by_the_parser():
+def test_the_snapshot_grants_the_proof_the_parser_calls_it_and_validate_reads_it():
     # The rule above would pass vacuously if the constructor were renamed.
-    defined = {node.name for node in ast.walk(_tree(PACKAGE / "model.py")) if isinstance(node, ast.FunctionDef)}
-    called = {node.attr for node in ast.walk(_tree(PACKAGE / "ingest.py")) if isinstance(node, ast.Attribute)}
-    assert "_from_parser" in defined and "_from_parser" in called
+    model = _tree(PACKAGE / "model.py")
+    classes = {node.name: node for node in ast.walk(model) if isinstance(node, ast.ClassDef)}
+    methods = {node.name for node in classes["ArchitectureSnapshot"].body if isinstance(node, ast.FunctionDef)}
+    assert {"_from_parser", "proved"} <= methods
+    uses = []
+    for path in SOURCES:
+        tree = _tree(path)
+        scopes = _scopes(tree)
+        uses += [
+            (path.name, scopes.get(id(node)), node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_from_parser", "proved", "_proved")
+        ]
+    assert sorted(uses) == [
+        ("ingest.py", "_snapshot_from", "_from_parser"),
+        ("model.py", "validate_snapshot", "proved"),
+    ]
