@@ -261,14 +261,13 @@ def _records(schema: tuple, records, where: str) -> dict[str, tuple]:
         pass
     allowed = tuple(name for name, _, _ in schema)
     required = tuple(name for name, default, _ in schema if default is ...)
-    strings = tuple(name for name, _, kind in schema if kind is str)
     for start in range(0, len(records), _WALK_RECORDS):
         block = records[start : start + _WALK_RECORDS]
         try:
             _columns(schema, block, where)
         except (KeyError, TypeError, SchemaError):
             for i, record in enumerate(block, start):
-                _require_keys(record, allowed, required, f"{where}[{i}]", strings)
+                _require_keys(record, allowed, required, f"{where}[{i}]")
                 _columns(schema, [record], f"{where}[{i}]")
     raise SchemaError(f"{where} cannot be read")  # not reached: a list fails only where one of its records does
 

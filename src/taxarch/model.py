@@ -2,8 +2,10 @@
 
 A snapshot captures the dated state of a distributed software system:
 its components, the use-dependencies between them, the owning teams,
-and the component-to-owner assignment. All types are immutable values;
-validation is a pure function producing a report, never an exception.
+and the component-to-owner assignment. All types are immutable values,
+frozen slotted dataclasses; only `LocationEvidence` writes its own
+constructor, which holds the payload rule. Validation is a pure
+function producing a report, never an exception.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from itertools import chain, compress, islice, repeat
@@ -111,36 +113,7 @@ def conflict(owner: Owner, records: list[LocationEvidence]) -> str | None:
     return f"owner {owner.id!r}: conflicting {first.source.value} evidence dated {first.recorded_at.isoformat()}"
 
 
-def slot_setters(cls: type) -> tuple:
-    """The setters of a slotted record class's slots, in field order.
-
-    Each is a slot's member descriptor's `__set__`, which stores into a frozen instance as `object.__setattr__`
-    does, at a fraction of its cost. `record`'s generated constructors, and the hand-written one of
-    `LocationEvidence`, bind them once after their class.
-    """
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-
-def record(cls: type) -> type:
-    """Declare a record: the frozen slotted dataclass of `cls`, with an `__init__` generated from its fields.
-
-    The constructor takes the parameters and defaults that the dataclass constructor would, and stores each argument
-    with its slot's setter, in field order. So each field is written once, as its annotation; this is the package's
-    one code generator.
-    """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    names = cls.__slots__
-    namespace = {f"_set_{name}": setter for name, setter in zip(names, slot_setters(cls))}
-    namespace.update({f"_default_{f.name}": f.default for f in fields(cls) if f.default is not MISSING})
-    params = "".join(f", {name}=_default_{name}" if f"_default_{name}" in namespace else f", {name}" for name in names)
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    exec(f"def __init__(self{params}):{body}", namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    return cls
-
-
-@record
+@dataclass(frozen=True, slots=True)
 class Component:
     """A unit of the system that an owner owns and other components use: a service, library, module or application."""
 
@@ -150,7 +123,7 @@ class Component:
     status: ComponentStatus
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     """One row of a snapshot's `EdgeTable`."""
 
@@ -160,7 +133,7 @@ class DependencyEdge:
     multiplicity: int = 1
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class OwnershipAssignment:
     """One row of the component -> owner assignment."""
 
@@ -223,17 +196,13 @@ class Table(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))  # as the tuple of its rows, which it equals
 
-    def __repr__(self) -> str:  # the dataclass repr, written once for every table class
-        columns = ", ".join(f"{name}={column!r}" for name, column in zip(self.__slots__, self._columns(self)))
-        return f"{type(self).__qualname__}({columns})"
-
     def __add__(self, other) -> Table:
         if not isinstance(other, (type(self), tuple)):
             return NotImplemented
         return type(self).of((*self, *other))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class ComponentTable(Table):
     """A snapshot's components as four parallel columns; row i of each is component i, read as a `Component`."""
 
@@ -245,7 +214,7 @@ class ComponentTable(Table):
     statuses: tuple = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class EdgeTable(Table):
     """A snapshot's dependency edges as four parallel columns; row i of each is edge i, read as a `DependencyEdge`.
 
@@ -271,7 +240,7 @@ class EdgeTable(Table):
         return all(map(operator.lt, zip(users, used), zip(islice(users, 1, None), islice(used, 1, None))))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class OwnershipTable(Table):
     """A snapshot's component -> owner assignment as two parallel columns; row i is an `OwnershipAssignment`."""
 
@@ -299,7 +268,8 @@ class LocationEvidence:
     """One piece of evidence for an owner's jurisdiction.
 
     For member_locations the payload is a multiset of jurisdiction codes; for every other source it is a single
-    jurisdiction code. The constructor below is the one place that stores a payload.
+    jurisdiction code. The constructor below, the package's one hand-written constructor, is the one place that
+    stores a payload.
     """
 
     source: EvidenceSource
@@ -320,10 +290,13 @@ class LocationEvidence:
 
 
 _MEMBER_LOCATIONS = EvidenceSource.MEMBER_LOCATIONS  # a global: the enum class attribute costs ten times as much
-_set_source, _set_payload, _set_recorded_at = slot_setters(LocationEvidence)
+# Each slot's setter stores into the frozen record as `object.__setattr__` does, at a fraction of its cost.
+_set_source = LocationEvidence.source.__set__
+_set_payload = LocationEvidence.payload.__set__
+_set_recorded_at = LocationEvidence.recorded_at.__set__
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class Owner:
     """A team, individual or unit that owns components, with the dated evidence of where it sits."""
 
@@ -452,8 +425,9 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
     parser gives it. Any `field-type` finding ends validation, reported
     alone. A snapshot the parser read carries its proof of these types,
     so it skips this phase whole, and with it the type-and-minimum test
-    behind `invalid-multiplicity` and the `unencodable-string` search,
-    which the parser made as it read. The
+    behind `invalid-multiplicity`, the payload-shape test behind
+    `evidence-shape` and the `unencodable-string` search, which the
+    parser made as it read. The
     second phase, on a snapshot of the parser's types only, judges the id,
     encoding, evidence, dependency and ownership invariants. Each block is a
     set-algebra test over whole columns and, only when that test fails, a
@@ -534,7 +508,7 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
 
     for what, keys, *columns in typed:
         findings += _unencodable(what, keys, *((field, column) for field, column, kind in columns if kind is str))
-    findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records])
+    findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records], proved)
     findings += _dependency_findings(edges, component_ids, proved)
     findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
     findings.sort()
@@ -632,11 +606,13 @@ def _evidence_findings(
     sources: list[EvidenceSource],
     dates: list[date],
     payloads: list,
+    proved: bool,
 ) -> list[Finding]:
     """The evidence invariants over the evidence columns, row i of each being record i, held by owner `holders[i]`.
 
     Two whole-column tests. The first: member_locations payloads are tuples of strings, any other payload is a
-    string, and each distinct code is valid; only when it fails are the records walked to list the offenders. The
+    string, and each distinct code is valid; only when it fails are the records walked to list the offenders. A
+    proved snapshot's payloads have the shapes the parser read, so only its codes are tested. The
     second: no owner id holds two records of one resolver on one date, which a conflict needs; only when it fails
     does each owner with two records or more in `owners_as_of(snapshot)` have its latest records judged by
     `conflict`. So records dated after `taken_at` are judged for their shape and codes, never for a conflict.
@@ -646,9 +622,12 @@ def _evidence_findings(
     single_codes = list(compress(payloads, map(operator.not_, lists)))
     findings = []
     if not (
-        {tuple}.issuperset(map(type, member_payloads))
-        and {str}.issuperset(map(type, chain.from_iterable(member_payloads)))
-        and {str}.issuperset(map(type, single_codes))
+        (
+            proved
+            or {tuple}.issuperset(map(type, member_payloads))
+            and {str}.issuperset(map(type, chain.from_iterable(member_payloads)))
+            and {str}.issuperset(map(type, single_codes))
+        )
         and all(map(is_valid_jurisdiction, {*chain.from_iterable(member_payloads), *single_codes}))
     ):
         for holder, source, payload in zip(holders, sources, payloads):

@@ -13,7 +13,7 @@ from datetime import date
 from itertools import chain
 from operator import attrgetter
 
-from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence, record
+from .model import RESOLVER_SOURCES, UNKNOWN, ConflictingEvidenceError, Owner, conflict, latest_evidence
 
 DEFAULT_MAJORITY_THRESHOLD = 0.75
 
@@ -71,7 +71,7 @@ def parse_cascade(text: str) -> tuple[Resolver, ...]:
     return tuple(resolvers)
 
 
-@record
+@dataclass(frozen=True, slots=True)
 class JurisdictionAssignment:
     """One owner's jurisdiction, with the resolver, evidence and date that decided it, or UNKNOWN and no resolver."""
 

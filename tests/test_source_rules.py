@@ -22,13 +22,12 @@
 - Every submodule is the package attribute of its name, and every name
   in `__all__` resolves: an exported function named as a submodule
   would hide the module from `import taxarch.<name> as m`.
-- `exec` is named only inside `model.record`, which generates the record
-  constructors: the package keeps one code generator, so generated code
-  has one place to read.
-- Every class declared with `dataclass(...)` or `record` has its own
-  docstring: `dataclasses` builds the missing one from
-  `inspect.signature` of the class, a cost every import of the package
-  pays.
+- No source names `exec`: the package generates no code of its own,
+  and every record is built by the constructor that `dataclasses` gives
+  it or, for `LocationEvidence`, by the one hand-written constructor.
+- Every class declared with `dataclass(...)` has its own docstring:
+  `dataclasses` builds the missing one from `inspect.signature` of the
+  class, a cost every import of the package pays.
 - Only `model.py`, which defines it, and `ingest.py`, the parser, name
   `ArchitectureSnapshot._from_parser`, the one constructor of a snapshot
   that carries the parser's proof of its types: `validate_snapshot`
@@ -138,18 +137,15 @@ def _scopes(tree: ast.AST) -> dict[int, str]:
     }  # an outer scope's entries are overwritten by its inner scopes', as ast.walk visits outer scopes first
 
 
-def test_only_model_record_names_exec():
-    uses = []
-    for path in SOURCES:
-        tree = _tree(path)
-        scopes = _scopes(tree)
-        uses += [
-            (path.name, scopes.get(id(node)))
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id == "exec")
-            or (isinstance(node, ast.Attribute) and node.attr == "exec")
-        ]
-    assert uses == [("model.py", "record")]
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_source_names_exec(path):
+    uses = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Name) and node.id == "exec")
+        or (isinstance(node, ast.Attribute) and node.attr == "exec")
+    ]
+    assert uses == [], f"{path.relative_to(PACKAGE)}: names exec on line(s) {uses}"
 
 
 def test_the_model_has_no_except_clause_naming_type_error():
@@ -159,10 +155,10 @@ def test_the_model_has_no_except_clause_naming_type_error():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
-def test_every_dataclass_and_record_has_its_own_docstring(path):
+def test_every_dataclass_has_its_own_docstring(path):
     def declared_as_dataclass(node: ast.ClassDef) -> bool:
         names = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        return any(isinstance(n, ast.Name) and n.id in ("dataclass", "record") for n in names)
+        return any(isinstance(n, ast.Name) and n.id == "dataclass" for n in names)
 
     bare = [
         node.name
