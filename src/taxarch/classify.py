@@ -83,43 +83,26 @@ def apply_scope_filter(
 
     `owner_of` is the snapshot's `owner_of()`, built once by the caller.
     Every exclusion is recorded with its reason; nothing is silent. It reads
-    the component, edge and ownership columns, and `select`s the kept rows
-    of each table. When nothing is excluded, the scoped snapshot holds the
-    input's tables.
+    the component columns, and the scoped snapshot is the input `without`
+    the excluded components: its tables are selected from the input's, and
+    when nothing is excluded it is the input.
     """
     individuals = (
         {o.id for o in snapshot.owners if o.kind is OwnerKind.INDIVIDUAL} if policy.exclude_individual_owners else ()
     )
     statuses = policy.include_statuses
-    components, edges, ownership = snapshot.components, snapshot.dependencies, snapshot.ownership
+    components = snapshot.components
     excluded = [
         (cid, "non_production" if status not in statuses else "individual_owner")
         for cid, status in zip(components.ids, components.statuses)
         if status not in statuses or owner_of.get(cid) in individuals
     ]
-    if excluded:
-        excluded_ids = {cid for cid, _ in excluded}
-        kept_components = components.select([cid not in excluded_ids for cid in components.ids])
-        kept_edges = edges.select(
-            [u not in excluded_ids and v not in excluded_ids for u, v in zip(edges.users, edges.used)]
-        )
-        kept_ownership = ownership.select([cid not in excluded_ids for cid in ownership.components])
-    else:  # the same tables: nothing to drop
-        kept_components, kept_edges, kept_ownership = components, edges, ownership
-
-    scoped = ArchitectureSnapshot(
-        id=snapshot.id,
-        taken_at=snapshot.taken_at,
-        components=kept_components,
-        dependencies=kept_edges,
-        owners=snapshot.owners,
-        ownership=kept_ownership,
-    )
+    scoped = snapshot.without({cid for cid, _ in excluded})
     report = ExclusionReport(
         excluded_components=tuple(sorted(excluded)),
-        excluded_edges=len(edges) - len(kept_edges),
+        excluded_edges=len(snapshot.dependencies) - len(scoped.dependencies),
         component_total=len(components),
-        edge_total=len(edges),
+        edge_total=len(snapshot.dependencies),
     )
     return scoped, report
 

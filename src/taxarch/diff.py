@@ -37,8 +37,9 @@ class PipelineRun:
     """One input through scope -> resolve -> aggregate -> stats: in-scope components, the input's owner map.
 
     `owners` is the owner view the run resolved, `owners_as_of` of the snapshot, in the order of `assignments`.
-    A matrix-only input is a run with no components, owners or assignments, so its registers are empty. A tuple
-    or list of exactly `Component`s is stored as its `ComponentTable`, whose columns `build_registers` reads.
+    A matrix-only input is a run with no components, owners or assignments, so its registers are empty. The
+    components are stored by the snapshot's rule, `as_table`, as the `ComponentTable` whose columns `build_registers`
+    reads.
     """
 
     matrix: JurisdictionFlowMatrix
@@ -50,7 +51,8 @@ class PipelineRun:
     owners: tuple[Owner, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "components", as_table(self.components, ComponentTable))
+        components = as_table(self.components, ComponentTable, "PipelineRun has ", "components")
+        object.__setattr__(self, "components", components)
 
 
 def run_pipeline(

@@ -15,29 +15,15 @@ document is encoded into one growing byte buffer, and its dependency
 records, nearly all of a large bundle, are formatted, joined and encoded
 a block at a time, so its text is never held whole as a str.
 
-Every record list of a parsed document is read column by column by one
-reader, from its record type's schema: a tuple of (field, default, kind).
-A list meets one test of its records' field names, then each column one
-rule of its field's kind: an exact-type test, an enum lookup or a date
-parse. An evidence payload column meets three whole-column tests, split
-by its records' sources: the member_locations payloads are lists, their
-codes are strings, and every other payload is a string. A well-formed
-bundle formats no message. When a list fails, a
-block-first walk reads it again a block at a time with the same rules
-and walks the first failing block record by record, so the message
-names the first faulty record and field. A string holding an unpaired
-surrogate, which UTF-8 cannot encode, is refused too; the strings are
-searched for one only when the text holds a backslash and a surrogate
-escape matches (or, in a str, holds a surrogate itself).
-
-A parsed snapshot's three large record lists are the tables of the
-columns the parser reads, with no record object per row: `components` a
-`model.ComponentTable`, `dependencies` a `model.EdgeTable` and
-`ownership` a `model.OwnershipTable`. The snapshot's own proving
-constructor builds it, so it carries the parser's proof that every field,
-owners and evidence included, holds the parser's type, which
-`validate_snapshot` does not test again; `parse_bundle` returns it only
-after its surrogate search found none.
+Every record list of a parsed document is read column by column, from
+its record type's schema of (field, default, kind): one test of the
+field names, an enum lookup or date parse of each column spelled as
+text, then the model constructor of the list, which holds every value to
+its type. When a list fails, a block-first walk names its first faulty
+record and field, in schema order. A string that UTF-8 cannot encode is
+named, in document order, only once the whole document meets the
+schema. The three large lists become `model` tables, with no record
+object per row.
 """
 
 from __future__ import annotations
@@ -46,8 +32,9 @@ import io
 import json
 import operator
 import re
+from collections import namedtuple
 from datetime import date
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 from .jsontext import array as _array
 from .jsontext import quote as _quote
@@ -61,10 +48,13 @@ from .model import (
     DependencyKind,
     EdgeTable,
     EvidenceSource,
+    InvalidFieldError,
     LocationEvidence,
     Owner,
     OwnerKind,
     OwnershipTable,
+    Table,
+    UnencodableStringError,
 )
 
 SCHEMA_VERSION = 1
@@ -102,8 +92,9 @@ _ENUMS = (ComponentKind, ComponentStatus, DependencyKind, OwnerKind, EvidenceSou
 _MEMBER = {enum: {member.value: member for member in enum} for enum in _ENUMS}
 
 # Each record type's fields as (name, default, kind), in the order a record's fields are judged; the default `...`
-# marks a required field. The kind names the field's rule in `_read`: str, int (positive), date, an enum, "payload"
-# (shaped by the record's source) or LocationEvidence (a list of evidence records).
+# marks a required field. The kind names the field's reading in `_read`: a date or an enum is converted from its text,
+# LocationEvidence is a list of evidence records, and str, int and "payload" (shaped by the record's source) are held
+# by the record's constructor.
 _COMPONENT = (("id", ..., str), ("name", ..., str), ("kind", ..., ComponentKind), ("status", ..., ComponentStatus))
 _EDGE = (("user", ..., str), ("owner_component", ..., str), ("multiplicity", 1, int), ("kind", "use", DependencyKind))
 _OWNER = (("id", ..., str), ("name", ..., str), ("location_evidence", [], LocationEvidence), ("kind", ..., OwnerKind))
@@ -163,28 +154,17 @@ def _parse_date(text: str, field: str) -> date:
     raise SchemaError(f"field {field!r} is not a valid ISO-8601 date: {_shown(text)}")
 
 
-# A JSON escape of a UTF-16 surrogate, paired or not; `_SURROGATE` matches a surrogate itself.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-
-
 def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
     """Parse a snapshot bundle. Raises typed errors, never panics.
 
-    The caller is expected to run validate_snapshot on the result;
-    parsing only enforces the document schema, and that every string
-    can be written as UTF-8. The snapshot carries the parser's proof of
-    its types, so validate skips the type checks the parser made.
+    Parsing enforces the document schema, and that every string can be written as UTF-8; the caller is expected to
+    run validate_snapshot on the result.
     """
     if isinstance(document, bytes):
         try:
             document = document.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BundleParseError("document is not valid UTF-8", exc.start) from None
-        suspect = "\\" in document and _SURROGATE_ESCAPE.search(document)
-    else:
-        suspect = ("\\" in document and _SURROGATE_ESCAPE.search(document)) or (
-            not document.isascii() and _SURROGATE.search(document)
-        )
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -193,19 +173,14 @@ def parse_bundle(document: bytes | str) -> ArchitectureSnapshot:
         raise BundleParseError("JSON number has more digits than an integer may have") from None
     except RecursionError:
         raise BundleParseError("JSON nested too deeply") from None
-    snapshot = _snapshot_from(data)
-    # json.loads turns an unpaired surrogate escape into a lone surrogate,
-    # which no artifact could hold: UTF-8 cannot encode it. The strings are
-    # walked only when the text holds a backslash, which every escape
-    # needs, and the escape regex matches (or, in a str, when it holds the
-    # character itself); a paired escape or an escaped backslash before
-    # `u` also matches, and the walk finds nothing there. The backslash
-    # test is one memchr, a tenth of the regex's scan.
-    if suspect:
-        for where, text in _strings(data, ""):
-            if _SURROGATE.search(text):
-                raise BundleParseError(f"{where} holds an unpaired surrogate, which UTF-8 cannot encode")
-    return snapshot
+    fields = _snapshot_from(data)
+    try:
+        return ArchitectureSnapshot(*fields)
+    except UnencodableStringError:
+        # json.loads turns an unpaired surrogate escape into a lone surrogate, which no artifact could hold. The
+        # document meets the schema, so the constructors refused nothing else; its strings are walked to name it.
+        where = next(where for where, text in _strings(data, "") if _SURROGATE.search(text))
+        raise BundleParseError(f"{where} holds an unpaired surrogate, which UTF-8 cannot encode") from None
 
 
 def _strings(node, where: str):
@@ -220,66 +195,65 @@ def _strings(node, where: str):
             yield from _strings(child, f"{where}.{key}" if where else key)
 
 
-def _snapshot_from(data) -> ArchitectureSnapshot:
+# A snapshot's fields as `_snapshot_from` read them, for its constructor.
+_Fields = namedtuple("_Fields", ("id", "taken_at", "components", "dependencies", "owners", "ownership"))
+
+
+def _snapshot_from(data) -> _Fields:
+    """The snapshot's fields that the document `data` holds, each record list its table or tuple of owners (or, if
+    a table refused only an unencodable string, its rows); a fault raises the SchemaError naming it."""
     _require_keys(data, _TOP_LEVEL_KEYS, _TOP_LEVEL_KEYS, "bundle", ("snapshot_id",))
     version = data["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise UnsupportedVersionError(f"unsupported schema_version {_shown(version)} (supported: {SCHEMA_VERSION})")
     # The collections are read in this order, then `taken_at`, so a
     # document with several faults always names the same one.
-    components = _records(_COMPONENT, data["components"], "components").values()
-    users, used, multiplicities, edge_kinds = _records(_EDGE, data["dependencies"], "dependencies").values()
-    ids, names, evidence, owner_kinds = _records(_OWNER, data["owners"], "owners").values()
-    ownership = _records(_ASSIGNMENT, data["ownership"], "ownership").values()
-    return ArchitectureSnapshot._from_parser(
-        data["snapshot_id"],
-        _read(date, (data["taken_at"],), "taken_at", {})[0],
-        ComponentTable(*components),
-        EdgeTable(users, used, edge_kinds, multiplicities),
-        tuple(map(Owner, ids, names, owner_kinds, evidence)),
-        OwnershipTable(*ownership),
-    )
+    components = _records(_COMPONENT, ComponentTable, data["components"], "components")
+    dependencies = _records(_EDGE, EdgeTable, data["dependencies"], "dependencies")
+    owners = _records(_OWNER, Owner, data["owners"], "owners")
+    ownership = _records(_ASSIGNMENT, OwnershipTable, data["ownership"], "ownership")
+    taken_at = _read(date, (data["taken_at"],), "taken_at", {})[0]
+    return _Fields(data["snapshot_id"], taken_at, components, dependencies, owners, ownership)
 
 
 # Records a fault walk reads at once: the largest run it walks record by record.
 _WALK_RECORDS = 1024
+_REFUSED = (KeyError, TypeError, SchemaError, InvalidFieldError)  # what a list's read and build raise on a fault
 
 
-def _records(schema: tuple, records, where: str) -> dict[str, tuple]:
-    """The columns of the JSON array `records` by field name, read whole by `_columns`; a fault raises the
-    SchemaError naming it.
+def _built(cls: type, read: dict[str, tuple]):
+    """The columns `read`, by field name, built by `cls`: a table class, or the record class of each record."""
+    if issubclass(cls, Table):
+        return cls(*map(read.__getitem__, cls.row.__slots__))
+    return tuple(map(cls, *map(read.__getitem__, cls.__slots__)))
 
-    The fault walk reads the list again a block of `_WALK_RECORDS` at a time and walks the first block that fails
-    record by record: `_require_keys`, then `_columns` on a list of the one record. A list fails exactly when one of
-    its records fails alone, so the walk names the first faulty record and, in it, the first faulty field.
+
+def _records(schema: tuple, cls: type, records, where: str):
+    """The JSON array `records` read by `_columns` and built by `cls` (see `_built`); a fault raises the SchemaError
+    naming it. The fault walk reads the list again a block of `_WALK_RECORDS` at a time and walks the first block
+    that fails by `_record`, so it names the first faulty record and field. A list whose walk finds no fault was
+    refused for a string that UTF-8 cannot encode, which only a table refuses: it is returned as its rows.
     """
     if type(records) is not list:
         raise SchemaError(f"{where} must be a JSON array")
     try:
-        return _columns(schema, records, where)
-    except (KeyError, TypeError, SchemaError):
+        return _built(cls, _columns(schema, records, where))
+    except _REFUSED:
         pass
-    allowed = tuple(name for name, _, _ in schema)
-    required = tuple(name for name, default, _ in schema if default is ...)
     for start in range(0, len(records), _WALK_RECORDS):
         block = records[start : start + _WALK_RECORDS]
         try:
-            _columns(schema, block, where)
-        except (KeyError, TypeError, SchemaError):
+            _built(cls, _columns(schema, block, where))
+        except _REFUSED:
             for i, record in enumerate(block, start):
-                _require_keys(record, allowed, required, f"{where}[{i}]")
-                _columns(schema, [record], f"{where}[{i}]")
-    raise SchemaError(f"{where} cannot be read")  # not reached: a list fails only where one of its records does
+                _record(schema, cls, record, f"{where}[{i}]")
+    return tuple(map(cls.row, *map(_columns(schema, records, where).__getitem__, cls.row.__slots__)))
 
 
 def _columns(schema: tuple, records: list, where: str) -> dict[str, tuple]:
-    """Each field's column of `records` by its name, read a column at a time by the field's rule in `_read`.
-
-    A list whose records all have as many fields as the schema, the serializer's form, reads every field with
-    `itemgetter`, which proves the field names too. Any other list must hold objects of known field names, and
-    reads a required field with `itemgetter` and one with a default by `dict.get`. A fault raises SchemaError,
-    KeyError or TypeError; for a list of one record that `_require_keys` accepts, it is the SchemaError that names
-    the fault.
+    """Each field's column of `records` by its name, read by `_read`. A list whose records all have as many fields as
+    the schema, the serializer's form, reads every field with `itemgetter`, which proves the field names too; any
+    other must hold objects of known field names. A fault raises SchemaError, KeyError or TypeError.
     """
     full = {len(schema)}.issuperset(map(len, records))
     names = {name for name, _, _ in schema}
@@ -295,46 +269,66 @@ def _columns(schema: tuple, records: list, where: str) -> dict[str, tuple]:
     return read
 
 
-def _read(kind, values: tuple, where: str, read: dict[str, tuple]) -> tuple:
-    """The column `values` of a field of kind `kind`, as the records hold it; `read` holds the columns before it.
+# A value of each kind that `_read` converts, standing in for one it could not, so that `_record` can still build.
+_STAND_IN = {date: date(1970, 1, 1), LocationEvidence: (), **{enum: next(iter(enum)) for enum in _MEMBER}}
+# What a field of each kind that a constructor holds must be, as a refusal names it; a payload's is chosen by whether
+# its source is member_locations.
+_MUST = {str: "a string", int: "a positive integer"}
+_MUST["payload"] = ("a jurisdiction code string", "a list of jurisdiction codes")
 
-    A fault raises SchemaError naming `where`, the field, and any value it shows is the column's first: the fault
-    walk reads one record at a time.
+
+def _record(schema: tuple, cls: type, record, where: str) -> None:
+    """Raise the SchemaError naming the first fault, in schema order, of the one `record` at `where`; return when
+    it has none but a string that UTF-8 cannot encode. A failed conversion stands in as a value of its kind, so
+    that `cls` still builds the record: a field it refuses is named when it comes first."""
+    names = tuple(name for name, _, _ in schema)
+    _require_keys(record, names, tuple(name for name, default, _ in schema if default is ...), where)
+    read, failed = {}, None
+    for i, (name, default, kind) in enumerate(schema):
+        try:
+            read[name] = _read(kind, (record.get(name, default),), f"{where}.{name}", read)
+        except SchemaError as exc:
+            failed, read[name] = failed or (i, exc), (_STAND_IN[kind],)
+    try:
+        _built(cls, read)
+    except UnencodableStringError:
+        pass
+    except InvalidFieldError as exc:
+        i = names.index(exc.field)
+        if failed is None or i < failed[0]:
+            must = _MUST[schema[i][2]]
+            if exc.field == "payload":
+                must = must[read["source"][0] is _MEMBER_LOCATIONS]
+            raise SchemaError(f"{where}.{exc.field} must be {must}") from None
+    if failed is not None:
+        raise failed[1]
+
+
+_MEMBER_LOCATIONS = EvidenceSource.MEMBER_LOCATIONS
+
+
+def _read(kind, values: tuple, where: str, read: dict[str, tuple]) -> tuple:
+    """The column `values` of a field of kind `kind`: a date or enum converted from its text, evidence records read
+    as their own list, any other kind as given, for the record's constructor to hold. A fault raises SchemaError
+    naming `where` and showing the column's first value: the walk reads one record at a time. `read`, the columns
+    before this one, is there for a reading that depends on them, which none does.
     """
-    if kind is str:
-        if {str}.issuperset(map(type, values)):
-            return values
-        raise SchemaError(f"{where} must be a string")
-    if kind is int:
-        if {int}.issuperset(map(type, values)) and min(values, default=1) >= 1:
-            return values
-        raise SchemaError(f"{where} must be a positive integer")
     if kind is date:  # each distinct text parsed once
         if not {str}.issuperset(map(type, values)):
             raise SchemaError(f"field {where!r} must be an ISO-8601 date string")
         dates = {text: _parse_date(text, where) for text in set(values)}
         return tuple(map(dates.__getitem__, values))
-    if kind == "payload":  # three column tests: member_locations payloads are lists, of strings; any other a string
-        members = EvidenceSource.MEMBER_LOCATIONS  # a local: the class attribute costs ten times as much
-        lists = [source is members for source in read["source"]]
-        member_payloads = list(compress(values, lists))
-        if (
-            {list}.issuperset(map(type, member_payloads))
-            and {str}.issuperset(map(type, chain.from_iterable(member_payloads)))
-            and {str}.issuperset(map(type, compress(values, map(operator.not_, lists))))
-        ):
-            return values
-        shape = "a list of jurisdiction codes" if lists[0] else "a jurisdiction code string"
-        raise SchemaError(f"{where} must be {shape}")
     if kind is LocationEvidence:  # each owner's list flattened, read as one list and regrouped
         if not {list}.issuperset(map(type, values)):
             raise SchemaError(f"{where} must be a JSON array")
-        evidence = map(LocationEvidence, *_records(_EVIDENCE, list(chain.from_iterable(values)), where).values())
+        evidence = iter(_records(_EVIDENCE, LocationEvidence, list(chain.from_iterable(values)), where))
         return tuple(tuple(islice(evidence, len(records))) for records in values)
-    try:
-        return tuple(map(_MEMBER[kind].__getitem__, values))
-    except (KeyError, TypeError):
-        raise SchemaError(f"unknown value {_shown(values[0])} for field {where!r}") from None
+    if kind in _MEMBER:
+        try:
+            return tuple(map(_MEMBER[kind].__getitem__, values))
+        except (KeyError, TypeError):
+            raise SchemaError(f"unknown value {_shown(values[0])} for field {where!r}") from None
+    return values
 
 
 # The JSON string of every enum value, escaped once instead of per record.
@@ -349,10 +343,6 @@ def _evidence_record(ev: LocationEvidence) -> str:
     )
 
 
-class UnencodableStringError(IngestError):
-    """A snapshot string holds an unpaired surrogate, so its bundle cannot be written as UTF-8."""
-
-
 _FIRST = operator.itemgetter(0)
 
 # Dependency records formatted, joined and encoded at once: the largest text held beside the buffer.
@@ -364,19 +354,12 @@ def serialize_bundle(snapshot: ArchitectureSnapshot) -> bytes:
 
     The document is written into one growing byte buffer: the header and
     components, then the dependency records a block of `_BLOCK_RECORDS` at
-    a time, then the owners and ownership. Raises `UnencodableStringError`,
-    naming the record and field as the parser does, when a string holds an
-    unpaired surrogate.
+    a time, then the owners and ownership. Every string of a snapshot can
+    be encoded: its constructors refuse any other.
     """
     buffer = io.BytesIO()
-    try:
-        for piece in _bundle_text(snapshot):
-            buffer.write(piece.encode("utf-8"))
-    except UnicodeEncodeError:
-        # Only a failed write pays for the search: the document's text, read back, is walked for the string.
-        data = json.loads("".join(_bundle_text(snapshot)))
-        where = next(where for where, text in _strings(data, "") if _SURROGATE.search(text))
-        raise UnencodableStringError(f"{where} holds an unpaired surrogate, which UTF-8 cannot encode") from None
+    for piece in _bundle_text(snapshot):
+        buffer.write(piece.encode("utf-8"))
     return buffer.getvalue()
 
 

@@ -3,13 +3,15 @@
 A snapshot captures the dated state of a distributed software system:
 its components, the use-dependencies between them, the owning teams,
 and the component-to-owner assignment. All types are immutable values,
-frozen slotted dataclasses; only `LocationEvidence` writes its own
-constructor, which holds the payload rule. Validation is a pure
-function producing a report, never an exception.
+frozen slotted dataclasses whose constructors hold every value to the
+type a parsed bundle gives it, and every string to UTF-8, refusing any
+other with `InvalidFieldError`. `validate_snapshot` judges the
+invariants between values, a pure function producing a report.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 import re
 from collections import Counter
@@ -85,10 +87,8 @@ def latest_evidence(owner: Owner) -> dict[str, list[LocationEvidence]]:
     """Each resolver's records of `owner` dated its latest day, in record order, keyed by RESOLVER_SOURCES name.
 
     The one selection of evidence, made in one pass. `resolve_jurisdictions` reads it for every owner, and
-    `validate_snapshot` only when the evidence columns show an owner id with a same-dated pair of one resolver.
-    Both read a snapshot's `owners_as_of` view (the resolver through `run_pipeline`), so no later record is selected.
-    A resolver with no records has no key. It reads records of the parser's types, as `validate_snapshot` holds
-    them: each `source` an EvidenceSource, which some resolver reads, and each `recorded_at` a date.
+    `validate_snapshot` only when the evidence columns show an owner id with a same-dated pair of one resolver; both
+    read a snapshot's `owners_as_of` view. A resolver with no records has no key.
     """
     latest: dict[str, list[LocationEvidence]] = {}
     for ev in owner.location_evidence:
@@ -105,12 +105,78 @@ def conflict(owner: Owner, records: list[LocationEvidence]) -> str | None:
     """The one conflict rule: the message when single codes among one resolver's latest records differ, else None.
 
     `validate_snapshot` reports it as a finding; a resolver the cascade reaches raises ConflictingEvidenceError.
-    It reads records of the parser's types, as `latest_evidence` selects them.
+    It reads records as `latest_evidence` selects them.
     """
     if len(records) < 2 or len({ev.payload for ev in records if isinstance(ev.payload, str)}) < 2:
         return None
     first = records[0]
     return f"owner {owner.id!r}: conflicting {first.source.value} evidence dated {first.recorded_at.isoformat()}"
+
+
+class InvalidFieldError(ValueError):
+    """A constructor's refusal of a value that no parsed bundle holds: a field of another type than the parser gives
+    it, a multiplicity below 1 or a payload of another shape than its source's. The message names the first fault;
+    `field` names its record field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+class UnencodableStringError(InvalidFieldError):
+    """A constructor's refusal of a string that holds an unpaired surrogate, which UTF-8 cannot encode."""
+
+
+_UNENCODABLE = "holding an unpaired surrogate, which UTF-8 cannot encode"
+
+
+def _holds(kind: type, value) -> bool:
+    """The type rule for one value: a str field holds a str; any other field exactly its type, as the parser gives it
+    (a bool is no int and a datetime no date), and an int is at least 1, as a multiplicity is."""
+    return isinstance(value, str) if kind is str else type(value) is kind and (kind is not int or value >= 1)
+
+
+def _refusal(subject: str, field: str, kind: type, value) -> InvalidFieldError:
+    """The InvalidFieldError of `value`, which `_holds` refuses for `kind`; `subject` names its place."""
+    if type(value) is int and kind is int:
+        return InvalidFieldError(f"{subject} {value!r}, which is below 1", field)
+    return InvalidFieldError(f"{subject} of type {type(value).__name__}, not {kind.__name__}", field)
+
+
+def _column(kind: type, column: Sequence, field: str, subject: str) -> str:
+    """The one column rule, which only the constructors call: `_holds(kind, value)` for every value of `column`, the
+    values of `field` of `subject`, in one C-level pass; else InvalidFieldError names the first value refused.
+
+    For a str column the join of its values is the test, and is returned for `_encodable`, which a constructor asks
+    only after every type test passed; any other column returns "".
+    """
+    if kind is str:
+        try:
+            return "".join(column)
+        except TypeError:
+            pass
+    elif {kind}.issuperset(map(type, column)) and (kind is not int or min(column, default=1) >= 1):
+        return ""
+    i, value = next((i, value) for i, value in enumerate(column) if not _holds(kind, value))
+    raise _refusal(f"{subject}{field}[{i}]", field, kind, value)
+
+
+def _encodable(text: str, column: Sequence[str], field: str, subject: str) -> None:
+    """Refuse the first string of `column`, whose join is `text`, that holds an unpaired surrogate: one ASCII test, and
+    a search only of text that is not ASCII."""
+    if not text.isascii() and _SURROGATE.search(text):
+        i = next(i for i, value in enumerate(column) if _SURROGATE.search(value))
+        raise UnencodableStringError(f"{subject}{field}[{i}] {_UNENCODABLE}", field)
+
+
+def _derived(held, **fields):
+    """A copy of `held`, which its constructor accepted, whose `fields` hold values derived from its own: a subsequence
+    of a column that meets the rules meets them too, so nothing is tested again. Only `Table.select`, a table's slices
+    and `ArchitectureSnapshot.without` derive a value."""
+    value = copy.copy(held)
+    for name, field in fields.items():
+        getattr(type(held), name).__set__(value, field)  # the slot's setter: the value is frozen
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,8 +214,8 @@ class Table(Sequence):
     the class's `row` record: it iterates, indexes, compares to a tuple and
     hashes as that tuple would, a slice is a table, and `+` appends rows. The
     stages that walk every row read the columns, so a parse builds no row.
-    A table's columns may hold anything; `validate_snapshot` tests them
-    unless the parser proved the snapshot that holds the table.
+    The constructor holds each column to its type in `_types` by the column
+    rule, then its strings to UTF-8; a selection or slice is not tested again.
     """
 
     __slots__ = ()
@@ -158,6 +224,10 @@ class Table(Sequence):
         columns = tuple(map(tuple, self._columns(self)))
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"{type(self).__name__} columns differ in length: {list(map(len, columns))}")
+        fields, subject = self.row.__slots__, f"{type(self).__name__} has "
+        texts = [_column(kind, column, field, subject) for kind, column, field in zip(self._types, columns, fields)]
+        for text, column, field in zip(texts, columns, fields):
+            _encodable(text, column, field, subject)
         for name, column in zip(self.__slots__, columns):
             object.__setattr__(self, name, column)
 
@@ -174,7 +244,7 @@ class Table(Sequence):
 
     def select(self, keep: list) -> Table:
         """The table of the rows whose entry in `keep` is true."""
-        return type(self)(*(tuple(compress(column, keep)) for column in self._columns(self)))
+        return _derived(self, **{name: tuple(compress(getattr(self, name), keep)) for name in self.__slots__})
 
     def __len__(self) -> int:
         return len(self._columns(self)[0])
@@ -183,8 +253,9 @@ class Table(Sequence):
         return iter(tuple(map(self.row, *self._columns(self))))  # the iterator of the tuple of its rows
 
     def __getitem__(self, index):
-        picked = (column[index] for column in self._columns(self))
-        return type(self)(*picked) if isinstance(index, slice) else self.row(*picked)
+        if isinstance(index, slice):
+            return _derived(self, **{name: getattr(self, name)[index] for name in self.__slots__})
+        return self.row(*(column[index] for column in self._columns(self)))
 
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
@@ -207,6 +278,7 @@ class ComponentTable(Table):
     """A snapshot's components as four parallel columns; row i of each is component i, read as a `Component`."""
 
     row = Component
+    _types = (str, str, ComponentKind, ComponentStatus)
 
     ids: tuple = ()
     names: tuple = ()
@@ -224,6 +296,7 @@ class EdgeTable(Table):
     """
 
     row = DependencyEdge
+    _types = (str, str, DependencyKind, int)
 
     users: tuple = ()
     used: tuple = ()
@@ -234,7 +307,6 @@ class EdgeTable(Table):
         """Whether each row's (user, used) pair is greater than the pair of the row before.
 
         One pass over neighbouring rows, read through `islice` views: no column is copied and no triple is built.
-        The values are compared as given, so the columns must hold values that order, as strings do.
         """
         users, used = self.users, self.used
         return all(map(operator.lt, zip(users, used), zip(islice(users, 1, None), islice(used, 1, None))))
@@ -245,6 +317,7 @@ class OwnershipTable(Table):
     """A snapshot's component -> owner assignment as two parallel columns; row i is an `OwnershipAssignment`."""
 
     row = OwnershipAssignment
+    _types = (str, str)
 
     components: tuple = ()
     owners: tuple = ()
@@ -256,20 +329,26 @@ for _table in (ComponentTable, EdgeTable, OwnershipTable):
 del _table
 
 
-def as_table(records, table: type[Table]):
-    """`records` as a `table` when they are a tuple or list of exactly its row class; anything else as given."""
-    if type(records) in (tuple, list) and {table.row}.issuperset(map(type, records)):
-        return table.of(records)
-    return records
+def as_table(records, table: type[Table], subject: str, field: str):
+    """`records` as a `table`: a table as itself, and a tuple or list of exactly its row class as the table of its rows;
+    anything else is refused, `subject` naming the holder of `field`."""
+    if type(records) is table:
+        return records
+    if type(records) not in (tuple, list):
+        raise _refusal(f"{subject}{field}", field, table, records)
+    if not {table.row}.issuperset(map(type, records)):
+        i = next(i for i, record in enumerate(records) if type(record) is not table.row)
+        raise _refusal(f"{subject}{field}[{i}]", field, table.row, records[i])
+    return table.of(records)
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class LocationEvidence:
     """One piece of evidence for an owner's jurisdiction.
 
-    For member_locations the payload is a multiset of jurisdiction codes; for every other source it is a single
-    jurisdiction code. The constructor below, the package's one hand-written constructor, is the one place that
-    stores a payload.
+    For member_locations the payload is a multiset of jurisdiction codes, stored as a sorted tuple; for every other
+    source it is a single jurisdiction code. The constructor below, the package's one hand-written constructor, holds
+    the source, the payload's shape and the date to the parser's types; it stores no record it refuses.
     """
 
     source: EvidenceSource
@@ -277,13 +356,18 @@ class LocationEvidence:
     recorded_at: date
 
     def __init__(self, source: EvidenceSource, payload: str | tuple[str, ...], recorded_at: date):
-        """Store the record; a member_locations list or tuple is stored as a tuple, sorted when it holds only strings.
-
-        One holding anything else keeps its order, and any other payload, a plain-string `source`'s too, is stored
-        as given, for `validate_snapshot` to report.
-        """
-        if source is _MEMBER_LOCATIONS and isinstance(payload, (list, tuple)):
-            payload = tuple(sorted(payload) if {str}.issuperset(map(type, payload)) else payload)
+        """Store the record; a member_locations payload, a list or tuple of strings, is stored as a sorted tuple."""
+        if source is _MEMBER_LOCATIONS:
+            if type(payload) not in (list, tuple):
+                raise _refusal(f"LocationEvidence of source 'member_locations' has payload", "payload", tuple, payload)
+            _column(str, payload, "payload", f"LocationEvidence of source 'member_locations' has ")
+            payload = tuple(sorted(payload))
+        elif type(source) is not EvidenceSource:
+            raise _refusal(f"LocationEvidence has source", "source", EvidenceSource, source)
+        elif not isinstance(payload, str):
+            raise _refusal(f"LocationEvidence of source {source.value!r} has payload", "payload", str, payload)
+        if type(recorded_at) is not date:
+            raise _refusal(f"LocationEvidence has recorded_at", "recorded_at", date, recorded_at)
         _set_source(self, source)
         _set_payload(self, payload)
         _set_recorded_at(self, recorded_at)
@@ -298,28 +382,46 @@ _set_recorded_at = LocationEvidence.recorded_at.__set__
 
 @dataclass(frozen=True, slots=True)
 class Owner:
-    """A team, individual or unit that owns components, with the dated evidence of where it sits."""
+    """A team, individual or unit that owns components, with the dated evidence of where it sits.
+
+    The constructor holds each field to the parser's type; a list of evidence records is stored as a tuple. The
+    snapshot that holds the owner holds its strings to UTF-8.
+    """
 
     id: str
     name: str
     kind: OwnerKind
     location_evidence: tuple[LocationEvidence, ...] = ()
 
+    def __post_init__(self):
+        evidence = self.location_evidence
+        if (
+            isinstance(self.id, str)
+            and isinstance(self.name, str)
+            and type(self.kind) is OwnerKind
+            and type(evidence) is tuple
+            and {LocationEvidence}.issuperset(map(type, evidence))
+        ):
+            return
+        subject = f"{Owner.__name__} {self.id!r} has "
+        for field, kind in (("id", str), ("name", str), ("kind", OwnerKind), ("location_evidence", tuple)):
+            if not (_holds(kind, getattr(self, field)) or kind is tuple and type(evidence) is list):
+                raise _refusal(subject + field, field, kind, getattr(self, field))
+        _column(LocationEvidence, evidence, "location_evidence", subject)
+        object.__setattr__(self, "location_evidence", tuple(evidence))
 
-class _Proof:
-    """The base of `ArchitectureSnapshot` that holds the parser's proof: a slot, not a field, so no copy keeps it."""
 
-    __slots__ = ("_proved",)
+_ID, _NAME, _PAYLOAD = operator.attrgetter("id"), operator.attrgetter("name"), operator.attrgetter("payload")
+_RECORDED_AT, _LOCATION_EVIDENCE = operator.attrgetter("recorded_at"), operator.attrgetter("location_evidence")
 
 
 @dataclass(frozen=True, slots=True)
-class ArchitectureSnapshot(_Proof):
+class ArchitectureSnapshot:
     """The dated state of a system: its components, dependency edges, owners and ownership.
 
-    `components`, `dependencies` and `ownership` are stored by one rule, `as_table`, for `validate_snapshot` to
-    report what is not a table. A snapshot that `parse_bundle` read carries its proof (`proved`) that every field,
-    owners and evidence included, holds the parser's type and every string can be encoded; any other, made by the
-    constructor, `dataclasses.replace`, `copy` or `pickle`, is unproved, and validate tests its fields in full.
+    The constructor holds it to what a parsed bundle holds: `id` a str, `taken_at` a date, each of the three record
+    lists by `as_table`, `owners` a tuple or list of exactly `Owner`s (stored as a tuple), and every string of the id
+    and the owners encodable as UTF-8. Anything else raises InvalidFieldError naming the first fault.
     """
 
     id: str
@@ -330,21 +432,28 @@ class ArchitectureSnapshot(_Proof):
     ownership: tuple[OwnershipAssignment, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "components", as_table(self.components, ComponentTable))
-        object.__setattr__(self, "dependencies", as_table(self.dependencies, EdgeTable))
-        object.__setattr__(self, "ownership", as_table(self.ownership, OwnershipTable))
-
-    @classmethod
-    def _from_parser(cls, *values) -> ArchitectureSnapshot:
-        """The proved snapshot of fields that `ingest` read and held to its types: only the parser names it."""
-        snapshot = cls(*values)
-        object.__setattr__(snapshot, "_proved", True)
-        return snapshot
-
-    @property
-    def proved(self) -> bool:
-        """Whether the parser read this snapshot and so proved its fields' types and strings."""
-        return getattr(self, "_proved", False)
+        subject = f"snapshot {self.id!r} has "
+        if not isinstance(self.id, str):
+            raise _refusal(subject + "id", "id", str, self.id)
+        if not self.id.isascii() and _SURROGATE.search(self.id):
+            raise UnencodableStringError(f"{subject}id {_UNENCODABLE}", "id")
+        if type(self.taken_at) is not date:
+            raise _refusal(subject + "taken_at", "taken_at", date, self.taken_at)
+        object.__setattr__(self, "components", as_table(self.components, ComponentTable, subject, "components"))
+        object.__setattr__(self, "dependencies", as_table(self.dependencies, EdgeTable, subject, "dependencies"))
+        owners = self.owners
+        if type(owners) not in (tuple, list):
+            raise _refusal(subject + "owners", "owners", tuple, owners)
+        _column(Owner, owners, "owners", subject)
+        # Every owner's id, name and evidence codes are strings, and a payload a code or a tuple of codes, so their
+        # chain is a chain of strings; only text that is not ASCII is searched, each owner's strings joined apart.
+        payloads = map(_PAYLOAD, chain.from_iterable(map(_LOCATION_EVIDENCE, owners)))
+        text = "".join(chain(map(_ID, owners), map(_NAME, owners), chain.from_iterable(payloads)))
+        if not text.isascii():
+            strings = [o.id + o.name + "".join(chain.from_iterable(map(_PAYLOAD, o.location_evidence))) for o in owners]
+            _encodable(text, strings, "owners", subject)
+        object.__setattr__(self, "owners", tuple(owners))
+        object.__setattr__(self, "ownership", as_table(self.ownership, OwnershipTable, subject, "ownership"))
 
     def owner_of(self) -> dict[str, str]:
         """Component id -> owner id (first assignment wins on duplicates), read from the ownership columns."""
@@ -357,17 +466,28 @@ class ArchitectureSnapshot(_Proof):
                 mapping.setdefault(component, owner)
         return mapping
 
-
-_RECORDED_AT, _LOCATION_EVIDENCE = operator.attrgetter("recorded_at"), operator.attrgetter("location_evidence")
+    def without(self, excluded: set[str]) -> ArchitectureSnapshot:
+        """The snapshot without the components whose ids are in `excluded`, the edges incident to one and their
+        assignments; with nothing excluded, itself. Its tables are selected from this snapshot's, so neither they
+        nor it are tested again."""
+        if not excluded:
+            return self
+        components, edges, ownership = self.components, self.dependencies, self.ownership
+        users, used = edges.users, edges.used
+        return _derived(
+            self,
+            components=components.select([cid not in excluded for cid in components.ids]),
+            dependencies=edges.select([u not in excluded and v not in excluded for u, v in zip(users, used)]),
+            ownership=ownership.select([cid not in excluded for cid in ownership.components]),
+        )
 
 
 def owners_as_of(snapshot: ArchitectureSnapshot) -> Sequence[Owner]:
     """The snapshot's owners as of its `taken_at`: each without its evidence records dated after that day.
 
     One evidence history may serve many snapshots, so a later record is valid input that decides no earlier one.
-    `run_pipeline` resolves this view and `validate_snapshot` judges conflicts in it. An owner with no later record
-    is itself here; when one pass over every date finds no later record, the view is `snapshot.owners`. It reads
-    dates of the parser's type, as `validate_snapshot` holds them.
+    `run_pipeline` resolves this view and `validate_snapshot` judges conflicts in it. With no later record at all,
+    the view is `snapshot.owners`.
     """
     owners, taken_at = snapshot.owners, snapshot.taken_at
     if max(map(_RECORDED_AT, chain.from_iterable(map(_LOCATION_EVIDENCE, owners))), default=taken_at) <= taken_at:
@@ -409,89 +529,24 @@ def _finding(code: str, message: str, *ids: str) -> Finding:
 
 
 def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
-    """Check the structural invariants of a snapshot.
+    """Check the structural invariants of a snapshot: violations become findings, sorted, and it never raises.
 
-    Violations become findings; the function never raises, whatever a typed
-    field or a record container holds. Findings are sorted so the report is
-    independent of collection order.
-
-    Two phases. The first holds the snapshot to the parser's types: its
-    `components`, `dependencies` and `ownership` to their tables, as which
-    the snapshot stores a tuple or list of exactly their row class, `owners`
-    to a tuple or list of exactly `Owner`s, and every owner's
-    `location_evidence` at once, as one column of containers, walking the
-    owners only when that test fails; then each typed field, an evidence
-    record's `source` and `recorded_at` included, to the exact type the
-    parser gives it. Any `field-type` finding ends validation, reported
-    alone. A snapshot the parser read carries its proof of these types,
-    so it skips this phase whole, and with it the type-and-minimum test
-    behind `invalid-multiplicity`, the payload-shape test behind
-    `evidence-shape` and the `unencodable-string` search, which the
-    parser made as it read. The
-    second phase, on a snapshot of the parser's types only, judges the id,
-    encoding, evidence, dependency and ownership invariants. Each block is a
-    set-algebra test over whole columns and, only when that test fails, a
-    listing of its offenders, one finding each. A string holding an unpaired
-    surrogate is an `unencodable-string` finding: `serialize_bundle` could
-    not write it. The duplicate-edge block asks `EdgeTable.ordered()`: rows
-    whose (user, used) pairs strictly increase, as every serialized bundle
-    lists them, repeat no edge, and only a table in another order has its
-    triples counted. Owners' evidence selections are judged, with the
-    `latest_evidence` and `conflict` that the resolver cascade uses, only
-    when one owner id holds two records of one resolver on one date, which
-    a conflict needs. They are judged as of `taken_at`, in the
-    `owners_as_of` view that `run_pipeline` resolves: a record dated later
-    is held to its shape and codes, but takes no part in a conflict. A
-    clean snapshot never formats a message.
+    The constructors hold every value to its type and every string to UTF-8, so validate judges only the invariants
+    between values: ids, codes, conflicts, self-dependencies, dangling references, duplicates and ownership. Each
+    block is a set-algebra test over whole columns and, only when it fails, a listing of its offenders. Edges whose
+    (user, used) pairs strictly increase (`EdgeTable.ordered()`), as a bundle lists them, repeat no edge. Conflicts
+    are judged, by the `latest_evidence` and `conflict` the resolver cascade uses, in the `owners_as_of` view, and
+    only when one owner id holds two records of one resolver on one date. A clean snapshot formats no message.
     """
-    proved = snapshot.proved
-    findings = [] if proved else _container_findings(snapshot)
-    if findings:
-        findings.sort()
-        return ValidationReport("failed", tuple(findings))
     components, owners, ownership = snapshot.components, snapshot.owners, snapshot.ownership
-    edges = snapshot.dependencies
     containers = [o.location_evidence for o in owners]
     cids, oids, onames = components.ids, [o.id for o in owners], [o.name for o in owners]
-    users, used, assigned, assignees = edges.users, edges.used, ownership.components, ownership.owners
-    # Each evidence record is named by its owner's id and its index among that owner's records.
+    # Each evidence record is named by its owner's id.
     records = list(chain.from_iterable(containers))
-    counts = list(map(len, containers))
-    holders = list(chain.from_iterable(map(repeat, oids, counts)))
+    holders = list(chain.from_iterable(map(repeat, oids, map(len, containers))))
     sources, dates = [ev.source for ev in records], [ev.recorded_at for ev in records]
-    # Each record kind's (field, column, type) columns, its records named by its key columns: none on a proved
-    # snapshot, whose fields hold the parser's types and strings that UTF-8 can encode.
-    typed = [] if proved else [
-        ("snapshot", ([snapshot.id],), ("id", [snapshot.id], str), ("taken_at", [snapshot.taken_at], date)),
-        ("owner", (oids,), ("id", oids, str), ("name", onames, str), ("kind", [o.kind for o in owners], OwnerKind)),
-        (
-            "evidence",
-            (holders, list(chain.from_iterable(map(range, counts)))),
-            ("source", sources, EvidenceSource),
-            ("recorded_at", dates, date),
-        ),
-        (
-            "component",
-            (cids,),
-            ("id", cids, str),
-            ("name", components.names, str),
-            ("kind", components.kinds, ComponentKind),
-            ("status", components.statuses, ComponentStatus),
-        ),
-        (
-            "dependency",
-            (users, used),
-            ("user", users, str),
-            ("owner_component", used, str),
-            ("kind", edges.kinds, DependencyKind),
-        ),
-        ("assignment", (assigned, assignees), ("component", assigned, str), ("owner", assignees, str)),
-    ]
-    findings = [finding for what, keys, *columns in typed for finding in _field_types(what, keys, *columns)]
-    if findings:
-        findings.sort()
-        return ValidationReport("failed", tuple(findings))
     component_ids, owner_ids = set(cids), set(oids)
+    findings = []
 
     for what, ids, names, known in (
         ("component", cids, components.names, component_ids),
@@ -506,145 +561,33 @@ def validate_snapshot(snapshot: ArchitectureSnapshot) -> ValidationReport:
                 for _ in range(count - 1)
             ]
 
-    for what, keys, *columns in typed:
-        findings += _unencodable(what, keys, *((field, column) for field, column, kind in columns if kind is str))
-    findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records], proved)
-    findings += _dependency_findings(edges, component_ids, proved)
-    findings += _ownership_findings(assigned, assignees, component_ids, owner_ids)
+    findings += _evidence_findings(snapshot, holders, sources, dates, [ev.payload for ev in records])
+    findings += _dependency_findings(snapshot.dependencies, component_ids)
+    findings += _ownership_findings(ownership.components, ownership.owners, component_ids, owner_ids)
     findings.sort()
     return ValidationReport("failed" if findings else "ok", tuple(findings))
 
 
-def _container_findings(snapshot: ArchitectureSnapshot) -> list[Finding]:
-    """The field-type findings of the snapshot's record containers; each owner's evidence container is tested only
-    when every owner is an `Owner`, as one column, and the owners are walked only when that test fails."""
-    key, owners = snapshot.id, snapshot.owners
-    findings = [
-        *_container_type("snapshot", key, "components", snapshot.components, Component, ComponentTable),
-        *_container_type("snapshot", key, "dependencies", snapshot.dependencies, DependencyEdge, EdgeTable),
-        *_container_type("snapshot", key, "owners", owners, Owner),
-        *_container_type("snapshot", key, "ownership", snapshot.ownership, OwnershipAssignment, OwnershipTable),
-    ]
-    if findings:
-        return findings
-    containers = [o.location_evidence for o in owners]
-    records = chain.from_iterable(containers)  # read only when every container is a tuple or list
-    if {tuple, list}.issuperset(map(type, containers)) and {LocationEvidence}.issuperset(map(type, records)):
-        return []
-    return [
-        finding
-        for o, container in zip(owners, containers)
-        for finding in _container_type("owner", o.id, "location_evidence", container, LocationEvidence)
-    ]
-
-
-def _container_type(what: str, key, field: str, container, record: type, table: type | None = None) -> list[Finding]:
-    """A field-type finding naming the first fault when `container` is neither a `table`, whose rows are `record`s,
-    nor a tuple or list of exactly `record`s."""
-    if type(container) is table:
-        return []
-    if type(container) not in (tuple, list):
-        found = f"{field} of type {type(container).__name__}, not tuple or list"
-    elif {record}.issuperset(map(type, container)):
-        return []
-    else:
-        i = next(i for i, value in enumerate(container) if type(value) is not record)
-        found = f"{field}[{i}] of type {type(container[i]).__name__}, not {record.__name__}"
-    return [_finding("field-type", f"{what} {key!r} has {found}", str(key))]
-
-
-def _field_types(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Sequence, type]) -> list[Finding]:
-    """The one field-type rule: each value of a (field, column, type) column has exactly the type a parsed bundle gives.
-
-    Each column is one C-level type test, and only when it fails are its offenders listed. Row i's record is named by
-    row i of the `keys` columns; a finding's ids are their str(), so that findings of any id type still sort.
-    """
-    findings = []
-    for field, column, expected in columns:
-        if not {expected}.issuperset(map(type, column)):
-            findings += [
-                _finding(
-                    "field-type",
-                    f"{what} {'->'.join(map(repr, key))} has {field} of type {type(value).__name__}, "
-                    f"not {expected.__name__}",
-                    *map(str, key),
-                )
-                for value, key in zip(column, zip(*keys))
-                if type(value) is not expected
-            ]
-    return findings
-
-
-def _unencodable(what: str, keys: tuple[Sequence, ...], *columns: tuple[str, Sequence[str]]) -> list[Finding]:
-    """The one encoding rule: a finding for each string of a (field, column) column that holds an unpaired surrogate.
-
-    `serialize_bundle` refuses such a string, and the parser never reads one. Each column is one join and one ASCII
-    test, and only a column that is not ASCII is searched; only when the search finds a surrogate are its offenders
-    listed, each named by row i of the `keys` columns. An evidence code needs no test here: no code that holds a
-    surrogate is a valid one.
-    """
-    findings = []
-    for field, column in columns:
-        text = "".join(column)
-        if not text.isascii() and _SURROGATE.search(text):
-            findings += [
-                _finding(
-                    "unencodable-string",
-                    f"{what} {'->'.join(map(repr, key))} has {field} holding an unpaired surrogate, "
-                    "which UTF-8 cannot encode",
-                    *key,
-                )
-                for value, key in zip(column, zip(*keys))
-                if _SURROGATE.search(value)
-            ]
-    return findings
-
-
 def _evidence_findings(
-    snapshot: ArchitectureSnapshot,
-    holders: Sequence[str],
-    sources: list[EvidenceSource],
-    dates: list[date],
-    payloads: list,
-    proved: bool,
+    snapshot: ArchitectureSnapshot, holders: Sequence[str], sources: list[EvidenceSource], dates: list[date], payloads
 ) -> list[Finding]:
-    """The evidence invariants over the evidence columns, row i of each being record i, held by owner `holders[i]`.
-
-    Two whole-column tests. The first: member_locations payloads are tuples of strings, any other payload is a
-    string, and each distinct code is valid; only when it fails are the records walked to list the offenders. A
-    proved snapshot's payloads have the shapes the parser read, so only its codes are tested. The
-    second: no owner id holds two records of one resolver on one date, which a conflict needs; only when it fails
-    does each owner with two records or more in `owners_as_of(snapshot)` have its latest records judged by
-    `conflict`. So records dated after `taken_at` are judged for their shape and codes, never for a conflict.
-    """
+    """The evidence invariants over the evidence columns, row i of each being record i, held by owner `holders[i]`:
+    each distinct code is valid, and, only when some owner id holds two records of one resolver on one date, each
+    owner of `owners_as_of(snapshot)` has its latest records judged by `conflict`. Each test is one whole-column test
+    first, and records are walked only when it fails."""
     lists = [source is _MEMBER_LOCATIONS for source in sources]
     member_payloads = list(compress(payloads, lists))
     single_codes = list(compress(payloads, map(operator.not_, lists)))
     findings = []
-    if not (
-        (
-            proved
-            or {tuple}.issuperset(map(type, member_payloads))
-            and {str}.issuperset(map(type, chain.from_iterable(member_payloads)))
-            and {str}.issuperset(map(type, single_codes))
-        )
-        and all(map(is_valid_jurisdiction, {*chain.from_iterable(member_payloads), *single_codes}))
-    ):
+    if not all(map(is_valid_jurisdiction, {*chain.from_iterable(member_payloads), *single_codes})):
         for holder, source, payload in zip(holders, sources, payloads):
             codes = payload if source is _MEMBER_LOCATIONS else (payload,)
-            if type(codes) is not tuple or not {str}.issuperset(map(type, codes)):
-                message = f"evidence payload shape does not match source {source.value!r}"
-                findings.append(_finding("evidence-shape", message, holder))
-            else:
-                findings += [
-                    _finding(
-                        "malformed-jurisdiction",
-                        f"malformed jurisdiction code {code!r} in evidence of owner {holder!r}",
-                        holder,
-                    )
-                    for code in codes
-                    if not is_valid_jurisdiction(code)
-                ]
+            message = "malformed jurisdiction code {!r} in evidence of owner {!r}"
+            findings += [
+                _finding("malformed-jurisdiction", message.format(c, holder), holder)
+                for c in codes
+                if not is_valid_jurisdiction(c)
+            ]
     if len(set(zip(holders, map(_RESOLVER_OF.__getitem__, sources), dates))) != len(holders):
         for o in owners_as_of(snapshot):
             if len(o.location_evidence) > 1:
@@ -662,12 +605,9 @@ def _dangling(column: Sequence[str], known: set[str], message: str) -> list[Find
     return [_finding("dangling-reference", message.format(x), x) for x in column if x not in known]
 
 
-def _dependency_findings(edges: EdgeTable, component_ids: set[str], proved: bool) -> list[Finding]:
-    """The dependency invariants over the edge columns, row i of each being edge i; every endpoint is a string.
-
-    A proved snapshot's multiplicities, positive ints as the parser read them, are not tested again.
-    """
-    users, used, kinds, multiplicities = edges._columns(edges)
+def _dependency_findings(edges: EdgeTable, component_ids: set[str]) -> list[Finding]:
+    """The dependency invariants over the edge columns, row i of each being edge i."""
+    users, used, kinds = edges.users, edges.used, edges.kinds
     findings = []
     if any(map(operator.eq, users, used)):
         findings += [
@@ -675,13 +615,6 @@ def _dependency_findings(edges: EdgeTable, component_ids: set[str], proved: bool
         ]
     for endpoints in (users, used):
         findings += _dangling(endpoints, component_ids, "dependency endpoint {!r} is not a component")
-    # A multiplicity is an int of at least 1, as the parser gives it: a bool, float or string never counts uses.
-    if not proved and (not {int}.issuperset(map(type, multiplicities)) or min(multiplicities, default=1) < 1):
-        findings += [
-            _finding("invalid-multiplicity", f"dependency {u!r}->{v!r} has multiplicity {m!r}", u, v)
-            for u, v, m in zip(users, used, multiplicities)
-            if type(m) is not int or m < 1
-        ]
     # Strictly increasing (user, used) pairs, as every serialized bundle lists them, repeat no edge.
     if not edges.ordered():
         findings += [

@@ -12,7 +12,6 @@ from taxarch.generate import GeneratorParams, fixture, generate
 from taxarch.ingest import (
     BundleParseError,
     SchemaError,
-    UnencodableStringError,
     UnsupportedVersionError,
     parse_bundle,
     serialize_bundle,
@@ -25,6 +24,7 @@ from taxarch.model import (
     LocationEvidence,
     Owner,
     OwnershipAssignment,
+    UnencodableStringError,
     validate_snapshot,
 )
 
@@ -302,33 +302,56 @@ def test_serialize_peak_memory_stays_below_two_and_a_half_times_the_output():
     assert peak < 2.5 * len(data)
 
 
-# The place is counted in the document as written, whose records are sorted.
+# Each string is refused by the constructor of the snapshot that would hold it, which names the record and field; the
+# parser names the same string by its place in the document as written, whose records are sorted.
 @pytest.mark.parametrize(
-    "collection, pick, changes, field",
+    "collection, pick, changes, refused, field",
     [
-        ("components", lambda c: c.id == "svc-31", {"name": "svc \ud800"}, "components[7].name"),
+        (
+            "components",
+            lambda c: c.id == "svc-31",
+            {"name": "svc \ud800"},
+            "ComponentTable has name[7]",
+            "components[7].name",
+        ),
         (
             "dependencies",
             lambda e: e.user == "svc-71",
             {"owner_component": "svc-70\udfff"},
+            "EdgeTable has owner_component[14]",
             "dependencies[16].owner_component",
         ),
         (
             "owners",
             lambda o: o.id == "team-ab-platform",
             {"location_evidence": (LocationEvidence(EvidenceSource.EXPLICIT_ASSIGNMENT, "SWE\ude80", TODAY),)},
+            "snapshot 'devnullsoft-2023Q2' has owners[1]",
             "owners[1].location_evidence[0].payload",
         ),
     ],
     ids=["component-name", "edge-in-a-later-block", "evidence-payload"],
 )
-@pytest.mark.parametrize("block", [3, ingest._BLOCK_RECORDS])
-def test_unencodable_string_is_a_typed_error_naming_its_field(collection, pick, changes, field, block):
+@pytest.mark.parametrize("made", ["constructed", "parsed"])
+def test_unencodable_string_is_refused_by_the_constructors_naming_its_field(
+    collection, pick, changes, refused, field, made
+):
     snapshot = fixture("devnullsoft")
     records = tuple(dataclasses.replace(r, **changes) if pick(r) else r for r in getattr(snapshot, collection))
-    snapshot = dataclasses.replace(snapshot, **{collection: records})
-    with mock.patch.object(ingest, "_BLOCK_RECORDS", block), pytest.raises(UnencodableStringError) as exc:
-        serialize_bundle(snapshot)
+    if made == "constructed":
+        with pytest.raises(UnencodableStringError) as exc:
+            dataclasses.replace(snapshot, **{collection: records})
+        assert str(exc.value) == f"{refused} holding an unpaired surrogate, which UTF-8 cannot encode"
+        return
+    doc = json.loads(serialize_bundle(snapshot))
+    *path, last = re.findall(r"\w+", field)
+    node = doc
+    for key in path:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[int(last) if last.isdigit() else last] = {
+        "components": "svc \ud800", "dependencies": "svc-70\udfff", "owners": "SWE\ude80"
+    }[collection]
+    with pytest.raises(BundleParseError) as exc:
+        parse_bundle(json.dumps(doc))
     assert str(exc.value) == f"{field} holds an unpaired surrogate, which UTF-8 cannot encode"
 
 
@@ -380,5 +403,5 @@ def test_the_fault_walk_reads_a_fault_in_the_last_record_a_block_at_a_time():
     records[-1]["multiplicity"] = 0
     with mock.patch.object(ingest, "_require_keys", wraps=ingest._require_keys) as require_keys:
         with pytest.raises(SchemaError, match=r"^dependencies\[19999\]\.multiplicity must be a positive integer$"):
-            ingest._records(ingest._EDGE, records, "dependencies")
+            ingest._records(ingest._EDGE, ingest.EdgeTable, records, "dependencies")
     assert 0 < require_keys.call_count <= ingest._WALK_RECORDS

@@ -16,9 +16,10 @@
 - No use of `object.__new__`: a record is built only through its
   constructor, so the one place that sets its fields is the one place to
   read.
-- No `except` clause in `model.py` names `TypeError`: `validate_snapshot`
-  judges its invariants only on fields of the parser's types, so no code
-  there survives a value of another type.
+- No `except` clause in `model.py` names `TypeError` but the column
+  rule's, `_column`, whose join of a str column is that column's type
+  test and which raises `InvalidFieldError` in its place: no code there
+  survives a value of another type.
 - Every submodule is the package attribute of its name, and every name
   in `__all__` resolves: an exported function named as a submodule
   would hide the module from `import taxarch.<name> as m`.
@@ -28,13 +29,10 @@
 - Every class declared with `dataclass(...)` has its own docstring:
   `dataclasses` builds the missing one from `inspect.signature` of the
   class, a cost every import of the package pays.
-- Only `model.py`, which defines it, and `ingest.py`, the parser, name
-  `ArchitectureSnapshot._from_parser`, the one constructor of a snapshot
-  that carries the parser's proof of its types: `validate_snapshot`
-  skips its type checks on such a snapshot, so no other code may claim
-  that proof. The proof is granted in one place and read in one: the
-  snapshot defines `_from_parser` and `proved`, `ingest._snapshot_from`
-  alone calls the one and `validate_snapshot` alone reads the other.
+- `model.py` defines the column rule, `_column` and `_encodable`, and
+  only the constructors (a `__post_init__` or `__init__` there) use it:
+  the type of every value a snapshot holds is judged in one place, when
+  it is built, and nowhere else.
 """
 
 import ast
@@ -149,9 +147,13 @@ def test_no_source_names_exec(path):
 
 
 def test_the_model_has_no_except_clause_naming_type_error():
-    clauses = [node for node in ast.walk(_tree(PACKAGE / "model.py")) if isinstance(node, ast.ExceptHandler)]
-    lines = [node.lineno for node in clauses if node.type and "TypeError" in ast.unparse(node.type)]
+    tree = _tree(PACKAGE / "model.py")
+    scopes = _scopes(tree)
+    clauses = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    names = [(scopes.get(id(n)), n.lineno) for n in clauses if n.type and "TypeError" in ast.unparse(n.type)]
+    lines = [line for scope, line in names if scope != "_column"]
     assert lines == [], f"model.py: except TypeError on line(s) {lines}"
+    assert [scope for scope, _ in names] == ["_column"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
@@ -168,34 +170,33 @@ def test_every_dataclass_has_its_own_docstring(path):
     assert bare == [], f"{path.relative_to(PACKAGE)}: no docstring on {bare}"
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name not in ("model.py", "ingest.py")], ids=lambda p: str(p.relative_to(PACKAGE))
-)
-def test_only_the_model_and_the_parser_name_the_proving_constructor(path):
+COLUMN_RULE = ("_column", "_encodable")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_only_the_constructors_use_the_column_rule(path):
     tree = _tree(path)
-    names = [(node.lineno, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name)]
-    names += [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-    names += [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, (ast.alias, ast.FunctionDef))]
-    uses = [line for line, name in names if name == "_from_parser"]
-    assert uses == [], f"{path.relative_to(PACKAGE)}: names _from_parser on line(s) {uses}"
-
-
-def test_the_snapshot_grants_the_proof_the_parser_calls_it_and_validate_reads_it():
-    # The rule above would pass vacuously if the constructor were renamed.
-    model = _tree(PACKAGE / "model.py")
-    classes = {node.name: node for node in ast.walk(model) if isinstance(node, ast.ClassDef)}
-    methods = {node.name for node in classes["ArchitectureSnapshot"].body if isinstance(node, ast.FunctionDef)}
-    assert {"_from_parser", "proved"} <= methods
-    uses = []
-    for path in SOURCES:
-        tree = _tree(path)
-        scopes = _scopes(tree)
-        uses += [
-            (path.name, scopes.get(id(node)), node.attr)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("_from_parser", "proved", "_proved")
-        ]
-    assert sorted(uses) == [
-        ("ingest.py", "_snapshot_from", "_from_parser"),
-        ("model.py", "validate_snapshot", "proved"),
+    scopes = _scopes(tree)
+    uses = [
+        (node.lineno, scopes.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) in COLUMN_RULE
     ]
+    outside = [line for line, scope in uses if path.name != "model.py" or scope not in ("__post_init__", "__init__")]
+    assert outside == [], f"{path.relative_to(PACKAGE)}: column rule outside a constructor on line(s) {outside}"
+
+
+def test_the_model_defines_the_column_rule_and_its_constructors_use_it():
+    # The rule above would pass vacuously if the column rule were renamed.
+    tree = _tree(PACKAGE / "model.py")
+    scopes = _scopes(tree)
+    assert set(COLUMN_RULE) <= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    users = {scopes.get(id(node)) for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in COLUMN_RULE}
+    classes = {
+        scope.name: {node.name for node in scope.body if isinstance(node, ast.FunctionDef)}
+        for scope in ast.walk(tree)
+        if isinstance(scope, ast.ClassDef)
+    }
+    assert users == {"__post_init__", "__init__"}
+    assert "__post_init__" in classes["Table"] and "__init__" in classes["LocationEvidence"]
