@@ -17,6 +17,7 @@ the same id; every other owner of B keeps A's assignment.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from datetime import date
@@ -24,7 +25,6 @@ from itertools import filterfalse
 from operator import attrgetter
 
 from .classify import ComplianceStats, JurisdictionFlowMatrix, ScopePolicy, aggregate, apply_scope_filter, compute_stats
-from .jsontext import array, quote, strings
 from .model import ArchitectureSnapshot, Component, ComponentTable, Owner, as_table, owners_as_of
 from .resolve import DEFAULT_CASCADE, JurisdictionAssignment, Resolver, resolution_summary, resolve_jurisdictions
 
@@ -137,39 +137,9 @@ class SnapshotDelta:
         }
 
     def to_json(self) -> str:
-        """`to_dict()` as `json.dumps(indent=2, ensure_ascii=False)` writes it, plus a newline, formatted by schema."""
-        edges_added, edges_removed = (
-            ["    " + strings(edge, "    ") for edge in edges] for edges in (self.edges_added, self.edges_removed)
-        )
-        multiplicity_changes = [
-            f'    {{\n      "edge": {strings(edge, "      ")},\n      "delta": {int.__repr__(delta)}\n    }}'
-            for edge, delta in self.multiplicity_changes
-        ]
-        ownership_changes = [
-            f'    {{\n      "component": {quote(c)},\n      "old_owner": {quote(old)},\n'
-            f'      "new_owner": {quote(new)}\n    }}'
-            for c, old, new in self.ownership_changes
-        ]
-        jurisdiction_changes = [
-            f'    {{\n      "owner": {quote(o)},\n      "old": {quote(old)},\n      "new": {quote(new)}\n    }}'
-            for o, old, new in self.jurisdiction_changes
-        ]
-        matrix_delta = [
-            f'    {{\n      "user": {quote(user_j)},\n      "owner": {quote(used_j)},\n'
-            f'      "delta": {int.__repr__(delta)}\n    }}'
-            for (user_j, used_j), delta in self.matrix_delta
-        ]
-        return (
-            f'{{\n  "snapshot_a": {quote(self.snapshot_a)},\n  "snapshot_b": {quote(self.snapshot_b)},\n'
-            f'  "components_added": {strings(self.components_added, "  ")},\n'
-            f'  "components_removed": {strings(self.components_removed, "  ")},\n'
-            f'  "edges_added": {array(edges_added, "  ")},\n  "edges_removed": {array(edges_removed, "  ")},\n'
-            f'  "multiplicity_changes": {array(multiplicity_changes, "  ")},\n'
-            f'  "ownership_changes": {array(ownership_changes, "  ")},\n'
-            f'  "jurisdiction_changes": {array(jurisdiction_changes, "  ")},\n'
-            f'  "matrix_delta": {array(matrix_delta, "  ")},\n'
-            f'  "coupled_change_count": {int.__repr__(self.coupled_change_count)}\n}}\n'
-        )
+        """`delta.json`: `to_dict()`, the one schema of the delta, as `json.dumps(indent=2, ensure_ascii=False)`
+        writes it, plus a newline."""
+        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
 def _edge_rows(snapshot: ArchitectureSnapshot) -> Iterator[tuple]:

@@ -212,7 +212,7 @@ def _snapshot_from(data) -> _Fields:
     dependencies = _records(_EDGE, EdgeTable, data["dependencies"], "dependencies")
     owners = _records(_OWNER, Owner, data["owners"], "owners")
     ownership = _records(_ASSIGNMENT, OwnershipTable, data["ownership"], "ownership")
-    taken_at = _read(date, (data["taken_at"],), "taken_at", {})[0]
+    taken_at = _read(date, (data["taken_at"],), "taken_at")[0]
     return _Fields(data["snapshot_id"], taken_at, components, dependencies, owners, ownership)
 
 
@@ -265,7 +265,7 @@ def _columns(schema: tuple, records: list, where: str) -> dict[str, tuple]:
             values = tuple(map(operator.itemgetter(name), records))
         else:
             values = tuple(record.get(name, default) for record in records)
-        read[name] = _read(kind, values, f"{where}.{name}", read)
+        read[name] = _read(kind, values, f"{where}.{name}")
     return read
 
 
@@ -286,7 +286,7 @@ def _record(schema: tuple, cls: type, record, where: str) -> None:
     read, failed = {}, None
     for i, (name, default, kind) in enumerate(schema):
         try:
-            read[name] = _read(kind, (record.get(name, default),), f"{where}.{name}", read)
+            read[name] = _read(kind, (record.get(name, default),), f"{where}.{name}")
         except SchemaError as exc:
             failed, read[name] = failed or (i, exc), (_STAND_IN[kind],)
     try:
@@ -307,11 +307,10 @@ def _record(schema: tuple, cls: type, record, where: str) -> None:
 _MEMBER_LOCATIONS = EvidenceSource.MEMBER_LOCATIONS
 
 
-def _read(kind, values: tuple, where: str, read: dict[str, tuple]) -> tuple:
+def _read(kind, values: tuple, where: str) -> tuple:
     """The column `values` of a field of kind `kind`: a date or enum converted from its text, evidence records read
     as their own list, any other kind as given, for the record's constructor to hold. A fault raises SchemaError
-    naming `where` and showing the column's first value: the walk reads one record at a time. `read`, the columns
-    before this one, is there for a reading that depends on them, which none does.
+    naming `where` and showing the column's first value: the walk reads one record at a time.
     """
     if kind is date:  # each distinct text parsed once
         if not {str}.issuperset(map(type, values)):

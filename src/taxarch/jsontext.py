@@ -1,11 +1,13 @@
 """JSON text as `json.dumps(value, indent=2, ensure_ascii=False)` writes it, for the fixed-schema writers.
 
-The bundle, `report.json` and `delta.json` have fixed schemas, so their
-writers format each record as one f-string at its fixed indent instead of
-handing a dict to `json.dumps`, whose `indent` falls back to the
+Two writers use it, each kept for the workload it serves: `report.json`
+(`views.emit_report`, on `report`) and the bundle (`ingest.serialize_bundle`,
+on `gen`). Each formats its records as f-strings at their fixed indent
+instead of handing a dict to `json.dumps`, whose `indent` falls back to the
 pure-Python encoder. Every string goes through `quote`, the C escaper
 `json.dumps` itself uses with `ensure_ascii=False`, so the bytes are the
-ones `json.dumps` would write.
+ones `json.dumps` would write. `delta.json` has no such writer: it is
+`json.dumps` of `SnapshotDelta.to_dict()`.
 """
 
 from __future__ import annotations

@@ -92,6 +92,19 @@ def test_classify_cross_border():
 def test_classify_unowned_endpoint_raises():
     with pytest.raises(IntegrityError):
         classify_edge(DependencyEdge("a", "b"), {"a": "t1"}, {"t1": "DEU"})
+    # Both rules, per edge and per matrix, refuse the same edge of devnullsoft with svc-01's owner taken away.
+    snapshot = fixture("devnullsoft")
+    owner_of = snapshot.owner_of()
+    del owner_of["svc-01"]
+    assignments = resolve_jurisdictions(list(snapshot.owners), DEFAULT_CASCADE)
+    jurisdiction_of = {a.owner: a.jurisdiction for a in assignments}
+    message = "dependency 'svc-02'->'svc-01' has an unowned endpoint"
+    with pytest.raises(IntegrityError) as exc:
+        classify_edge(DependencyEdge("svc-02", "svc-01"), owner_of, jurisdiction_of)
+    assert str(exc.value) == message
+    with pytest.raises(IntegrityError) as exc:
+        aggregate(snapshot, owner_of, assignments)
+    assert str(exc.value) == message
 
 
 def test_scope_filter_excludes_non_production():

@@ -163,8 +163,63 @@ def test_bundle_and_fixture_are_exclusive_and_one_is_required(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
-def test_bad_resolvers_flag_exit_2(devnullsoft_bundle):
-    assert main(["stats", str(devnullsoft_bundle), "--resolvers", "member_majority(0.3)"]) == 2
+# Each bad flag or config, with the one `error:` line it exits 2 with; `{bundle}` is the devnullsoft bundle and
+# `{tmp}` the test's directory, which holds the configs `list.json` (`[]`) and `html.json` (`{"format": "html"}`).
+_BAD_FLAGS = [
+    (["stats", "{bundle}", "--include-statuses", ",,"], "include_statuses must not be empty"),
+    (
+        ["stats", "{bundle}", "--include-statuses", "PRODUCTION"],
+        "bad --include-statuses: 'PRODUCTION' is not a valid ComponentStatus",
+    ),
+    (
+        ["stats", "{bundle}", "--resolvers", "member_majority(0.3)"],
+        "member_majority threshold must be in (0.5, 1], got 0.3",
+    ),
+    (["stats", "{bundle}", "--resolvers", "member_majority(x)"], "bad resolver parameter in 'member_majority(x)'"),
+    (["stats", "{bundle}", "--resolvers", ",,"], "cascade must name at least one resolver"),
+    (
+        ["stats", "{bundle}", "--resolvers", "explicit_assignment(0.9)"],
+        "resolver 'explicit_assignment' takes no threshold",
+    ),
+    (
+        ["report", "{bundle}", "--buckets", "1,1", "--out-dir", "{tmp}/out"],
+        "bad --buckets: boundaries must be strictly ascending and >= 2, got (1, 1)",
+    ),
+    (
+        ["report", "{bundle}", "--buckets", "x", "--out-dir", "{tmp}/out"],
+        "bad --buckets: invalid literal for int() with base 10: 'x'",
+    ),
+    (
+        ["gen", "--components", "10", "--teams", "2", "--jurisdictions", "SWE", "--out", "{tmp}/out"],
+        "bad --jurisdictions 'SWE' (expected CODE:WEIGHT,...)",
+    ),
+    (
+        ["stats", "{bundle}", "--config", "{tmp}/missing.json"],
+        "cannot read config {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+    ),
+    (["stats", "{bundle}", "--config", "{tmp}/list.json"], "config {tmp}/list.json must be a JSON object"),
+    (
+        ["report", "{bundle}", "--config", "{tmp}/html.json", "--out-dir", "{tmp}/out"],
+        "unsupported table format 'html' for report",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, error", _BAD_FLAGS)
+def test_bad_flag_or_config_exit_2_with_its_error_line(tmp_path, devnullsoft_bundle, capsys, argv, error):
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "html.json").write_text(json.dumps({"format": "html"}))
+    where = {"bundle": devnullsoft_bundle, "tmp": tmp_path}
+    assert main([arg.format(**where) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error.format(**where)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_records_the_include_statuses_it_ran_with(tmp_path):
+    argv = ["report", "--fixture", "devnullsoft", "--include-statuses", "deprecated,production"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert doc["metadata"]["scope_policy"]["include_statuses"] == ["deprecated", "production"]
 
 
 def test_diff_identical_bundles(devnullsoft_bundle, capsys):

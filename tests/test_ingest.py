@@ -356,15 +356,19 @@ def test_unencodable_string_is_refused_by_the_constructors_naming_its_field(
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, message",
     [
-        lambda doc: doc.update(components=[1]),
-        lambda doc: doc.update(components=5),
-        lambda doc: doc["owners"][0].update(location_evidence=5),
-        lambda doc: doc["owners"][0].update(location_evidence=[1]),
-        lambda doc: doc["components"][0].update(id=5),
-        lambda doc: doc["components"][0].update(name=[1]),
-        lambda doc: doc["owners"][0].update(name=5),
+        (lambda doc: doc.update(components=[1]), "components[0] must be a JSON object"),
+        (lambda doc: doc.update(components=5), "components must be a JSON array"),
+        (lambda doc: doc["owners"][0].update(location_evidence=5), "owners[0].location_evidence must be a JSON array"),
+        (
+            lambda doc: doc["owners"][0].update(location_evidence=[1]),
+            "owners[0].location_evidence[0] must be a JSON object",
+        ),
+        (lambda doc: doc["components"][0].update(id=5), "components[0].id must be a string"),
+        (lambda doc: doc["components"][0].update(name=[1]), "components[0].name must be a string"),
+        (lambda doc: doc["owners"][0].update(name=5), "owners[0].name must be a string"),
+        (lambda doc: doc.update(snapshot_id=5), "bundle.snapshot_id must be a string"),
     ],
     ids=[
         "record-not-object",
@@ -374,13 +378,15 @@ def test_unencodable_string_is_refused_by_the_constructors_naming_its_field(
         "id-not-string",
         "component-name-not-string",
         "owner-name-not-string",
+        "snapshot-id-not-string",
     ],
 )
-def test_wrongly_typed_nodes_raise_schema_error(mutate):
+def test_wrongly_typed_nodes_raise_schema_error(mutate, message):
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))
     mutate(doc)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as exc:
         parse_bundle(json.dumps(doc))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,19 @@ def test_a_repeated_assignment_is_a_duplicate_not_a_second_owner(small_snapshot,
     assert report.findings[0].message == "duplicate assignment of component 'a' to owner 't1'"
 
 
+def test_owner_of_keeps_a_components_first_assignment():
+    devnullsoft = fixture("devnullsoft")
+    snapshot = make_snapshot(
+        devnullsoft.components,
+        devnullsoft.dependencies,
+        devnullsoft.owners,
+        list(devnullsoft.ownership) + [OwnershipAssignment("svc-00", "team-ltd-commerce")],
+    )
+    owner_of = snapshot.owner_of()
+    assert owner_of["svc-00"] == "team-ab-platform"  # `dict(zip(...))` would keep the last, team-ltd-commerce
+    assert owner_of == devnullsoft.owner_of()
+
+
 def test_multiple_owners_counts_distinct_owners(small_snapshot):
     snapshot = make_snapshot(
         small_snapshot.components,

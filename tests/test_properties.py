@@ -684,7 +684,7 @@ PARSERS = {
     "dependencies": (_parsed("dependencies"), _checked_dependencies, dependency_records),
     "owners": (_parsed("owners"), _checked_owners, owner_records),
     "evidence": (
-        lambda records: ingest._read(LocationEvidence, (records,), "owners[0].location_evidence", {})[0],
+        lambda records: ingest._read(LocationEvidence, (records,), "owners[0].location_evidence")[0],
         lambda records: _checked_evidence(records, "owners[0].location_evidence"),
         evidence_records,
     ),
