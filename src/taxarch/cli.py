@@ -65,7 +65,7 @@ def _merge_config(args) -> None:
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from None
+        raise CliError(f"cannot read config {path}: {_reason(exc)}") from None
     if not isinstance(config, dict):
         raise CliError(f"config {path} must be a JSON object")
     unknown = config.keys() - _CONFIG_TYPES.keys()
@@ -117,15 +117,22 @@ def _bucket_scheme(args) -> BucketScheme | None:
             return BucketScheme()
         boundaries = tuple(int(b) for b in str(spec).split(",") if b)
         return BucketScheme(boundaries)
-    except (ValueError, BucketSchemeError) as exc:
+    except BucketSchemeError as exc:
         raise CliError(f"bad --buckets: {exc}") from None
+    except ValueError:  # a boundary that is no integer
+        raise CliError(f"bad --buckets {spec!r} (expected none, default or BOUNDARY,...)") from None
+
+
+def _reason(exc: Exception) -> str:
+    """Why a read or write failed, without the path that an `OSError`'s own text repeats."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _read_snapshot(path: str) -> ArchitectureSnapshot:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise CliError(f"cannot read {path}: {_reason(exc)}") from None
     try:
         return parse_bundle(data)
     except IngestError as exc:
@@ -149,7 +156,7 @@ def _write(data: bytes, path: str | Path | None) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise CliError(f"cannot write {path or 'standard output'}: {exc}") from None
+        raise CliError(f"cannot write {path or 'standard output'}: {_reason(exc)}") from None
 
 
 def _require_valid(snapshot: ArchitectureSnapshot) -> None:
@@ -210,7 +217,7 @@ def cmd_report(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot write {out_dir}: {exc}") from None
+        raise CliError(f"cannot write {out_dir}: {_reason(exc)}") from None
     _write(emit_graph(run.matrix, scheme=scheme).encode("utf-8"), out_dir / "view.dot")
     _write(emit_table(run.matrix, table_format, scheme=scheme).encode("utf-8"), out_dir / table_file)
     _write((component_csv + "\n" + owner_csv).encode("utf-8"), out_dir / "registers.csv")

@@ -458,13 +458,8 @@ class ArchitectureSnapshot:
     def owner_of(self) -> dict[str, str]:
         """Component id -> owner id (first assignment wins on duplicates), read from the ownership columns."""
         ownership = self.ownership
-        components, owners = ownership.components, ownership.owners
-        mapping = dict(zip(components, owners))
-        if len(mapping) != len(components):  # a component assigned twice: its first assignment wins
-            mapping = {}
-            for component, owner in zip(components, owners):
-                mapping.setdefault(component, owner)
-        return mapping
+        # Read backwards, a component's first assignment is the last written, so it is the one kept.
+        return dict(zip(reversed(ownership.components), reversed(ownership.owners)))
 
     def without(self, excluded: set[str]) -> ArchitectureSnapshot:
         """The snapshot without the components whose ids are in `excluded`, the edges incident to one and their

@@ -97,10 +97,9 @@ def resolve_jurisdictions(owners: list[Owner], cascade: tuple[Resolver, ...] = D
     Every record given counts, whatever its date: `run_pipeline` gives a snapshot's owners as of its `taken_at`.
     A resolver the cascade reaches raises ConflictingEvidenceError when those records conflict.
 
-    Expects the owners of a snapshot that `validate_snapshot` accepts. An owner it refuses may raise TypeError or
-    KeyError here, or be decided from the wrong codes: a `source` that is not an EvidenceSource, a `recorded_at` that
-    is not a date (dates that cannot be ordered raise a plain TypeError; there is no UnorderableEvidenceError), or a
-    payload not of its source's shape, such as a `member_locations` list holding a number.
+    Expects the owners of a snapshot that `validate_snapshot` accepts. Their constructors refuse a source, a date or
+    a payload of the wrong type or shape, so an owner list it has not judged fails here only on conflicting evidence,
+    as above; a malformed jurisdiction code is assigned as it stands.
     """
     if not cascade:
         raise CascadeConfigError("cascade must not be empty")

@@ -187,7 +187,7 @@ _BAD_FLAGS = [
     ),
     (
         ["report", "{bundle}", "--buckets", "x", "--out-dir", "{tmp}/out"],
-        "bad --buckets: invalid literal for int() with base 10: 'x'",
+        "bad --buckets 'x' (expected none, default or BOUNDARY,...)",
     ),
     (
         ["gen", "--components", "10", "--teams", "2", "--jurisdictions", "SWE", "--out", "{tmp}/out"],
@@ -195,8 +195,11 @@ _BAD_FLAGS = [
     ),
     (
         ["stats", "{bundle}", "--config", "{tmp}/missing.json"],
-        "cannot read config {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+        "cannot read config {tmp}/missing.json: No such file or directory",
     ),
+    (["validate", "{tmp}/missing.json"], "cannot read {tmp}/missing.json: No such file or directory"),
+    (["fixture", "devnullsoft", "--out", "{tmp}/list.json/out"], "cannot write {tmp}/list.json/out: Not a directory"),
+    (["report", "{bundle}", "--out-dir", "{tmp}/list.json"], "cannot write {tmp}/list.json: File exists"),
     (["stats", "{bundle}", "--config", "{tmp}/list.json"], "config {tmp}/list.json must be a JSON object"),
     (
         ["report", "{bundle}", "--config", "{tmp}/html.json", "--out-dir", "{tmp}/out"],

@@ -641,6 +641,11 @@ def _with_first_owner(small_snapshot, location_evidence):
             "components",
         ),
         (
+            lambda s: dataclasses.replace(s, owners=frozenset(s.owners)),
+            "snapshot 'test' has owners of type frozenset, not tuple",
+            "owners",
+        ),
+        (
             lambda s: dataclasses.replace(s, owners=(s.owners[0], "t2")),
             "snapshot 'test' has owners[1] of type str, not Owner",
             "owners",
@@ -670,6 +675,7 @@ def _with_first_owner(small_snapshot, location_evidence):
         "evidence-none",
         "evidence-dict",
         "components-int",
+        "owners-frozenset",
         "owners-str",
         "ownership-iterator",
         "dependencies-int",
@@ -742,6 +748,8 @@ def test_each_table_reads_as_the_tuple_of_its_rows(table):
     assert built[:0] == () and not built[:0] and table() == table.from_rows([])
     assert random.Random(7).sample(built, 2) == random.Random(7).sample(rows, 2)
     assert built + rows[:1] == rows + rows[:1] and type(built + built) is table and built + built == rows + rows
+    with pytest.raises(TypeError):
+        built + 5
     assert rows[1] in built and table.of(rows) == built and table.of(list(rows)) == built
     assert built.select([True, False, True]) == (rows[0], rows[2])
     assert built != list(rows) and built != rows[:2]

@@ -23,6 +23,12 @@
 - Every submodule is the package attribute of its name, and every name
   in `__all__` resolves: an exported function named as a submodule
   would hide the module from `import taxarch.<name> as m`.
+- No module imports a name from the package root but `__version__`:
+  the root binds each public name on first use by importing the module
+  that defines it, so a name taken from there would load that module
+  unseen, and could import a module half-initialised in a cycle.
+- An import loads only the modules it needs: `import taxarch` loads no
+  submodule, and each submodule loads only what it imports itself.
 - No source names `exec`: the package generates no code of its own,
   and every record is built by the constructor that `dataclasses` gives
   it or, for `LocationEvidence`, by the one hand-written constructor.
@@ -37,7 +43,9 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,6 +131,40 @@ def test_each_submodule_is_the_package_attribute_of_its_name(name):
 
 def test_every_exported_name_resolves():
     assert [name for name in taxarch.__all__ if not hasattr(taxarch, name)] == []
+    assert set(taxarch.__all__) <= set(dir(taxarch)) and not hasattr(taxarch, "no_such_module")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_module_imports_a_name_from_the_package_root_but_its_version(path):
+    names = [
+        (node.lineno, alias.name)
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "taxarch"))
+        for alias in node.names
+    ]
+    outside = [(line, name) for line, name in names if name != "__version__"]
+    assert outside == [], f"{path.relative_to(PACKAGE)}: imports from the package root {outside}"
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import taxarch", []),
+        ("import taxarch.ingest", ["ingest", "jsontext", "model"]),
+        ("from taxarch import parse_bundle", ["ingest", "jsontext", "model"]),
+        ("import taxarch; taxarch.jsontext", ["jsontext"]),
+        ("from taxarch import *", ["classify", "diff", "generate", "ingest", "jsontext", "model", "resolve", "views"]),
+        (
+            "import taxarch.cli",
+            ["classify", "cli", "diff", "generate", "ingest", "jsontext", "model", "resolve", "views"],
+        ),
+    ],
+)
+def test_an_import_in_a_fresh_interpreter_loads_only_the_modules_it_needs(statement, loaded):
+    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'taxarch'))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split() == ["taxarch", *(f"taxarch.{name}" for name in loaded)]
 
 
 def _scopes(tree: ast.AST) -> dict[int, str]:

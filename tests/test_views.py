@@ -159,6 +159,11 @@ def test_markdown_table():
     assert "| DEU |" in text
 
 
+def test_an_unknown_table_format_is_refused():
+    with pytest.raises(ValueError, match="^unknown table format 'html'$"):
+        emit_table(devnullsoft_matrix(), "html")
+
+
 def devnullsoft_run() -> PipelineRun:
     return run_pipeline(fixture("devnullsoft"), DEFAULT_CASCADE, ScopePolicy())
 
