@@ -15,26 +15,70 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import JurisdictionFlowMatrix, ScopePolicy, compute_stats
-from .diff import PipelineRun, diff_snapshots, run_pipeline
 from .generate import FIXTURE_NAMES, GeneratorParams, fixture, generate
-from .ingest import IngestError, parse_bundle, serialize_bundle
 from .model import ArchitectureSnapshot, ComponentStatus, validate_snapshot
-from .resolve import DEFAULT_CASCADE, CascadeConfigError, parse_cascade
 
-# Not called here: the benchmark tracer (perfbench/tracer.py, LAYER_OF_SPAN)
-# still wraps these names in this module; they go when its table drops them.
-from .classify import aggregate, apply_scope_filter  # noqa: F401
-from .resolve import resolution_summary, resolve_jurisdictions  # noqa: F401
-from .views import (
-    BucketScheme,
-    BucketSchemeError,
-    build_registers,
-    emit_graph,
-    emit_registers,
-    emit_report,
-    emit_table,
-)
+# Each name the commands take from a submodule other than `generate` and `model` -> that submodule. The names are
+# imported on first use, so that a command loads only the submodules it runs: `main` binds the names of the chosen
+# command's submodules (`_RUNS`) before running it, and `__getattr__` serves any of them to a caller from outside.
+# The benchmark's tracer reads, and replaces with wrappers, some names here that no command calls from this module:
+# `aggregate`, `apply_scope_filter`, `resolution_summary` and `resolve_jurisdictions`.
+_HOMES = {
+    "JurisdictionFlowMatrix": "classify",
+    "ScopePolicy": "classify",
+    "aggregate": "classify",
+    "apply_scope_filter": "classify",
+    "compute_stats": "classify",
+    "PipelineRun": "diff",
+    "diff_snapshots": "diff",
+    "run_pipeline": "diff",
+    "IngestError": "ingest",
+    "parse_bundle": "ingest",
+    "serialize_bundle": "ingest",
+    "DEFAULT_CASCADE": "resolve",
+    "CascadeConfigError": "resolve",
+    "parse_cascade": "resolve",
+    "resolution_summary": "resolve",
+    "resolve_jurisdictions": "resolve",
+    "BucketScheme": "views",
+    "BucketSchemeError": "views",
+    "build_registers": "views",
+    "emit_graph": "views",
+    "emit_registers": "views",
+    "emit_report": "views",
+    "emit_table": "views",
+}
+
+# The submodules of `_HOMES` each command runs; `generate` and `model` are imported with this module.
+_RUNS = {
+    "validate": ("ingest",),
+    "gen": ("ingest",),
+    "fixture": ("ingest", "views"),
+    "diff": ("classify", "diff", "ingest", "resolve"),
+    "stats": ("classify", "diff", "ingest", "resolve"),
+    "report": ("classify", "diff", "ingest", "resolve", "views"),
+}
+
+
+def __getattr__(name: str):
+    """Import `name` from the submodule that defines it, bind it here and return it."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `__import__` with a from-list gives the submodule, as `importlib.import_module` does, but through the import
+    # statement's own path, so that `python -X importtime` reports the submodule it loads.
+    value = getattr(__import__(f"{__package__}.{home}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(command: str) -> None:
+    """Bind the names of the submodules `command` runs. A name already bound stays as it is: it may be a wrapper
+    that a caller put in its place."""
+    for name, home in _HOMES.items():
+        if home in _RUNS[command] and name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -373,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        _bind(args.command)
         _merge_config(args)
         return args.func(args)
     except CliError as exc:

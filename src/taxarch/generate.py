@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass
 from datetime import date
 
-from .classify import JurisdictionFlowMatrix
 from .model import (
     UNKNOWN,
     ArchitectureSnapshot,
@@ -285,6 +284,9 @@ _CASESTUDY_ROWS = (
 
 
 def _casestudy_matrix() -> JurisdictionFlowMatrix:
+    # Imported here, so that importing the generator does not import `classify` and, through it, `resolve`.
+    from .classify import JurisdictionFlowMatrix
+
     counts = {
         (_CASESTUDY_CODES[i], _CASESTUDY_CODES[j]): value
         for i, row in enumerate(_CASESTUDY_ROWS)

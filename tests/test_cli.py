@@ -496,6 +496,34 @@ def _assert_one_write_error(run):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+# Each error a command catches by a class that `cli` binds on first use (`IngestError`, `CascadeConfigError`,
+# `BucketSchemeError`), and the generator's `ValueError`. In-process tests share `cli`'s globals, so a test before
+# may have bound a name that the command forgot to; a fresh interpreter has only what the command binds itself.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["report", "{bad}", "--out-dir", "{tmp}/out"],
+        ["diff", "{bundle}", "{bad}"],
+        ["stats", "{bundle}", "--resolvers", "nope"],
+        ["report", "{bundle}", "--buckets", "1", "--out-dir", "{tmp}/out"],
+        ["gen", "--components", "0", "--teams", "1"],
+    ],
+    ids=["validate-bundle", "report-bundle", "diff-bundle", "resolvers", "buckets", "gen-params"],
+)
+def test_an_error_exits_2_with_one_error_line_in_a_fresh_interpreter(tmp_path, devnullsoft_bundle, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1}')
+    argv = [arg.format(bad=bad, bundle=devnullsoft_bundle, tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    expected = capsys.readouterr().err
+    run = _run_child(argv, subprocess.DEVNULL)
+    err = run.stderr.decode("utf-8", "replace")
+    assert run.returncode == 2, err
+    assert err == expected and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "report", "stats", "diff"])
 def test_unpaired_surrogate_exit_2_on_every_command(tmp_path, capsys, command):
     doc = json.loads(serialize_bundle(fixture("devnullsoft")))

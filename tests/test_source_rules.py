@@ -28,7 +28,9 @@
   that defines it, so a name taken from there would load that module
   unseen, and could import a module half-initialised in a cycle.
 - An import loads only the modules it needs: `import taxarch` loads no
-  submodule, and each submodule loads only what it imports itself.
+  submodule, and each submodule loads only what it imports itself. A
+  command loads only the modules it runs: `taxarch gen` and `validate`
+  none of the read side's `classify`, `resolve`, `diff` and `views`.
 - No source names `exec`: the package generates no code of its own,
   and every record is built by the constructor that `dataclasses` gives
   it or, for `LocationEvidence`, by the one hand-written constructor.
@@ -52,6 +54,8 @@ from pathlib import Path
 import pytest
 
 import taxarch
+from taxarch.generate import fixture
+from taxarch.ingest import serialize_bundle
 
 PACKAGE = Path(taxarch.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -146,6 +150,17 @@ def test_no_module_imports_a_name_from_the_package_root_but_its_version(path):
     assert outside == [], f"{path.relative_to(PACKAGE)}: imports from the package root {outside}"
 
 
+def _command(*argv: str) -> str:
+    """A statement that runs `taxarch <argv>` through `run`, the entry of `python -m taxarch.cli`, in a directory
+    that holds the devnullsoft bundle as `bundle.json`."""
+    return f"from taxarch.cli import run; sys.argv[1:] = {list(argv)!r}; run()"
+
+
+# What every command loads, and what a command that runs the pipeline loads besides.
+_COMMAND = ["cli", "generate", "ingest", "jsontext", "model"]
+_PIPELINE = [*_COMMAND, "classify", "diff", "resolve"]
+
+
 @pytest.mark.parametrize(
     "statement, loaded",
     [
@@ -154,17 +169,21 @@ def test_no_module_imports_a_name_from_the_package_root_but_its_version(path):
         ("from taxarch import parse_bundle", ["ingest", "jsontext", "model"]),
         ("import taxarch; taxarch.jsontext", ["jsontext"]),
         ("from taxarch import *", ["classify", "diff", "generate", "ingest", "jsontext", "model", "resolve", "views"]),
-        (
-            "import taxarch.cli",
-            ["classify", "cli", "diff", "generate", "ingest", "jsontext", "model", "resolve", "views"],
-        ),
+        ("import taxarch.cli", ["cli", "generate", "model"]),
+        (_command("gen", "--components", "10", "--teams", "2", "--out", "gen.json"), _COMMAND),
+        (_command("validate", "bundle.json"), _COMMAND),
+        (_command("diff", "bundle.json", "bundle.json", "--out", "delta.json"), _PIPELINE),
+        (_command("stats", "bundle.json"), _PIPELINE),
+        (_command("report", "bundle.json", "--out-dir", "out"), [*_PIPELINE, "views"]),
+        (_command("fixture", "casestudy_matrix", "--out", "matrix.csv"), [*_PIPELINE, "views"]),
     ],
 )
-def test_an_import_in_a_fresh_interpreter_loads_only_the_modules_it_needs(statement, loaded):
+def test_an_import_in_a_fresh_interpreter_loads_only_the_modules_it_needs(tmp_path, statement, loaded):
+    (tmp_path / "bundle.json").write_bytes(serialize_bundle(fixture("devnullsoft")))
     code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'taxarch'))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.split() == ["taxarch", *(f"taxarch.{name}" for name in loaded)]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    assert run.stdout.splitlines()[-1].split() == sorted(["taxarch", *(f"taxarch.{name}" for name in loaded)])
 
 
 def _scopes(tree: ast.AST) -> dict[int, str]:
